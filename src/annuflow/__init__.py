@@ -3,9 +3,9 @@ elliptic solves with circulation data, level-set distribution functions,
 and the smoothed Newton inversion recovering a vorticity profile from an
 orbit label."""
 
-from .grid import (AnnulusGrid, BoundaryData, Field2D, circulation,
-                   divergence, gradient, holder_norm, inner_product,
-                   integrate, laplacian, make_annulus, poisson_bracket)
+from .grid import (AnnulusGrid, Field2D, circulation, divergence, gradient,
+                   holder_norm, inner_product, integrate, laplacian,
+                   make_annulus, poisson_bracket)
 from .curves import Curve1D, Monotone1D, read_curve_csv, write_curve_csv
 from .elliptic import (BorderedSystem, NdReport, check_nd1, solve_poisson,
                        solve_ve)

@@ -148,10 +148,6 @@ class MonotoneInverse(Monotone1D):
         return self._forward.eval_inverse(y)
 
 
-def monotone_from_samples(x0, x1, values):
-    return Monotone1D(x0, x1, values)
-
-
 # ---------------------------------------------------------------------------
 # CSV persistence: two columns (abscissa, value), '.' decimal, '\n' lines
 # ---------------------------------------------------------------------------

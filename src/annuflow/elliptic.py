@@ -13,6 +13,12 @@ Two boundary-value problems appear throughout:
   is an explicit scalar unknown and the circulation functional is an
   explicit constraint row, so the system is square and solved by direct
   sparse LU.
+
+Both matrices share one vectorized builder of the interior 5-point polar
+Laplacian.  Each factor has one owner: the grid owns its Dirichlet factor
+(``AnnulusGrid.dirichlet_lu``, built on first use), and a steady state
+owns its linearization Delta - F'(psi) (``SteadyState.linearization``).
+Nothing is cached at module level, so a factor is freed with its owner.
 """
 
 from __future__ import annotations
@@ -29,63 +35,46 @@ from .grid import AnnulusGrid, Field2D, circulation_row
 _ND_THRESHOLD = 1e-6
 
 
-def _interior_laplacian_entries(grid: AnnulusGrid):
-    """COO entries of the 5-point polar Laplacian on interior rows."""
+def _interior_laplacian(grid: AnnulusGrid, c=0.0):
+    """(rows, cols, vals) triples of the 5-point polar Laplacian plus c on
+    the interior rows (c: scalar or interior values, shape (Nr-2, Ns));
+    the angular neighbours wrap around theta."""
     Nr, Ns = grid.Nr, grid.Ns
-    hr, ht = grid.hr, grid.htheta
-    r = grid.r
-
-    def idx(j, k):
-        return j * Ns + (k % Ns)
-
-    rows, cols, vals = [], [], []
-    for j in range(1, Nr - 1):
-        rj = r[j]
-        c_rr = 1.0 / hr**2
-        c_r = 1.0 / (2 * hr * rj)
-        c_tt = 1.0 / (ht**2 * rj**2)
-        for k in range(Ns):
-            row = idx(j, k)
-            rows += [row] * 5
-            cols += [idx(j + 1, k), idx(j - 1, k), idx(j, k + 1), idx(j, k - 1), row]
-            vals += [c_rr + c_r, c_rr - c_r, c_tt, c_tt, -2 * c_rr - 2 * c_tt]
-    return rows, cols, vals
+    j = np.arange(1, Nr - 1)[:, None]
+    k = np.arange(Ns)
+    row = j * Ns + k
+    r = grid.r[1:-1, None]
+    c_rr = 1.0 / grid.hr**2
+    c_r = 1.0 / (2 * grid.hr * r)
+    c_tt = 1.0 / (grid.htheta**2 * r**2)
+    return [(row, row + Ns, c_rr + c_r), (row, row - Ns, c_rr - c_r),
+            (row, j * Ns + (k + 1) % Ns, c_tt), (row, j * Ns + (k - 1) % Ns, c_tt),
+            (row, row, -2 * c_rr - 2 * c_tt + c)]
 
 
-class _DirichletOperator:
-    """Laplacian with Dirichlet rows on both circles; cached factorization."""
-
-    def __init__(self, grid: AnnulusGrid):
-        Nr, Ns = grid.Nr, grid.Ns
-        n = Nr * Ns
-        rows, cols, vals = _interior_laplacian_entries(grid)
-        for k in range(Ns):                      # boundary rows: identity
-            rows += [k, (Nr - 1) * Ns + k]
-            cols += [k, (Nr - 1) * Ns + k]
-            vals += [1.0, 1.0]
-        A = sp.csc_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
-        self.grid = grid
-        self.lu = spla.splu(A)
-
-    def solve(self, rhs_interior, inner_value, outer_value):
-        g = self.grid
-        rhs = rhs_interior.copy()
-        rhs[0, :] = inner_value
-        rhs[-1, :] = outer_value
-        sol = self.lu.solve(rhs.ravel())
-        return g.field(sol.reshape(g.Nr, g.Ns))
+def _csc(entries, n):
+    """n x n CSC matrix from (rows, cols, vals) triples of broadcastable
+    shapes."""
+    rows, cols, vals = (np.concatenate([a.ravel() for a in part]) for part in
+                        zip(*(np.broadcast_arrays(*e) for e in entries)))
+    return sp.csc_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
 
 
-_dirichlet_cache: dict = {}
+def dirichlet_factor(grid: AnnulusGrid):
+    """Sparse LU of the Laplacian with identity rows on both circles.
+    Use ``grid.dirichlet_lu``, which builds it once per grid."""
+    n = grid.Nr * grid.Ns
+    rings = np.r_[0:grid.Ns, n - grid.Ns:n]
+    return spla.splu(_csc(_interior_laplacian(grid) + [(rings, rings, 1.0)], n))
 
 
-def _dirichlet(grid: AnnulusGrid) -> _DirichletOperator:
-    key = id(grid)
-    op = _dirichlet_cache.get(key)
-    if op is None:
-        op = _DirichletOperator(grid)
-        _dirichlet_cache[key] = op
-    return op
+def _dirichlet_solve(grid: AnnulusGrid, rhs_interior, inner_value):
+    """Solution with the given interior right-hand side, the constant
+    inner_value on the inner circle and zero on the outer one."""
+    rhs = rhs_interior.copy()
+    rhs[0, :] = inner_value
+    rhs[-1, :] = 0.0
+    return grid.field(grid.dirichlet_lu.solve(rhs.ravel()).reshape(grid.Nr, grid.Ns))
 
 
 def solve_poisson(omega: Field2D, gamma: float):
@@ -95,9 +84,8 @@ def solve_poisson(omega: Field2D, gamma: float):
     gamma to rounding because c solves the constraint exactly.
     """
     grid = omega.grid
-    op = _dirichlet(grid)
-    u = op.solve(omega.values, 0.0, 0.0)
-    gblend = op.solve(np.zeros_like(omega.values), 1.0, 0.0)
+    u = _dirichlet_solve(grid, omega.values, 0.0)
+    gblend = _dirichlet_solve(grid, np.zeros_like(omega.values), 1.0)
     crow = circulation_row(grid)
     circ_u = float(np.sum(crow * u.values))
     circ_g = float(np.sum(crow * gblend.values))
@@ -115,41 +103,32 @@ class BorderedSystem:
 
     grid: AnnulusGrid
     matrix: object            # csc
-    lu: object = None
+    lu: object
 
     @property
     def n_unknowns(self):
         return self.grid.Nr * self.grid.Ns + 1
 
 
-def bordered_system(grid: AnnulusGrid, c: Field2D | None, factorize=True) -> BorderedSystem:
+def _bordered_matrix(grid: AnnulusGrid, c: Field2D):
+    """Rows: Laplacian + c inside, identity on the outer circle, inner
+    trace minus the scalar unknown (last column), circulation last."""
     Nr, Ns = grid.Nr, grid.Ns
     n = Nr * Ns
-    rows, cols, vals = _interior_laplacian_entries(grid)
-    if c is not None:
-        for j in range(1, Nr - 1):
-            for k in range(Ns):
-                rows.append(j * Ns + k)
-                cols.append(j * Ns + k)
-                vals.append(c.values[j, k])
-    for k in range(Ns):                 # outer Dirichlet rows
-        row = (Nr - 1) * Ns + k
-        rows.append(row)
-        cols.append(row)
-        vals.append(1.0)
-    for k in range(Ns):                 # inner rows tie the trace to the scalar
-        rows += [k, k]
-        cols += [k, n]
-        vals += [1.0, -1.0]
-    crow = circulation_row(grid)        # constraint row
-    jj, kk = np.nonzero(crow)
-    for j, k in zip(jj, kk):
-        rows.append(n)
-        cols.append(j * Ns + k)
-        vals.append(crow[j, k])
-    A = sp.csc_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)))
-    lu = spla.splu(A) if factorize else None
-    return BorderedSystem(grid, A, lu)
+    outer = np.arange(n - Ns, n)
+    inner = np.arange(Ns)
+    crow = circulation_row(grid).ravel()
+    ccols = np.flatnonzero(crow)
+    return _csc(_interior_laplacian(grid, c.values[1:-1])
+                + [(outer, outer, 1.0),
+                   (inner, inner, 1.0),
+                   (inner, n, -1.0),
+                   (n, ccols, crow[ccols])], n + 1)
+
+
+def bordered_system(grid: AnnulusGrid, c: Field2D) -> BorderedSystem:
+    A = _bordered_matrix(grid, c)
+    return BorderedSystem(grid, A, spla.splu(A))
 
 
 def bordered_solve(system: BorderedSystem, k: Field2D, circulation_value=0.0):
@@ -165,15 +144,14 @@ def bordered_solve(system: BorderedSystem, k: Field2D, circulation_value=0.0):
     return phi, float(sol[-1])
 
 
-def solve_ve(c: Field2D, k: Field2D, system: BorderedSystem | None = None) -> Field2D:
+def solve_ve(c: Field2D, k: Field2D) -> Field2D:
     """Inverse of the family Delta + c under the zero-circulation conditions.
 
     Raises near-singular-operator (with the sigma_min estimate) when the
     bordered matrix is numerically singular, which is the discrete signal
     that c left the invertible neighborhood.
     """
-    if system is None:
-        system = bordered_system(c.grid, c)
+    system = bordered_system(c.grid, c)
     try:
         phi, _ = bordered_solve(system, k)
     except RuntimeError as exc:  # splu singular
@@ -224,9 +202,7 @@ def check_nd1(state, threshold=_ND_THRESHOLD, dense=False) -> NdReport:
     """Invertibility margin of Delta - F'(psi) with the zero-circulation
     conditions at a steady state: smallest singular value of the bordered
     matrix, relative to its operator norm."""
-    grid = state.psi.grid
-    c = grid.field(-state.F.d1(state.psi.values))
-    system = bordered_system(grid, c)
+    system = state.linearization
     if dense:
         sv = np.linalg.svd(system.matrix.toarray(), compute_uv=False)
         sigma, opnorm = float(sv[-1]), float(sv[0])
@@ -236,20 +212,16 @@ def check_nd1(state, threshold=_ND_THRESHOLD, dense=False) -> NdReport:
     return NdReport(sigma, opnorm, threshold, sigma > threshold * opnorm)
 
 
-def principal_eigenvalue(grid: AnnulusGrid, n_check=4):
+def principal_eigenvalue(grid: AnnulusGrid):
     """Smallest lam > 0 making Delta + lam singular under the
     zero-circulation conditions; dense generalized eigensolve (coarse
     grids only)."""
     import scipy.linalg as la
 
-    system = bordered_system(grid, None, factorize=False)
-    A = system.matrix.toarray()
-    n = grid.Nr * grid.Ns
+    A = _bordered_matrix(grid, grid.constant(0.0)).toarray()
+    interior = np.arange(grid.Ns, (grid.Nr - 1) * grid.Ns)
     E = np.zeros_like(A)
-    mask = np.zeros(n + 1, dtype=bool)
-    for j in range(1, grid.Nr - 1):
-        mask[j * grid.Ns:(j + 1) * grid.Ns] = True
-    E[np.where(mask)[0], np.where(mask)[0]] = 1.0
+    E[interior, interior] = 1.0
     vals = la.eig(A, -E, right=False)
     vals = vals[np.isfinite(vals)]
     real = vals[np.abs(vals.imag) < 1e-8].real

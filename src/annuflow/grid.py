@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,13 @@ class AnnulusGrid:
 
     def constant(self, c):
         return self.field(np.full((self.Nr, self.Ns), float(c)))
+
+    @cached_property
+    def dirichlet_lu(self):
+        """LU factor of the Laplacian with Dirichlet rows on both circles,
+        built on first use and freed with the grid."""
+        from .elliptic import dirichlet_factor      # elliptic imports grid
+        return dirichlet_factor(self)
 
 
 def make_annulus(Ri, Ro, Nr, Ns):
@@ -129,16 +137,6 @@ class Field2D:
 
 def _vals(x):
     return x.values if isinstance(x, Field2D) else x
-
-
-@dataclass(frozen=True)
-class BoundaryData:
-    """Stream-function boundary data: zero outer trace, constant inner
-    trace, prescribed circulation around the inner component."""
-
-    gamma: float
-    inner_value: float
-    outer_value: float = 0.0
 
 
 # ---------------------------------------------------------------------------

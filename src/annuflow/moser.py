@@ -13,27 +13,29 @@ The iteration is the smoothed Newton scheme
     F_{n+1} = F_n - S(t_n) L(F_n) (T(F_n) - g_target),   t_n = A**(kappa**n)
 whose parameters must satisfy the convergence constraints checked by
 MoserConfig.validate().
+
+Every per-state object lives on its steady state: the factorized
+linearization is ``SteadyState.linearization``, and ``workspace(state)``
+stores the workspace (chart, distribution, assembled Id + K) on the state,
+so both are freed with it.
 """
 
 from __future__ import annotations
 
 import io
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .curves import Curve1D, Monotone1D
-from .elliptic import bordered_solve, bordered_system
-from .errors import (DivergedError, InnerSolveFailureError, NotMonotoneError,
-                     SingularIdPlusKError)
-from .orbit import (LevelChart, _aprime_values, dist_fn, j_over_grad,
+from .elliptic import bordered_solve
+from .errors import (AnnuflowError, DivergedError, InnerSolveFailureError,
+                     NotMonotoneError, SingularIdPlusKError)
+from .orbit import (N_MU, LevelChart, _aprime_values, dist_fn, j_over_grad,
                     level_chart)
 from .steady import Profile1D, SteadyState, solve_steady
 from .tame import smooth
-
-N_MU = 129
 
 
 @dataclass(frozen=True)
@@ -104,27 +106,24 @@ class MoserTrace:
 
 
 # ---------------------------------------------------------------------------
-# per-state workspace: stream chart, distribution, factorized linearization
+# per-state workspace: stream chart, distribution, assembled Id + K
 # ---------------------------------------------------------------------------
 
 class StateWorkspace:
-    def __init__(self, state: SteadyState, n_mu=N_MU):
+    def __init__(self, state: SteadyState):
         g = state.psi.grid
         self.state = state
-        self.n_mu = n_mu
         # the stream travel time varies by orders of magnitude across
         # levels, so the chart takes extra rows to hold the area budget
         self.chart: LevelChart = level_chart(state.psi, Nt=max(2 * g.Nr, 128))
         self.A_psi, self.A_psi_inv = dist_fn(state.psi, self.chart)
-        self.mu = np.linspace(0.0, g.area, n_mu)
+        self.mu = np.linspace(0.0, g.area, N_MU)
         self.lam_mu = self.A_psi_inv(self.mu)           # psi-levels at mu
         j1 = _aprime_values(self.chart)                 # A_psi'(lambda)
         self._j1_spline = CubicSpline(self.chart.levels, j1)
         self.j1_mu = self._j1_spline(self.lam_mu)
         # (d/dmu) A_omega^{-1} = F'(lambda(mu)) / A_psi'(lambda(mu))
         self.dainv_omega = state.F.d1(self.lam_mu) / self.j1_mu
-        self.ve_system = bordered_system(
-            g, g.field(-state.F.d1(state.psi.values)))
         self._id_plus_k = None
 
     def t_values(self):
@@ -140,12 +139,12 @@ class StateWorkspace:
         return self.dainv_omega * jphi_mu
 
     def linearized_solve(self, source_field):
-        phi, _ = bordered_solve(self.ve_system, source_field)
+        phi, _ = bordered_solve(self.state.linearization, source_field)
         return phi
 
     def assembled_id_plus_k(self):
         if self._id_plus_k is None:
-            n = self.n_mu
+            n = N_MU
             M = np.eye(n)
             for jcol in range(n):
                 e = np.zeros(n)
@@ -155,15 +154,12 @@ class StateWorkspace:
         return self._id_plus_k
 
 
-_workspaces: "weakref.WeakKeyDictionary[SteadyState, StateWorkspace]" = (
-    weakref.WeakKeyDictionary())
-
-
-def workspace(state: SteadyState, n_mu=N_MU) -> StateWorkspace:
-    ws = _workspaces.get(state)
-    if ws is None or ws.n_mu != n_mu:
-        ws = StateWorkspace(state, n_mu)
-        _workspaces[state] = ws
+def workspace(state: SteadyState) -> StateWorkspace:
+    """The workspace of a state, built on first use and stored on the
+    state (an attribute outside its dataclass fields)."""
+    ws = vars(state).get("_workspace")
+    if ws is None:
+        ws = vars(state)["_workspace"] = StateWorkspace(state)
     return ws
 
 
@@ -171,7 +167,7 @@ def workspace(state: SteadyState, n_mu=N_MU) -> StateWorkspace:
 # T, DT, VB, K, VM, L
 # ---------------------------------------------------------------------------
 
-def t_map(F: Profile1D, gamma: float, grid=None, psi0=None, n_mu=N_MU,
+def t_map(F: Profile1D, gamma: float, grid=None, psi0=None,
           cross_check=True, mismatch_rel=None):
     """Orbit label of the steady state of profile F: the inverse
     distribution function of its vorticity on [0, |domain|].
@@ -183,7 +179,7 @@ def t_map(F: Profile1D, gamma: float, grid=None, psi0=None, n_mu=N_MU,
     import warnings
 
     state = solve_steady(F, gamma, psi0=psi0, grid=grid)
-    ws = workspace(state, n_mu)
+    ws = workspace(state)
     vals = ws.t_values()
     curve = Monotone1D(0.0, state.psi.grid.area, vals)
     if cross_check:
@@ -198,9 +194,9 @@ def t_map(F: Profile1D, gamma: float, grid=None, psi0=None, n_mu=N_MU,
     return curve, state
 
 
-def dt(state: SteadyState, f, n_mu=N_MU) -> Curve1D:
+def dt(state: SteadyState, f) -> Curve1D:
     """Derivative of the orbit label in the profile direction f."""
-    ws = workspace(state, n_mu)
+    ws = workspace(state)
     g = state.psi.grid
     b_part = f(ws.lam_mu)
     phi = ws.linearized_solve(g.field(f(state.psi.values)))
@@ -247,33 +243,33 @@ class VbDirection(Curve1D):
         return Curve1D(self.a, self.b, values)
 
 
-def vb(state: SteadyState, gcurve: Curve1D, n_mu=N_MU):
+def vb(state: SteadyState, gcurve: Curve1D):
     """Right-inverse of the composition part of DT."""
-    ws = workspace(state, n_mu)
+    ws = workspace(state)
     return VbDirection(gcurve, ws.A_psi, ws.chart.omega_min,
                        state.F.cbar, state.F.samples.size)
 
 
 def _k_values(ws: StateWorkspace, gcurve: Curve1D):
     state = ws.state
-    f = vb(state, gcurve, ws.n_mu)
+    f = vb(state, gcurve)
     phi = ws.linearized_solve(state.psi.grid.field(f(state.psi.values)))
     return ws.ktilde(phi)
 
 
-def k_apply(state: SteadyState, gcurve: Curve1D, n_mu=N_MU) -> Curve1D:
+def k_apply(state: SteadyState, gcurve: Curve1D) -> Curve1D:
     """Compact part of the normalized derivative: K(F)g = DT(F)VB(F)g - g."""
-    ws = workspace(state, n_mu)
+    ws = workspace(state)
     return Curve1D(0.0, state.psi.grid.area, _k_values(ws, gcurve))
 
 
-def assemble_id_plus_k(state: SteadyState, n_mu=N_MU):
-    return workspace(state, n_mu).assembled_id_plus_k()
+def assemble_id_plus_k(state: SteadyState):
+    return workspace(state).assembled_id_plus_k()
 
 
-def vm(state: SteadyState, h: Curve1D, n_mu=N_MU, sigma_floor=1e-8) -> Curve1D:
+def vm(state: SteadyState, h: Curve1D, sigma_floor=1e-8) -> Curve1D:
     """Solve (Id + K(F)) g = h by dense collocation on the area grid."""
-    ws = workspace(state, n_mu)
+    ws = workspace(state)
     M = ws.assembled_id_plus_k()
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[-1] < sigma_floor * sv[0]:
@@ -284,10 +280,10 @@ def vm(state: SteadyState, h: Curve1D, n_mu=N_MU, sigma_floor=1e-8) -> Curve1D:
     return Curve1D(0.0, state.psi.grid.area, g)
 
 
-def right_inverse(state: SteadyState, h: Curve1D, n_mu=N_MU):
+def right_inverse(state: SteadyState, h: Curve1D):
     """L(F)h = VB(F) VM(F) h; satisfies dt(state, L h) = h up to
     collocation accuracy."""
-    return vb(state, vm(state, h, n_mu), n_mu)
+    return vb(state, vm(state, h))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +300,7 @@ def _repair_monotone(samples, h_s, floor_slope):
 
 
 def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
-                cfg: MoserConfig = MoserConfig(), grid=None, n_mu=N_MU):
+                cfg: MoserConfig = MoserConfig(), grid=None):
     """Invert the orbit label map: find F with T(F) = g_target near F0.
 
     Returns (profile, steady state, trace).  The residual trace records
@@ -326,12 +322,13 @@ def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
     for n in range(cfg.max_iter):
         try:
             state = solve_steady(F, gamma, psi0=psi0, grid=grid)
-        except Exception as exc:
+        except (AnnuflowError, RuntimeError, np.linalg.LinAlgError) as exc:
+            # RuntimeError: splu on an exactly singular linearization
             raise InnerSolveFailureError(
                 f"steady solve failed at iteration {n}: {exc}",
                 iteration=n) from exc
         psi0 = state.psi
-        ws = workspace(state, n_mu)
+        ws = workspace(state)
         resid_vals = ws.t_values() - g_target(ws.mu)
         residual = float(np.abs(resid_vals).max())
         t_n = cfg.schedule(n)
@@ -350,7 +347,7 @@ def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
         prev_residual = residual
 
         h_curve = Curve1D(0.0, state.psi.grid.area, resid_vals)
-        f_dir = right_inverse(state, h_curve, n_mu)
+        f_dir = right_inverse(state, h_curve)
         update = smooth(f_dir, t_n)
         flags = []
         trunc = np.abs(f_dir.values - update.values).max()
@@ -365,12 +362,9 @@ def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
         update_norm = Curve1D(F.cbar, 0.0, new_samples - F.samples).c1_norm()
         trace.add(n, t_n, residual, update_norm, flags)
         F = F.with_samples(new_samples, strictly_monotone=False)
-    else:
-        # max_iter exhausted without reaching the floor
-        pass
     # cross-check the recovered state against the direct vorticity path
     _, ainv_direct = dist_fn(state.omega)
-    ws = workspace(state, n_mu)
+    ws = workspace(state)
     trace.final_cross_check = float(
         np.abs(ainv_direct(ws.mu) - g_target(ws.mu)).max())
     return F, state, trace
@@ -399,12 +393,12 @@ class UniquenessReport:
 
 
 def uniqueness_probe(state_a: SteadyState, state_b: SteadyState, tol,
-                     calibration=1.0, n_mu=N_MU) -> UniquenessReport:
+                     calibration=1.0) -> UniquenessReport:
     """Compare orbit labels and stream functions of two nearby states:
     on a shared orbit the states must agree."""
     _, qa = dist_fn(state_a.omega)
     _, qb = dist_fn(state_b.omega)
-    mu = np.linspace(0.0, state_a.psi.grid.area, n_mu)
+    mu = np.linspace(0.0, state_a.psi.grid.area, N_MU)
     q_dist = float(np.abs(qa(mu) - qb(mu)).max())
     psi_dist = float(np.abs(state_a.psi.values - state_b.psi.values).max())
     return UniquenessReport(q_dist, psi_dist, float(tol), float(calibration))

@@ -287,31 +287,26 @@ def pushforward(omega: Field2D, alpha: Field2D, eps: float) -> Field2D:
 N_MU = 129
 
 
-def _mu_grid(chart: LevelChart, n_mu):
-    return np.linspace(0.0, chart.grid.area, n_mu)
-
-
-def _compose_mu(chart: LevelChart, curve_vals, Ainv, n_mu):
+def _compose_mu(chart: LevelChart, curve_vals, Ainv):
     """Evaluate a level-grid curve at lambda(mu) on the uniform mu grid."""
-    mu = _mu_grid(chart, n_mu)
+    mu = np.linspace(0.0, chart.grid.area, N_MU)
     lam = Ainv(mu)
     spl = CubicSpline(chart.levels, curve_vals)
     return spl(np.clip(lam, chart.omega_min, chart.omega_max))
 
 
-def dq(omega: Field2D, chart: LevelChart, nu: Field2D, n_mu=N_MU) -> Curve1D:
+def dq(omega: Field2D, chart: LevelChart, nu: Field2D) -> Curve1D:
     """First derivative of the inverse distribution function in the
     direction nu: the level mean of nu, transported to the area variable."""
     _, Ainv = dist_fn(omega, chart)
     jnu = j_over_grad(chart, nu).values
     j1 = _aprime_values(chart)
-    num = _compose_mu(chart, jnu, Ainv, n_mu)
-    den = _compose_mu(chart, j1, Ainv, n_mu)
+    num = _compose_mu(chart, jnu, Ainv)
+    den = _compose_mu(chart, j1, Ainv)
     return Curve1D(0.0, chart.grid.area, num / den)
 
 
-def d2q(omega: Field2D, chart: LevelChart, nu1: Field2D, nu2: Field2D,
-        n_mu=N_MU) -> Curve1D:
+def d2q(omega: Field2D, chart: LevelChart, nu1: Field2D, nu2: Field2D) -> Curve1D:
     """Second derivative of the inverse distribution function: the
     four-term closed form built from loop integrals of div(nu N/|grad w|)."""
     g = omega.grid
@@ -332,7 +327,7 @@ def d2q(omega: Field2D, chart: LevelChart, nu1: Field2D, nu2: Field2D,
     w0 = div_term(np.ones_like(gn))
 
     def comp(curve):
-        return _compose_mu(chart, curve.values, Ainv, n_mu)
+        return _compose_mu(chart, curve.values, Ainv)
 
     j1 = comp(Curve1D(chart.omega_min, chart.omega_max, _aprime_values(chart)))
     jn1 = comp(j_over_grad(chart, nu1))
@@ -440,14 +435,14 @@ def second_variation(state, alpha: Field2D) -> float:
     return integrate(gr * gr + gt * gt) + integrate(nu * nu / g.field(fprime))
 
 
-def check_nd2(state, threshold=1e-6, n_mu=N_MU):
+def check_nd2(state, threshold=1e-6):
     """Transversality of the steady-state family to the orbit foliation:
     smallest singular value of the assembled identity-plus-compact
     collocation matrix."""
     from . import moser
     from .elliptic import NdReport
 
-    M = moser.assemble_id_plus_k(state, n_mu=n_mu)
+    M = moser.assemble_id_plus_k(state)
     sv = np.linalg.svd(M, compute_uv=False)
     sigma, opnorm = float(sv[-1]), float(sv[0])
     return NdReport(sigma, opnorm, threshold, sigma > threshold * opnorm)

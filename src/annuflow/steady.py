@@ -5,18 +5,22 @@ derivatives with respect to the profile F.
 Newton linearization: the correction phi solves
 Delta(phi) - F'(psi)phi = F(psi) - Delta(psi) under the zero-circulation
 conditions, so each step is one bordered elliptic solve.  Full steps with
-residual-halving damping (at most 5 halvings per step).
+residual-halving damping (at most 5 halvings per step).  A converged state
+owns its factorized linearization, which every derivative of that state
+shares.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .elliptic import bordered_system, bordered_solve, solve_poisson
+from .elliptic import (BorderedSystem, bordered_solve, bordered_system,
+                       solve_poisson)
 from .errors import NoConvergenceError, NotMonotoneError, RangeEscapeError
 from .grid import Field2D, gradient, integrate, laplacian, make_annulus
 
@@ -83,6 +87,13 @@ class SteadyState:
     gamma: float
     inner_value: float
     newton_residual: float
+
+    @cached_property
+    def linearization(self) -> BorderedSystem:
+        """Factorized Delta - F'(psi) under the zero-circulation
+        conditions, built on first use and freed with the state."""
+        g = self.psi.grid
+        return bordered_system(g, g.field(-self.F.d1(self.psi.values)))
 
 
 def _interior_residual(psi: Field2D, F: Profile1D) -> float:
@@ -154,12 +165,10 @@ def solve_steady(F: Profile1D, gamma: float, psi0: Field2D | None = None,
 
 def ds(state: SteadyState, f) -> Field2D:
     """First derivative of the steady state in a profile direction f:
-    solves Delta(phi) - F'(psi)phi = f(psi) with zero-circulation data."""
-    g = state.psi.grid
-    c = g.field(-state.F.d1(state.psi.values))
-    system = bordered_system(g, c)
-    rhs = g.field(_eval_direction(f, state.psi.values))
-    phi, _ = bordered_solve(system, rhs)
+    solves Delta(phi) - F'(psi)phi = f(psi) with zero-circulation data.
+    Directions are Profile1D or Curve1D (callable, with d1)."""
+    phi, _ = bordered_solve(state.linearization,
+                            state.psi.grid.field(f(state.psi.values)))
     return phi
 
 
@@ -168,24 +177,12 @@ def d2s(state: SteadyState, f1, f2) -> Field2D:
     F''(psi) phi1 phi2 + f2'(psi) phi1 + f1'(psi) phi2."""
     g = state.psi.grid
     psi = state.psi.values
-    c = g.field(-state.F.d1(psi))
-    system = bordered_system(g, c)
-    phi1 = bordered_solve(system, g.field(_eval_direction(f1, psi)))[0]
-    phi2 = bordered_solve(system, g.field(_eval_direction(f2, psi)))[0]
-    src = (state.F.d2(psi) * phi1.values * phi2.values
-           + _eval_direction_d1(f2, psi) * phi1.values
-           + _eval_direction_d1(f1, psi) * phi2.values)
-    phi12, _ = bordered_solve(system, g.field(src))
+    phi1 = ds(state, f1).values
+    phi2 = ds(state, f2).values
+    src = (state.F.d2(psi) * phi1 * phi2
+           + f2.d1(psi) * phi1 + f1.d1(psi) * phi2)
+    phi12, _ = bordered_solve(state.linearization, g.field(src))
     return phi12
-
-
-def _eval_direction(f, x):
-    # directions are Profile1D or Curve1D; both are callable
-    return f(x)
-
-
-def _eval_direction_d1(f, x):
-    return f.d1(x)
 
 
 def energy(state_or_omega, gamma=None) -> float:
@@ -200,9 +197,7 @@ def energy(state_or_omega, gamma=None) -> float:
             raise ValueError("gamma required when passing a vorticity field")
         psi, inner_value = solve_poisson(state_or_omega, gamma)
         omega = state_or_omega
-    gr, gt = gradient(psi)
-    e_grad = 0.5 * integrate(gr * gr + gt * gt)
-    e_vort = -0.5 * integrate(omega * psi) + 0.5 * gamma * inner_value
+    e_grad, e_vort = _energy_forms(psi, omega, gamma, inner_value)
     h2 = psi.grid.h**2
     scale = max(abs(e_grad), abs(e_vort), 1.0)
     if abs(e_grad - e_vort) > 200.0 * h2 * scale:
@@ -213,13 +208,16 @@ def energy(state_or_omega, gamma=None) -> float:
     return e_grad
 
 
+def _energy_forms(psi, omega, gamma, inner_value):
+    gr, gt = gradient(psi)
+    e_grad = 0.5 * integrate(gr * gr + gt * gt)
+    e_vort = -0.5 * integrate(omega * psi) + 0.5 * gamma * inner_value
+    return e_grad, e_vort
+
+
 def energy_pair(state: SteadyState):
     """Both energy formulas (gradient form, vorticity form)."""
-    gr, gt = gradient(state.psi)
-    e_grad = 0.5 * integrate(gr * gr + gt * gt)
-    e_vort = (-0.5 * integrate(state.omega * state.psi)
-              + 0.5 * state.gamma * state.inner_value)
-    return e_grad, e_vort
+    return _energy_forms(state.psi, state.omega, state.gamma, state.inner_value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from annuflow.elliptic import (NdReport, check_nd1, principal_eigenvalue,
-                                solve_poisson, solve_ve)
-from annuflow.grid import circulation, laplacian, gradient, integrate
+from annuflow.elliptic import (NdReport, bordered_system, check_nd1,
+                                principal_eigenvalue, solve_poisson, solve_ve)
+from annuflow.grid import (circulation, circulation_row, gradient, integrate,
+                           laplacian, make_annulus)
 from annuflow.steady import Profile1D, SteadyState
 
 
@@ -101,6 +102,29 @@ def test_ve_maximum_principle(grid64):
     k = grid64.field_from(lambda r, t: (r - 1) * (2 - r) + 0.1)
     phi = solve_ve(c, k)
     assert phi.values[1:-1, :].max() < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(16, 32), (24, 40)])
+def test_bordered_matrix_rows(shape):
+    grid = make_annulus(1.0, 2.0, *shape)
+    Nr, Ns = shape
+    n = Nr * Ns
+    c = grid.field_from(lambda r, t: -1.0 + 0.3 * r * np.cos(t) + 0.2 * np.sin(2 * t))
+    f = grid.field_from(lambda r, t: np.sin(2 * r) * np.cos(t) + r**2 * np.sin(3 * t))
+    A = bordered_system(grid, c).matrix
+    x = np.append(f.values.ravel(), 0.7)
+    y = A @ x
+    # interior rows: the grid Laplacian plus c, angular wrap at k = 0, Ns-1
+    expect = (laplacian(f).values + c.values * f.values)[1:-1, :]
+    got = y[Ns:n - Ns].reshape(Nr - 2, Ns)
+    assert np.abs(got - expect).max() < 1e-12 * np.abs(expect).max()
+    # outer rows: identity; inner rows: trace minus the scalar unknown
+    assert np.array_equal(y[n - Ns:n], x[n - Ns:n])
+    assert np.array_equal(y[:Ns], x[:Ns] - x[n])
+    # last row: the circulation functional
+    last = A[n].toarray().ravel()
+    assert np.array_equal(last[:n], circulation_row(grid).ravel())
+    assert last[n] == 0.0
 
 
 def _steady_bundle(grid, profile, gamma=-2 * np.pi):

@@ -1,14 +1,21 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from annuflow import moser
 from annuflow.curves import Curve1D, Monotone1D
-from annuflow.errors import DivergedError
+from annuflow.elliptic import solve_poisson
+from annuflow.errors import (DivergedError, InnerSolveFailureError,
+                             NoConvergenceError)
+from annuflow.grid import make_annulus
 from annuflow.moser import (
     MoserConfig, assemble_id_plus_k, config_from_text, config_to_text, dt,
     k_apply, moser_solve, right_inverse, t_map, uniqueness_probe, vb, vm,
     workspace,
 )
-from annuflow.steady import Profile1D
+from annuflow.steady import Profile1D, solve_steady
 
 from oracles import radial_linearized, radial_steady
 
@@ -301,11 +308,46 @@ def test_moser_infeasible_target_diverges(grid64):
     mus = np.linspace(0, grid64.area, 129)
     bad = Monotone1D(0.0, grid64.area, np.linspace(-1.0, -0.5, 129))
     flipped = Curve1D(0.0, grid64.area, bad.values[::-1].copy())
-    with pytest.raises((DivergedError, Exception)):
-        F, state, trace = moser_solve(fbar(), GAMMA, flipped, grid=grid64,
-                                      cfg=MoserConfig(max_iter=10))
-        # if it did not raise, it must not have converged
-        assert trace.residuals.min() > 1e-3
+    with pytest.raises(DivergedError) as excinfo:
+        moser_solve(fbar(), GAMMA, flipped, grid=grid64,
+                    cfg=MoserConfig(max_iter=10))
+    assert excinfo.value.info["trace"].residuals.min() > 1e-3
+
+
+def _raising_solve(exc):
+    def solve(*args, **kwargs):
+        raise exc
+    return solve
+
+
+def test_moser_wraps_only_solver_failures(monkeypatch, grid64):
+    target = Monotone1D(0.0, grid64.area, np.linspace(-1.0, -0.5, 129))
+    # a programming error in the inner solve surfaces as itself
+    monkeypatch.setattr(moser, "solve_steady", _raising_solve(TypeError("bug")))
+    with pytest.raises(TypeError, match="bug"):
+        moser_solve(fbar(), GAMMA, target, grid=grid64)
+    # a solver failure becomes inner-solve-failure at its iteration
+    monkeypatch.setattr(moser, "solve_steady", _raising_solve(
+        NoConvergenceError("stalled", residual=1.0)))
+    with pytest.raises(InnerSolveFailureError) as excinfo:
+        moser_solve(fbar(), GAMMA, target, grid=grid64)
+    assert excinfo.value.code == "inner-solve-failure"
+    assert excinfo.value.info["iteration"] == 0
+    assert isinstance(excinfo.value.__cause__, NoConvergenceError)
+
+
+def test_grids_and_states_are_freed():
+    # factors and workspaces live on their grid and state, not in a cache
+    refs = []
+    for _ in range(5):
+        grid = make_annulus(1.0, 2.0, 16, 32)
+        state = solve_steady(fbar(), GAMMA, grid=grid)
+        workspace(state)
+        solve_poisson(grid.constant(1.0), GAMMA)
+        refs += [weakref.ref(grid), weakref.ref(state)]
+    del grid, state
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
 
 
 def test_uniqueness_same_state(ref):
