@@ -2,8 +2,9 @@
 
 Commands: solve, dist, invert, check, tangent.  Exit codes: 0 success,
 2 input or solver error (with a machine-readable error JSON on stdout),
-3 iteration divergence.  All randomized checks take an explicit --seed;
-identical inputs produce identical outputs.
+3 iteration divergence or max_iter reached without convergence.  All
+randomized checks take an explicit --seed; identical inputs produce
+identical outputs.
 """
 
 from __future__ import annotations
@@ -137,6 +138,9 @@ def cmd_invert(args):
         fh.write(state_to_json(state))
     trace.to_csv(os.path.join(out, "trace.csv"))
     final = trace.rows[-1]
+    if "max-iter" in final[4]:
+        raise CliError("max-iter", f"no convergence in {len(trace.rows)} "
+                       f"iterations (residual {final[2]:.3e})", exit_code=3)
     print(json.dumps({"iterations": len(trace.rows),
                       "residual": final[2],
                       "cross_check": trace.final_cross_check,

@@ -131,17 +131,25 @@ def bordered_system(grid: AnnulusGrid, c: Field2D) -> BorderedSystem:
     return BorderedSystem(grid, A, spla.splu(A))
 
 
-def bordered_solve(system: BorderedSystem, k: Field2D, circulation_value=0.0):
-    """Solve the bordered system; returns (phi, inner_value)."""
+def bordered_solve(system: BorderedSystem, k, circulation_value=0.0):
+    """Solve the bordered system; returns (phi, inner_value).
+
+    k is a Field2D, or an array of shape (Nr, Ns, m) holding m right-hand
+    sides, which are solved at once; phi then has that shape and
+    inner_value has shape (m,)."""
     grid = system.grid
-    rhs = np.zeros(system.n_unknowns)
-    rhs[:-1] = k.values.ravel()
+    values = k.values if isinstance(k, Field2D) else np.asarray(k)
+    stack = values.shape[2:]
+    rhs = np.zeros((system.n_unknowns,) + stack)
+    rhs[:-1] = values.reshape((-1,) + stack)
     rhs[: grid.Ns] = 0.0                       # inner tie rows
     rhs[(grid.Nr - 1) * grid.Ns: grid.Nr * grid.Ns] = 0.0
     rhs[-1] = circulation_value
     sol = system.lu.solve(rhs)
-    phi = grid.field(sol[:-1].reshape(grid.Nr, grid.Ns))
-    return phi, float(sol[-1])
+    phi = sol[:-1].reshape((grid.Nr, grid.Ns) + stack)
+    if isinstance(k, Field2D):
+        return grid.field(phi), float(sol[-1])
+    return phi, sol[-1]
 
 
 def solve_ve(c: Field2D, k: Field2D) -> Field2D:
@@ -214,18 +222,21 @@ def check_nd1(state, threshold=_ND_THRESHOLD, dense=False) -> NdReport:
 
 def principal_eigenvalue(grid: AnnulusGrid):
     """Smallest lam > 0 making Delta + lam singular under the
-    zero-circulation conditions; dense generalized eigensolve (coarse
-    grids only)."""
-    import scipy.linalg as la
+    zero-circulation conditions.
 
-    A = _bordered_matrix(grid, grid.constant(0.0)).toarray()
-    interior = np.arange(grid.Ns, (grid.Nr - 1) * grid.Ns)
-    E = np.zeros_like(A)
-    E[interior, interior] = 1.0
-    vals = la.eig(A, -E, right=False)
-    vals = vals[np.isfinite(vals)]
-    real = vals[np.abs(vals.imag) < 1e-8].real
-    pos = np.sort(real[real > 1e-10])
+    With A the bordered matrix of Delta and E the identity on the interior
+    rows, A x = -lam E x; ARPACK finds the largest eigenvalues
+    nu = 1/lam of x -> A^{-1}(-E x) from the sparse factor of A."""
+    system = bordered_system(grid, grid.constant(0.0))
+    n = system.n_unknowns
+    interior = np.zeros(n, dtype=bool)
+    interior[grid.Ns: (grid.Nr - 1) * grid.Ns] = True
+    op = spla.LinearOperator((n, n), matvec=lambda x: system.lu.solve(
+        np.where(interior, -np.ravel(x), 0.0)), dtype=float)
+    v0 = np.random.default_rng(7).normal(size=n)
+    nu = spla.eigs(op, k=6, which="LM", v0=v0, return_eigenvectors=False)
+    real = nu[np.abs(nu.imag) < 1e-8 * np.abs(nu)].real
+    pos = real[real > 0]
     if pos.size == 0:
         raise SingularSystemError("no positive eigenvalue found")
-    return float(pos[0])
+    return float(1.0 / pos.max())

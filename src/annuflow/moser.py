@@ -23,6 +23,7 @@ so both are freed with it.
 from __future__ import annotations
 
 import io
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ from .elliptic import bordered_solve
 from .errors import (AnnuflowError, DivergedError, InnerSolveFailureError,
                      NotMonotoneError, SingularIdPlusKError)
 from .orbit import (N_MU, LevelChart, _aprime_values, dist_fn, j_over_grad,
-                    level_chart)
+                    j_over_grad_matrix, level_chart)
 from .steady import Profile1D, SteadyState, solve_steady
 from .tame import smooth
 
@@ -110,9 +111,17 @@ class MoserTrace:
 # ---------------------------------------------------------------------------
 
 class StateWorkspace:
+    """Chart, distribution and assembled Id + K of one steady state.  The
+    state stores its workspace, so the workspace refers to the state only
+    weakly: a dropped state is freed at once, with its factor and its
+    workspace, and a state whose Id + K is never assembled is never
+    factorized."""
+
     def __init__(self, state: SteadyState):
         g = state.psi.grid
-        self.state = state
+        self.F = state.F
+        self.psi = state.psi
+        self._state = weakref.ref(state)
         # the stream travel time varies by orders of magnitude across
         # levels, so the chart takes extra rows to hold the area budget
         self.chart: LevelChart = level_chart(state.psi, Nt=max(2 * g.Nr, 128))
@@ -129,28 +138,44 @@ class StateWorkspace:
     def t_values(self):
         """T(F) samples on the area grid: F composed with the stream
         distribution inverse."""
-        return self.state.F(self.lam_mu)
+        return self.F(self.lam_mu)
+
+    def transport(self, jvals):
+        """(d A_omega^{-1}/dmu) times level-grid loop integrals (leading
+        axis) resampled at lambda(mu)."""
+        jmu = CubicSpline(self.chart.levels, jvals)(self.lam_mu)
+        return (self.dainv_omega * jmu.T).T
 
     def ktilde(self, phi):
         """Smoothing part of DT: (d A_omega^{-1}/dmu) times the level mean
         transport of phi."""
-        jphi = j_over_grad(self.chart, phi).values
-        jphi_mu = CubicSpline(self.chart.levels, jphi)(self.lam_mu)
-        return self.dainv_omega * jphi_mu
+        return self.transport(j_over_grad(self.chart, phi).values)
+
+    @property
+    def linearization(self):
+        state = self._state()
+        if state is None:
+            raise ReferenceError("the steady state of this workspace was freed")
+        return state.linearization
 
     def linearized_solve(self, source_field):
-        phi, _ = bordered_solve(self.state.linearization, source_field)
+        phi, _ = bordered_solve(self.linearization, source_field)
         return phi
 
     def assembled_id_plus_k(self):
+        """Id + K = Id + D S J A^-1 E on the mu grid: E composes the
+        cardinal splines of the mu grid with VB at the psi nodes, A^-1 is
+        one multi-RHS solve, J the travel-time loop integral and D S the
+        transport to the mu grid."""
         if self._id_plus_k is None:
-            n = N_MU
-            M = np.eye(n)
-            for jcol in range(n):
-                e = np.zeros(n)
-                e[jcol] = 1.0
-                M[:, jcol] += _k_values(self, Curve1D(0.0, self.mu[-1], e))
-            self._id_plus_k = M
+            cardinal = CubicSpline(self.mu, np.eye(N_MU))
+            E = _vb_compose(cardinal, cardinal.derivative(), self.A_psi,
+                            self.chart.omega_min, self.psi.values)
+            phi, _ = bordered_solve(self.linearization, E)
+            del E           # freed before J is built: both are large
+            J = j_over_grad_matrix(self.chart)
+            K = self.transport(J @ phi.reshape(J.shape[1], N_MU))
+            self._id_plus_k = np.eye(N_MU) + K
         return self._id_plus_k
 
 
@@ -203,6 +228,19 @@ def dt(state: SteadyState, f) -> Curve1D:
     return Curve1D(0.0, g.area, b_part + ws.ktilde(phi))
 
 
+def _vb_compose(g, g_d1, a_psi, m, x):
+    """g(A_psi(x)) on range(psi) = [m, 0], continued below m linearly with
+    the slope matched at the junction, where the gauge is free.  g and its
+    derivative g_d1 may be vector-valued (trailing axes)."""
+    x = np.asarray(x, dtype=float)
+    a0 = a_psi.values[0]                                # A_psi(m)
+    slope = g_d1(a0) * a_psi.d1(np.array([m]))[0]
+    out = g(a_psi(np.clip(x, m, 0.0)))
+    below = x < m
+    out[below] = g(a0) + np.multiply.outer(x[below] - m, slope)
+    return out
+
+
 class VbDirection(Curve1D):
     """Profile direction g(A_psi(s)) on range(psi), continued below
     min(psi) linearly (slope matched at the junction, where the gauge is
@@ -213,31 +251,10 @@ class VbDirection(Curve1D):
         self._g = gcurve
         self._a_psi = a_psi
         self._m = float(m)
-        self._slope0 = float(gcurve.d1(a_psi.values[0])) * \
-            float(a_psi.d1(np.array([m]))[0])
-        self._anchor = float(gcurve(a_psi.values[0]))
-        s = np.linspace(cbar, 0.0, n_samples)
-        super().__init__(cbar, 0.0, self._compose(s))
-
-    def _compose(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        above = x >= self._m
-        out[above] = self._g(np.asarray(self._a_psi(np.clip(x[above], self._m, 0.0))))
-        out[~above] = self._anchor + self._slope0 * (x[~above] - self._m)
-        return out
+        super().__init__(cbar, 0.0, self(np.linspace(cbar, 0.0, n_samples)))
 
     def __call__(self, x):
-        return self._compose(x)
-
-    def d1(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        above = x >= self._m
-        xa = np.clip(x[above], self._m, 0.0)
-        out[above] = self._g.d1(np.asarray(self._a_psi(xa))) * self._a_psi.d1(xa)
-        out[~above] = self._slope0
-        return out
+        return _vb_compose(self._g, self._g.d1, self._a_psi, self._m, x)
 
     def with_values(self, values):
         return Curve1D(self.a, self.b, values)
@@ -250,17 +267,12 @@ def vb(state: SteadyState, gcurve: Curve1D):
                        state.F.cbar, state.F.samples.size)
 
 
-def _k_values(ws: StateWorkspace, gcurve: Curve1D):
-    state = ws.state
-    f = vb(state, gcurve)
-    phi = ws.linearized_solve(state.psi.grid.field(f(state.psi.values)))
-    return ws.ktilde(phi)
-
-
 def k_apply(state: SteadyState, gcurve: Curve1D) -> Curve1D:
     """Compact part of the normalized derivative: K(F)g = DT(F)VB(F)g - g."""
     ws = workspace(state)
-    return Curve1D(0.0, state.psi.grid.area, _k_values(ws, gcurve))
+    f = vb(state, gcurve)
+    phi = ws.linearized_solve(state.psi.grid.field(f(state.psi.values)))
+    return Curve1D(0.0, state.psi.grid.area, ws.ktilde(phi))
 
 
 def assemble_id_plus_k(state: SteadyState):
@@ -305,8 +317,9 @@ def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
 
     Returns (profile, steady state, trace).  The residual trace records
     t_n, the sup-norm residual, the C1 update norm, and repair flags; the
-    final state carries the direct vorticity-chart cross-check in
-    trace.final_cross_check.
+    last row is flagged max-iter when cfg.max_iter steps end without
+    convergence.  The final state carries the direct vorticity-chart
+    cross-check in trace.final_cross_check.
     """
     cfg.validate()
     F = F0
@@ -362,6 +375,10 @@ def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
         update_norm = Curve1D(F.cbar, 0.0, new_samples - F.samples).c1_norm()
         trace.add(n, t_n, residual, update_norm, flags)
         F = F.with_samples(new_samples, strictly_monotone=False)
+    else:
+        # out of iterations without converging: say so on the last row
+        *head, flags = trace.rows[-1]
+        trace.rows[-1] = (*head, "+".join(filter(None, (flags, "max-iter"))))
     # cross-check the recovered state against the direct vorticity path
     _, ainv_direct = dist_fn(state.omega)
     ws = workspace(state)

@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline, RectBivariateSpline
+from scipy.interpolate import BSpline, CubicSpline, RectBivariateSpline
 
 from .curves import Curve1D, Monotone1D
 from .elliptic import solve_ve
@@ -30,16 +31,22 @@ AREA_TOL_REL = 5e-3
 _PAD = 4
 
 
+def _theta_padding(g):
+    """The theta grid padded by _PAD periodic copies at each end, and the
+    grid column each padded column copies."""
+    theta_ext = np.concatenate([g.theta[-_PAD:] - 2 * np.pi, g.theta,
+                                g.theta[:_PAD] + 2 * np.pi])
+    return theta_ext, np.r_[g.Ns - _PAD:g.Ns, 0:g.Ns, 0:_PAD]
+
+
 class FieldSpline:
     """Bicubic interpolant of a Field2D, periodic in theta."""
 
     def __init__(self, f: Field2D):
         g = f.grid
-        theta_ext = np.concatenate([g.theta[-_PAD:] - 2 * np.pi, g.theta,
-                                    g.theta[:_PAD] + 2 * np.pi])
-        vals_ext = np.concatenate([f.values[:, -_PAD:], f.values,
-                                   f.values[:, :_PAD]], axis=1)
-        self._spl = RectBivariateSpline(g.r, theta_ext, vals_ext, kx=3, ky=3)
+        theta_ext, cols = _theta_padding(g)
+        self._spl = RectBivariateSpline(g.r, theta_ext, f.values[:, cols],
+                                        kx=3, ky=3)
         self.grid = g
 
     def _wrap(self, r, theta):
@@ -206,6 +213,35 @@ def j_over_grad(chart: LevelChart, u: Field2D) -> Curve1D:
     """J(u/|grad w|): the loop integral weighted by travel time."""
     vals = chart_values(chart, u) / chart.grad_norm * chart.arc_weight
     return Curve1D(chart.omega_min, chart.omega_max, _loop_sum(chart, vals))
+
+
+def j_over_grad_matrix(chart: LevelChart):
+    """j_over_grad as an (Nt, Nr*Ns) matrix acting on raveled grid values.
+
+    FieldSpline's interpolant of u is B_r(r) C B_t(theta)^T with the
+    coefficients C = R^-1 U_pad T^-T, where R and T are the collocation
+    matrices of its own knots on the grid and on the padded theta grid.
+    So each chart node contributes the outer product of a row of
+    B_r R^-1 and a row of B_t T^-1, its theta padding folded back onto
+    the grid columns, weighted by arc_weight / |grad w| * ds."""
+    g = chart.grid
+    Nt, Ns = chart.t.size, g.Ns
+    theta_ext, cols = _theta_padding(g)
+    spl = FieldSpline(g.constant(0.0))
+    tr, tt = spl._spl.get_knots()
+    r_inv = np.linalg.inv(BSpline.design_matrix(g.r, tr, 3).toarray())
+    t_inv = np.linalg.inv(BSpline.design_matrix(theta_ext, tt, 3).toarray())
+    t_fold = t_inv @ np.eye(g.Ns)[cols]
+    r, theta = spl._wrap(chart.r.ravel(), chart.theta.ravel())
+    br = BSpline.design_matrix(r, tr, 3).tocoo()
+    bt = BSpline.design_matrix(theta, tt, 3).tocsr()
+    # row (i, a) of G: the sum over the nodes of level i of w B_r[a] B_t
+    w = (chart.arc_weight / chart.grad_norm).ravel() * chart.ds
+    rows = br.row // Ns * g.Nr + br.col
+    G = sp.csr_matrix((br.data * w[br.row], (rows, br.row)),
+                      shape=(Nt * g.Nr, r.size)) @ bt
+    J = r_inv.T @ (G @ t_fold).reshape(Nt, g.Nr, Ns)
+    return J.reshape(Nt, g.Nr * Ns)
 
 
 def _aprime_values(chart: LevelChart):

@@ -125,6 +125,31 @@ def test_invert_decreasing_target_exit3(tmp_path, capsys):
     assert code == 3
 
 
+def test_invert_max_iter_exit3(tmp_path, capsys):
+    # one step cannot reach the floor from a start off the target: the
+    # outputs are written and the exit code says it did not converge
+    from annuflow.grid import make_annulus
+    from annuflow.moser import t_map
+    from annuflow.steady import Profile1D
+
+    g = make_annulus(1.0, 2.0, 32, 64)
+    F = Profile1D.from_callable(lambda s: 0.5 * s - 0.9, -3.0,
+                                strictly_monotone=True)
+    curve, _ = t_map(F, -4 * np.pi, grid=g, cross_check=False)
+    write_curve_csv(tmp_path / "target.csv", curve.grid_x(), curve.values)
+    (tmp_path / "cfg.txt").write_text("max_iter=1\n")
+    code, payload = run(capsys, "invert", "--profile", "0.5*s-1",
+                        "--gamma", str(-4 * np.pi), "--grid", "32,64",
+                        "--target", str(tmp_path / "target.csv"),
+                        "--config", str(tmp_path / "cfg.txt"),
+                        "--cbar", "-3.0", "--out", str(tmp_path / "inv"))
+    assert code == 3
+    assert payload["error"] == "max-iter"
+    trace = (tmp_path / "inv" / "trace.csv").read_text().splitlines()
+    assert len(trace) == 2 and trace[1].endswith("max-iter")
+    assert (tmp_path / "inv" / "profile.csv").exists()
+
+
 def test_check_unknown_suite(tmp_path, capsys):
     code, payload = run(capsys, "check", "--suite", "bogus",
                         "--out", str(tmp_path))

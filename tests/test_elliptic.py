@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from annuflow.elliptic import (NdReport, bordered_system, check_nd1,
-                                principal_eigenvalue, solve_poisson, solve_ve)
+from annuflow.elliptic import (NdReport, _bordered_matrix, bordered_system,
+                                check_nd1, principal_eigenvalue, solve_poisson,
+                                solve_ve)
 from annuflow.grid import (circulation, circulation_row, gradient, integrate,
                            laplacian, make_annulus)
 from annuflow.steady import Profile1D, SteadyState
@@ -159,6 +160,22 @@ def test_nd1_eigenvalue_tuned_degenerate(grid32):
     F2 = Profile1D.from_callable(lambda s: -0.5 * lam1 * s, -2.0)
     rep2 = check_nd1(_steady_bundle(grid32, F2))
     assert rep2.nondegenerate
+
+
+def test_principal_eigenvalue_against_dense():
+    # dense generalized eigensolve of A x = -lam E x on a tiny grid
+    import scipy.linalg as la
+
+    g = make_annulus(1.0, 2.0, 16, 16)
+    A = _bordered_matrix(g, g.constant(0.0)).toarray()
+    interior = np.arange(g.Ns, (g.Nr - 1) * g.Ns)
+    E = np.zeros_like(A)
+    E[interior, interior] = 1.0
+    vals = la.eig(A, -E, right=False)
+    vals = vals[np.isfinite(vals)]
+    real = vals[np.abs(vals.imag) < 1e-8].real
+    dense = np.sort(real[real > 1e-10])[0]
+    assert principal_eigenvalue(g) == pytest.approx(dense, rel=1e-10)
 
 
 def test_sigma_min_against_dense(grid32):

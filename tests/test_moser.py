@@ -294,13 +294,27 @@ def test_moser_recovers_manufactured_target(grid64):
     assert min(ratios) >= 1.3
 
 
-def test_moser_trace_schedule(grid64):
+CAPPED = MoserConfig(max_iter=6, floor_tol=1e-30)
+
+
+@pytest.fixture(scope="module")
+def capped_trace(grid64):
+    # a floor below rounding: the run always uses up max_iter
     F0, Fstar = _bump_profile()
     gstar, _ = t_map(Fstar, GAMMA, grid=grid64, cross_check=False)
-    cfg = MoserConfig(max_iter=6, floor_tol=1e-30)
-    _, _, trace = moser_solve(F0, GAMMA, gstar, cfg=cfg, grid=grid64)
-    for n, t_n, *_ in trace.rows:
-        assert t_n == cfg.A ** (cfg.kappa ** n)
+    _, _, trace = moser_solve(F0, GAMMA, gstar, cfg=CAPPED, grid=grid64)
+    return trace
+
+
+def test_moser_trace_schedule(capped_trace):
+    for n, t_n, *_ in capped_trace.rows:
+        assert t_n == CAPPED.A ** (CAPPED.kappa ** n)
+
+
+def test_moser_max_iter_flagged(capped_trace):
+    assert len(capped_trace.rows) == CAPPED.max_iter
+    assert "max-iter" in capped_trace.rows[-1][4].split("+")
+    assert all("max-iter" not in row[4] for row in capped_trace.rows[:-1])
 
 
 def test_moser_infeasible_target_diverges(grid64):
@@ -348,6 +362,35 @@ def test_grids_and_states_are_freed():
     del grid, state
     gc.collect()
     assert [r for r in refs if r() is not None] == []
+
+
+def test_dropped_state_is_freed_without_gc():
+    # the workspace stored on a state holds no reference back to it, so
+    # reference counting alone frees the state and its factor
+    grid = make_annulus(1.0, 2.0, 16, 32)
+    state = solve_steady(fbar(), GAMMA, grid=grid)
+    gc.disable()
+    try:
+        workspace(state).assembled_id_plus_k()
+        refs = [weakref.ref(state), weakref.ref(state.linearization)]
+        del state
+        assert [r for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
+    # a workspace that outlives its state says so
+    ws = workspace(solve_steady(fbar(), GAMMA, grid=grid))
+    with pytest.raises(ReferenceError):
+        ws.assembled_id_plus_k()
+
+
+def test_id_plus_k_matches_k_apply(grid32):
+    # every column of the assembled matrix is K applied to a unit sample
+    _, state = t_map(fbar(), GAMMA, grid=grid32, cross_check=False)
+    K = assemble_id_plus_k(state) - np.eye(129)
+    area = grid32.area
+    cols = np.stack([k_apply(state, Curve1D(0.0, area, e)).values
+                     for e in np.eye(129)], axis=1)
+    assert np.abs(K - cols).max() <= 1e-10 * np.abs(K).max()
 
 
 def test_uniqueness_same_state(ref):

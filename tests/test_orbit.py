@@ -5,8 +5,8 @@ from annuflow.errors import (CriticalPointError, NotInFplusError,
                              NotTangentError)
 from annuflow.grid import integrate, gradient, poisson_bracket
 from annuflow.orbit import (
-    dist_fn, dq, d2q, is_tangent, j_functional, j_over_grad, level_chart,
-    project_tangent, pushforward, reconstruct_alpha, second_variation,
+    dist_fn, dq, d2q, is_tangent, j_functional, j_over_grad,
+    j_over_grad_matrix, level_chart, project_tangent, pushforward, reconstruct_alpha, second_variation,
     tangency_defect,
 )
 from annuflow.steady import Profile1D, energy, solve_steady
@@ -107,6 +107,15 @@ def test_coarea_identity_battery(omega_wavy, chart_wavy, grid64):
         lam_fine = np.linspace(lamlo, lamhi, 4001)
         rhs = np.trapezoid(zeta(lam_fine) * J(lam_fine), lam_fine)
         assert abs(lhs - rhs) < 1e-3 * max(abs(lhs), abs(rhs), 1e-6)
+
+
+def test_j_over_grad_matrix_matches_loop_integral(chart_wavy, grid64):
+    # the wavy chart leaves the theta nodes, so the periodic padding of the
+    # interpolant enters the matrix
+    u = grid64.field(np.random.default_rng(9).normal(size=(grid64.Nr, grid64.Ns)))
+    ref = j_over_grad(chart_wavy, u).values
+    ours = j_over_grad_matrix(chart_wavy) @ u.values.ravel()
+    assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_dist_radial_closed_form(omega_r2, chart_r2):
