@@ -4,8 +4,8 @@ and the smoothed Newton inversion recovering a vorticity profile from an
 orbit label."""
 
 from .grid import (AnnulusGrid, Field2D, circulation, divergence, gradient,
-                   holder_norm, inner_product, integrate, laplacian,
-                   make_annulus, poisson_bracket)
+                   holder_norm, integrate, laplacian, make_annulus,
+                   poisson_bracket)
 from .curves import Curve1D, Monotone1D, read_curve_csv, write_curve_csv
 from .elliptic import (BorderedSystem, NdReport, check_nd1, solve_poisson,
                        solve_ve)
@@ -14,8 +14,8 @@ from .steady import (Profile1D, SteadyState, d2s, ds, energy, solve_steady,
 from .orbit import (LevelChart, check_nd2, dist_fn, dq, d2q, j_functional,
                     level_chart, pushforward, reconstruct_alpha,
                     second_variation, tangency_defect)
-from .tame import (SmoothingFamily, extend, interp_check, invert_monotone,
-                   smooth, verify_smoothing)
+from .tame import (extend, interp_check, invert_monotone, smooth,
+                   verify_smoothing)
 from .moser import (MoserConfig, MoserTrace, dt, k_apply, moser_solve,
                     right_inverse, t_map, uniqueness_probe, vb, vm)
 

@@ -21,8 +21,8 @@ from .curves import Curve1D, Monotone1D, read_curve_csv, write_curve_csv
 from .errors import AnnuflowError, DivergedError
 from .exprparse import ExpressionError, parse_expression
 from .grid import circulation, gradient, integrate, make_annulus, poisson_bracket
-from .steady import (Profile1D, default_cbar, energy_pair, solve_steady,
-                     state_from_json, state_to_json)
+from .steady import (N_SAMPLES, TOL_NEWTON, Profile1D, default_cbar,
+                     energy_pair, solve_steady, state_from_json, state_to_json)
 
 
 class CliError(Exception):
@@ -44,7 +44,7 @@ def _parse_grid(text):
     return nr, ns
 
 
-def _load_profile(arg, cbar, n=513):
+def _load_profile(arg, cbar):
     """Profile from a sampled CSV path or an arithmetic expression in s."""
     if os.path.exists(arg):
         s, v = read_curve_csv(arg)
@@ -53,7 +53,7 @@ def _load_profile(arg, cbar, n=513):
         if s[-1] > 1e-9 or s[0] >= 0:
             raise CliError("bad-profile", "profile samples must live on [cbar, 0]")
         cbar = float(s[0])
-        grid_s = np.linspace(cbar, 0.0, n)
+        grid_s = np.linspace(cbar, 0.0, N_SAMPLES)
         return Profile1D(cbar, np.interp(grid_s, s, v))
     if arg.endswith(".csv") or os.sep in arg:
         raise CliError("profile-not-found", f"no such profile file: {arg}")
@@ -61,7 +61,7 @@ def _load_profile(arg, cbar, n=513):
         fn = parse_expression(arg)
     except ExpressionError as exc:
         raise CliError("profile-parse-error", str(exc)) from exc
-    return Profile1D.from_callable(fn, cbar, n=n)
+    return Profile1D.from_callable(fn, cbar)
 
 
 def _outdir(path):
@@ -358,7 +358,7 @@ def build_parser():
                     help="expression in s, or CSV path of samples")
     ps.add_argument("--gamma", type=float, required=True)
     ps.add_argument("--cbar", type=float, default=None)
-    ps.add_argument("--tol", type=float, default=1e-9)
+    ps.add_argument("--tol", type=float, default=TOL_NEWTON)
     ps.add_argument("--out", default=".")
     ps.set_defaults(fn=cmd_solve)
 

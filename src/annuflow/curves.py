@@ -132,10 +132,9 @@ class Monotone1D(Curve1D):
 class MonotoneInverse(Monotone1D):
     """Inverse of a Monotone1D; evaluates by solving the forward map."""
 
-    def __init__(self, forward: Monotone1D, n=None):
+    def __init__(self, forward: Monotone1D):
         self._forward = forward
-        if n is None:
-            n = max(4 * forward.values.size + 1, 129)
+        n = max(4 * forward.values.size + 1, 129)
         ys = np.linspace(forward.values[0], forward.values[-1], n)
         xs = forward.eval_inverse(ys)
         xs[0], xs[-1] = forward.a, forward.b

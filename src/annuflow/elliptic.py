@@ -32,7 +32,7 @@ import scipy.sparse.linalg as spla
 from .errors import NearSingularOperatorError, SingularSystemError
 from .grid import AnnulusGrid, Field2D, circulation_row
 
-_ND_THRESHOLD = 1e-6
+ND_THRESHOLD = 1e-6     # check_nd1/check_nd2: least sigma_min / operator norm
 
 
 def _interior_laplacian(grid: AnnulusGrid, c=0.0):
@@ -131,8 +131,9 @@ def bordered_system(grid: AnnulusGrid, c: Field2D) -> BorderedSystem:
     return BorderedSystem(grid, A, spla.splu(A))
 
 
-def bordered_solve(system: BorderedSystem, k, circulation_value=0.0):
-    """Solve the bordered system; returns (phi, inner_value).
+def bordered_solve(system: BorderedSystem, k):
+    """Solve the bordered system with zero circulation; returns
+    (phi, inner_value).
 
     k is a Field2D, or an array of shape (Nr, Ns, m) holding m right-hand
     sides, which are solved at once; phi then has that shape and
@@ -144,7 +145,6 @@ def bordered_solve(system: BorderedSystem, k, circulation_value=0.0):
     rhs[:-1] = values.reshape((-1,) + stack)
     rhs[: grid.Ns] = 0.0                       # inner tie rows
     rhs[(grid.Nr - 1) * grid.Ns: grid.Nr * grid.Ns] = 0.0
-    rhs[-1] = circulation_value
     sol = system.lu.solve(rhs)
     phi = sol[:-1].reshape((grid.Nr, grid.Ns) + stack)
     if isinstance(k, Field2D):
@@ -171,8 +171,9 @@ def solve_ve(c: Field2D, k: Field2D) -> Field2D:
     return phi
 
 
-def sigma_min_estimate(system: BorderedSystem, iterations=20, tol=1e-8):
-    """Smallest singular value by inverse power iteration on A^T A."""
+def sigma_min_estimate(system: BorderedSystem):
+    """Smallest singular value by inverse power iteration on A^T A: at
+    most 20 steps, stopping at a relative change below 1e-8."""
     lu = system.lu
     n = system.n_unknowns
     rng = np.random.default_rng(7)
@@ -180,7 +181,7 @@ def sigma_min_estimate(system: BorderedSystem, iterations=20, tol=1e-8):
     x /= np.linalg.norm(x)
     prev = np.inf
     sigma = np.inf
-    for _ in range(iterations):
+    for _ in range(20):
         y = lu.solve(x)                 # A^{-1} x
         z = lu.solve(y, trans="T")      # A^{-T} A^{-1} x
         nz = np.linalg.norm(z)
@@ -188,14 +189,10 @@ def sigma_min_estimate(system: BorderedSystem, iterations=20, tol=1e-8):
             return 0.0
         sigma = 1.0 / np.sqrt(nz)
         x = z / nz
-        if abs(sigma - prev) < tol * max(sigma, 1e-300):
+        if abs(sigma - prev) < 1e-8 * max(sigma, 1e-300):
             break
         prev = sigma
     return float(sigma)
-
-
-def operator_norm_estimate(system: BorderedSystem):
-    return float(spla.onenormest(system.matrix))
 
 
 @dataclass(frozen=True)
@@ -206,7 +203,7 @@ class NdReport:
     nondegenerate: bool
 
 
-def check_nd1(state, threshold=_ND_THRESHOLD, dense=False) -> NdReport:
+def check_nd1(state, dense=False) -> NdReport:
     """Invertibility margin of Delta - F'(psi) with the zero-circulation
     conditions at a steady state: smallest singular value of the bordered
     matrix, relative to its operator norm."""
@@ -216,8 +213,8 @@ def check_nd1(state, threshold=_ND_THRESHOLD, dense=False) -> NdReport:
         sigma, opnorm = float(sv[-1]), float(sv[0])
     else:
         sigma = sigma_min_estimate(system)
-        opnorm = operator_norm_estimate(system)
-    return NdReport(sigma, opnorm, threshold, sigma > threshold * opnorm)
+        opnorm = float(spla.onenormest(system.matrix))
+    return NdReport(sigma, opnorm, ND_THRESHOLD, sigma > ND_THRESHOLD * opnorm)
 
 
 def principal_eigenvalue(grid: AnnulusGrid):

@@ -19,10 +19,6 @@ import numpy as np
 
 from .errors import InvalidGeometryError
 
-# boundary identifiers
-INNER = "inner"
-OUTER = "outer"
-
 
 @dataclass(frozen=True, eq=False)
 class AnnulusGrid:
@@ -128,12 +124,6 @@ class Field2D:
     def max_norm(self):
         return float(np.abs(self.values).max())
 
-    def inner_boundary(self):
-        return self.values[0, :]
-
-    def outer_boundary(self):
-        return self.values[-1, :]
-
 
 def _vals(x):
     return x.values if isinstance(x, Field2D) else x
@@ -209,25 +199,20 @@ def poisson_bracket(f: Field2D, g: Field2D) -> Field2D:
 _EDGE6 = np.array([-137.0 / 60.0, 5.0, -5.0, 10.0 / 3.0, -5.0 / 4.0, 1.0 / 5.0])
 
 
-def circulation_row(grid: AnnulusGrid, which=INNER):
+def circulation_row(grid: AnnulusGrid):
     """Coefficients c[j,k] with circulation(psi) = sum c * psi.values.
 
-    The normal is the outward normal of the annulus: -e_r on the inner
-    circle, +e_r on the outer one.
+    The normal is the outward normal of the annulus on the inner circle,
+    -e_r.
     """
     c = np.zeros((grid.Nr, grid.Ns))
-    if which == INNER:
-        c[:6, :] = -(grid.Ri * grid.htheta / grid.hr) * _EDGE6[:, None]
-    elif which == OUTER:
-        c[-6:, :] = -(grid.Ro * grid.htheta / grid.hr) * _EDGE6[::-1, None]
-    else:
-        raise InvalidGeometryError(f"unknown boundary {which!r}")
+    c[:6, :] = -(grid.Ri * grid.htheta / grid.hr) * _EDGE6[:, None]
     return c
 
 
-def circulation(psi: Field2D, which=INNER) -> float:
-    """Line integral of d(psi)/dN over a boundary component."""
-    return float(np.sum(circulation_row(psi.grid, which) * psi.values))
+def circulation(psi: Field2D) -> float:
+    """Line integral of d(psi)/dN over the inner circle."""
+    return float(np.sum(circulation_row(psi.grid) * psi.values))
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +221,6 @@ def circulation(psi: Field2D, which=INNER) -> float:
 
 def integrate(f: Field2D) -> float:
     return float(np.sum(f.grid.area_weights * f.values))
-
-
-def inner_product(f: Field2D, g: Field2D) -> float:
-    return float(np.sum(f.grid.area_weights * f.values * g.values))
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +253,15 @@ def _pair_seminorm(points, values, alpha):
     return float((num[mask] / dist[mask] ** alpha).max())
 
 
-def holder_norm(f, n=0, alpha=0.5, stride=4):
+_HOLDER_NODES = np.s_[::4, ::4]
+
+
+def holder_norm(f, n=0, alpha=0.5):
     """Discrete Hoelder norm: sup norms of derivatives up to order n plus
     the alpha-seminorm of each derivative level.
 
-    2D fields use a stride subset of node pairs; 1D curves use all pairs.
+    2D fields use the pairs of every 4th node in r and theta
+    (_HOLDER_NODES); 1D curves use all pairs.
     """
     if n < 0 or not (0 < alpha < 1):
         raise InvalidGeometryError("need n >= 0 and 0 < alpha < 1")
@@ -285,11 +270,11 @@ def holder_norm(f, n=0, alpha=0.5, stride=4):
         sup = max(max(np.abs(v).max() for v in comps) for comps in stacks)
         g = f.grid
         R, T = np.meshgrid(g.r, g.theta, indexing="ij")
-        pts = np.stack([(R * np.cos(T))[::stride, ::stride].ravel(),
-                        (R * np.sin(T))[::stride, ::stride].ravel()], axis=1)
+        pts = np.stack([(R * np.cos(T))[_HOLDER_NODES].ravel(),
+                        (R * np.sin(T))[_HOLDER_NODES].ravel()], axis=1)
         semi = 0.0
         for comps in stacks:
-            vals = np.stack([v[::stride, ::stride].ravel() for v in comps], axis=1)
+            vals = np.stack([v[_HOLDER_NODES].ravel() for v in comps], axis=1)
             semi += _pair_seminorm(pts, vals, alpha)
         return sup + semi
     # 1D curve-like object: needs .grid_x() and derivative sampling

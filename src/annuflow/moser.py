@@ -129,10 +129,9 @@ class StateWorkspace:
         self.mu = np.linspace(0.0, g.area, N_MU)
         self.lam_mu = self.A_psi_inv(self.mu)           # psi-levels at mu
         j1 = _aprime_values(self.chart)                 # A_psi'(lambda)
-        self._j1_spline = CubicSpline(self.chart.levels, j1)
-        self.j1_mu = self._j1_spline(self.lam_mu)
+        j1_mu = CubicSpline(self.chart.levels, j1)(self.lam_mu)
         # (d/dmu) A_omega^{-1} = F'(lambda(mu)) / A_psi'(lambda(mu))
-        self.dainv_omega = state.F.d1(self.lam_mu) / self.j1_mu
+        self.dainv_omega = state.F.d1(self.lam_mu) / j1_mu
         self._id_plus_k = None
 
     def t_values(self):
@@ -192,18 +191,17 @@ def workspace(state: SteadyState) -> StateWorkspace:
 # T, DT, VB, K, VM, L
 # ---------------------------------------------------------------------------
 
-def t_map(F: Profile1D, gamma: float, grid=None, psi0=None,
-          cross_check=True, mismatch_rel=None):
+def t_map(F: Profile1D, gamma: float, grid, cross_check=True):
     """Orbit label of the steady state of profile F: the inverse
     distribution function of its vorticity on [0, |domain|].
 
     Computed through the stream-function chart (regularized by the
     elliptic solve); the direct vorticity-chart computation is used as a
-    cross-check and a mismatch beyond ~5 h^2 relative is reported.
+    cross-check and a mismatch beyond 5 h^2 relative is reported.
     """
     import warnings
 
-    state = solve_steady(F, gamma, psi0=psi0, grid=grid)
+    state = solve_steady(F, gamma, grid=grid)
     ws = workspace(state)
     vals = ws.t_values()
     curve = Monotone1D(0.0, state.psi.grid.area, vals)
@@ -211,7 +209,7 @@ def t_map(F: Profile1D, gamma: float, grid=None, psi0=None,
         _, ainv_direct = dist_fn(state.omega)
         direct = ainv_direct(ws.mu)
         scale = max(float(np.ptp(vals)), 1e-300)
-        tol = (5 * state.psi.grid.h**2) if mismatch_rel is None else mismatch_rel
+        tol = 5 * state.psi.grid.h**2
         gap = float(np.abs(direct - vals).max()) / scale
         if gap > tol:
             warnings.warn(f"distribution paths disagree by {gap:.2e} "
@@ -279,12 +277,13 @@ def assemble_id_plus_k(state: SteadyState):
     return workspace(state).assembled_id_plus_k()
 
 
-def vm(state: SteadyState, h: Curve1D, sigma_floor=1e-8) -> Curve1D:
-    """Solve (Id + K(F)) g = h by dense collocation on the area grid."""
+def vm(state: SteadyState, h: Curve1D) -> Curve1D:
+    """Solve (Id + K(F)) g = h by dense collocation on the area grid;
+    raises singular-Id+K when sigma_min/sigma_max < 1e-8."""
     ws = workspace(state)
     M = ws.assembled_id_plus_k()
     sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] < sigma_floor * sv[0]:
+    if sv[-1] < 1e-8 * sv[0]:
         raise SingularIdPlusKError(
             f"Id+K nearly singular: sigma_min/sigma_max = {sv[-1]/sv[0]:.3e}",
             sigma_min=float(sv[-1]))
@@ -315,7 +314,7 @@ def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
                 cfg: MoserConfig = MoserConfig(), grid=None):
     """Invert the orbit label map: find F with T(F) = g_target near F0.
 
-    Returns (profile, steady state, trace).  The residual trace records
+    Returns (profile, its steady state, trace).  The residual trace records
     t_n, the sup-norm residual, the C1 update norm, and repair flags; the
     last row is flagged max-iter when cfg.max_iter steps end without
     convergence.  The final state carries the direct vorticity-chart
@@ -384,7 +383,7 @@ def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
     ws = workspace(state)
     trace.final_cross_check = float(
         np.abs(ainv_direct(ws.mu) - g_target(ws.mu)).max())
-    return F, state, trace
+    return state.F, state, trace
 
 
 @dataclass(frozen=True)
@@ -392,7 +391,6 @@ class UniquenessReport:
     q_distance: float
     psi_distance: float
     tol: float
-    calibration: float
 
     @property
     def same_orbit(self):
@@ -400,7 +398,7 @@ class UniquenessReport:
 
     @property
     def same_state(self):
-        return self.psi_distance < 10 * self.tol * self.calibration
+        return self.psi_distance < 10 * self.tol
 
     @property
     def verdict(self):
@@ -409,8 +407,8 @@ class UniquenessReport:
         return "same-orbit-same-state" if self.same_state else "same-orbit-distinct-states"
 
 
-def uniqueness_probe(state_a: SteadyState, state_b: SteadyState, tol,
-                     calibration=1.0) -> UniquenessReport:
+def uniqueness_probe(state_a: SteadyState, state_b: SteadyState,
+                     tol) -> UniquenessReport:
     """Compare orbit labels and stream functions of two nearby states:
     on a shared orbit the states must agree."""
     _, qa = dist_fn(state_a.omega)
@@ -418,7 +416,7 @@ def uniqueness_probe(state_a: SteadyState, state_b: SteadyState, tol,
     mu = np.linspace(0.0, state_a.psi.grid.area, N_MU)
     q_dist = float(np.abs(qa(mu) - qb(mu)).max())
     psi_dist = float(np.abs(state_a.psi.values - state_b.psi.values).max())
-    return UniquenessReport(q_dist, psi_dist, float(tol), float(calibration))
+    return UniquenessReport(q_dist, psi_dist, float(tol))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import BSpline, CubicSpline, RectBivariateSpline
 
 from .curves import Curve1D, Monotone1D
-from .elliptic import solve_ve
+from .elliptic import ND_THRESHOLD, NdReport, solve_ve
 from .errors import (AreaMismatchError, CriticalPointError, NotInFplusError,
                      NotTangentError, NonpositiveFprimeError, TrajectoryExitError)
 from .grid import Field2D, divergence, gradient, integrate, poisson_bracket
@@ -108,11 +108,11 @@ def chart_to_json(chart: LevelChart) -> str:
     })
 
 
-def _boundary_levels(omega: Field2D, tol_rel=1e-6):
-    scale = max(float(np.ptp(omega.values)), 1e-300)
+def _boundary_levels(omega: Field2D):
+    tol = 1e-6 * max(float(np.ptp(omega.values)), 1e-300)
     wi = omega.values[0, :]
     wo = omega.values[-1, :]
-    if np.ptp(wi) > tol_rel * scale or np.ptp(wo) > tol_rel * scale:
+    if np.ptp(wi) > tol or np.ptp(wo) > tol:
         raise NotInFplusError("field is not constant on the boundary circles",
                               inner_spread=float(np.ptp(wi)),
                               outer_spread=float(np.ptp(wo)))
@@ -123,15 +123,14 @@ def _boundary_levels(omega: Field2D, tol_rel=1e-6):
     return wmin, wmax
 
 
-def level_chart(omega: Field2D, Nt=None, chart_tol=CHART_TOL,
-                grad_floor_rel=GRAD_FLOOR_REL) -> LevelChart:
+def level_chart(omega: Field2D, Nt=None) -> LevelChart:
     """Integrate the gradient-curve chart of a boundary-constant field
     with no critical points (inner value below outer value)."""
     g = omega.grid
     Nt = g.Nr if Nt is None else int(Nt)
     wmin, wmax = _boundary_levels(omega)
     rng = wmax - wmin
-    floor = grad_floor_rel * rng
+    floor = GRAD_FLOOR_REL * rng
 
     gr, gt = gradient(omega)
     gn_grid = np.sqrt(gr.values**2 + gt.values**2)
@@ -182,9 +181,9 @@ def level_chart(omega: Field2D, Nt=None, chart_tol=CHART_TOL,
 
     chart = LevelChart(g, t_eval, r, theta, gn, arc, wmin, wmax, spl)
     res = chart.residual()
-    if res > chart_tol:
+    if res > CHART_TOL:
         raise CriticalPointError(
-            f"chart level residual {res:.3e} exceeds {chart_tol:.1e}")
+            f"chart level residual {res:.3e} exceeds {CHART_TOL:.1e}")
     if gn.min() <= 0:
         raise CriticalPointError("vanishing gradient at a chart node")
     return chart
@@ -249,12 +248,12 @@ def _aprime_values(chart: LevelChart):
     return _loop_sum(chart, vals)
 
 
-def dist_fn(omega: Field2D, chart: LevelChart = None, area_tol=AREA_TOL_REL):
+def dist_fn(omega: Field2D, chart: LevelChart = None):
     """Distribution function A(lambda) = |{w < lambda}| and its inverse.
 
     A is the cumulative integral of the travel-time loop integral; the raw
     endpoint is renormalized onto the exact annulus area (error if the
-    discrepancy exceeds area_tol, which signals an under-resolved chart).
+    discrepancy exceeds AREA_TOL_REL, which signals an under-resolved chart).
     """
     if chart is None:
         # internal charts take at least 64 rows: the travel-time integrand
@@ -265,7 +264,7 @@ def dist_fn(omega: Field2D, chart: LevelChart = None, area_tol=AREA_TOL_REL):
     raw = CubicSpline(lam, integrand).antiderivative()(lam)
     total = chart.grid.area
     disc = (raw[-1] - total) / total
-    if abs(disc) > area_tol:
+    if abs(disc) > AREA_TOL_REL:
         raise AreaMismatchError(
             f"raw area misses |domain| by {disc:.2%}", discrepancy=disc)
     vals = raw * (total / raw[-1])
@@ -412,7 +411,7 @@ def reconstruct_alpha(chart: LevelChart, nu: Field2D, tol_rel=1e-5) -> Field2D:
     nu/|grad w| along each level ring; alpha is normalized to zero
     arclength mean on every level (the additive function-of-w gauge)."""
     defect = tangency_defect(chart, nu)
-    tol = tol_rel * max(np.abs(nu.values).max(), 1e-300) * chart.grid.area
+    tol = tangent_tolerance(chart, nu, tol_rel)
     if defect.max_norm() > tol:
         raise NotTangentError(
             f"compatibility defect {defect.max_norm():.3e} exceeds {tol:.3e}",
@@ -471,14 +470,13 @@ def second_variation(state, alpha: Field2D) -> float:
     return integrate(gr * gr + gt * gt) + integrate(nu * nu / g.field(fprime))
 
 
-def check_nd2(state, threshold=1e-6):
+def check_nd2(state):
     """Transversality of the steady-state family to the orbit foliation:
     smallest singular value of the assembled identity-plus-compact
     collocation matrix."""
     from . import moser
-    from .elliptic import NdReport
 
     M = moser.assemble_id_plus_k(state)
     sv = np.linalg.svd(M, compute_uv=False)
     sigma, opnorm = float(sv[-1]), float(sv[0])
-    return NdReport(sigma, opnorm, threshold, sigma > threshold * opnorm)
+    return NdReport(sigma, opnorm, ND_THRESHOLD, sigma > ND_THRESHOLD * opnorm)

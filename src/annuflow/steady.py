@@ -26,6 +26,7 @@ from .grid import Field2D, gradient, integrate, laplacian, make_annulus
 
 TOL_NEWTON = 1e-9
 MAX_NEWTON = 50
+N_SAMPLES = 513         # profile samples on [cbar, 0]
 
 
 class Profile1D:
@@ -52,8 +53,8 @@ class Profile1D:
                                        "F' <= 0 at a node or midpoint")
 
     @classmethod
-    def from_callable(cls, fn, cbar, n=513, strictly_monotone=False):
-        s = np.linspace(cbar, 0.0, n)
+    def from_callable(cls, fn, cbar, strictly_monotone=False):
+        s = np.linspace(cbar, 0.0, N_SAMPLES)
         return cls(cbar, fn(s), strictly_monotone=strictly_monotone)
 
     def grid_s(self):
@@ -102,12 +103,12 @@ def _interior_residual(psi: Field2D, F: Profile1D) -> float:
 
 
 def solve_steady(F: Profile1D, gamma: float, psi0: Field2D | None = None,
-                 grid=None, tol=TOL_NEWTON, max_iter=MAX_NEWTON) -> SteadyState:
+                 grid=None, tol=TOL_NEWTON) -> SteadyState:
     """Newton iteration for the steady state on a prescribed orbit class.
 
     psi0 defaults to the stream function of the constant vorticity F(0).
     Raises range-escape if an iterate leaves the profile interval, and
-    no-convergence after max_iter steps.
+    no-convergence after MAX_NEWTON steps.
     """
     if psi0 is None:
         if grid is None:
@@ -131,7 +132,7 @@ def solve_steady(F: Profile1D, gamma: float, psi0: Field2D | None = None,
 
     check_range(psi)
     residual = _interior_residual(psi, F)
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON):
         if residual < tol:
             break
         c = grid.field(-F.d1(psi.values))
@@ -152,7 +153,7 @@ def solve_steady(F: Profile1D, gamma: float, psi0: Field2D | None = None,
         check_range(psi)
         residual = cand_res
     else:
-        raise NoConvergenceError(f"no convergence after {max_iter} iterations",
+        raise NoConvergenceError(f"no convergence after {MAX_NEWTON} iterations",
                                  residual=residual)
     # clamp the outer trace exactly (solver keeps it at rounding level)
     vals = psi.values.copy()

@@ -10,8 +10,6 @@ so a pure cosine mode is a single transform bin and is cut exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.fft import dct, idct
 
@@ -20,22 +18,10 @@ from .errors import DegenerateNormError, NotMonotoneError
 from .grid import holder_norm
 
 
-@dataclass(frozen=True)
-class SmoothingFamily:
-    """Parameters of the smoothing/extension operators."""
-
-    margin: float = 0.25        # extension margin as a fraction of length
-    taper_width: float = 0.4    # raised-cosine transition width, in units of t
-    alpha: float = 0.5          # Hoelder exponent used by the monitors
-
-
-DEFAULTS = SmoothingFamily()
-
-
-def _lowpass_window(nmodes, t, taper_width):
+def _lowpass_window(nmodes, t):
     m = np.arange(nmodes, dtype=float)
-    lo = (1.0 - taper_width / 2.0) * t
-    hi = (1.0 + taper_width / 2.0) * t
+    lo = 0.8 * t
+    hi = 1.2 * t
     w = np.zeros(nmodes)
     w[m <= lo] = 1.0
     band = (m > lo) & (m < hi)
@@ -78,7 +64,7 @@ def _endpoint_ramp(values):
     return coef[0] * q0 + coef[1] * q1
 
 
-def smooth(f: Curve1D, t: float, family: SmoothingFamily = DEFAULTS) -> Curve1D:
+def smooth(f: Curve1D, t: float) -> Curve1D:
     """Low-pass f at cutoff t; S(t)f -> f as t exceeds the grid Nyquist.
 
     The even reflection about both endpoints (cosine transform) would put
@@ -88,29 +74,28 @@ def smooth(f: Curve1D, t: float, family: SmoothingFamily = DEFAULTS) -> Curve1D:
         raise ValueError("t must be positive")
     ramp = _endpoint_ramp(f.values)
     coeff = dct(f.values - ramp, type=1)
-    coeff *= _lowpass_window(coeff.size, t, family.taper_width)
+    coeff *= _lowpass_window(coeff.size, t)
     return f.with_values(idct(coeff, type=1) + ramp)
 
 
-def verify_smoothing(f: Curve1D, m: int, l: int, ts, family: SmoothingFamily = DEFAULTS):
+def verify_smoothing(f: Curve1D, m: int, l: int, ts):
     """Empirical constants for |S(t)f|_m <= C t^(m-l) |f|_l and
     |f - S(t)f|_l <= C t^(l-m) |f|_m; zero-norm inputs report 0."""
     if not (m >= l >= 0):
         raise ValueError("need m >= l >= 0")
-    a = family.alpha
-    norm_l = holder_norm(f, l, a)
-    norm_m = holder_norm(f, m, a)
+    norm_l = holder_norm(f, l)
+    norm_m = holder_norm(f, m)
     ratio_smooth = 0.0
     ratio_remain = 0.0
     for t in ts:
-        sf = smooth(f, t, family)
+        sf = smooth(f, t)
         if norm_l > 1e-14:
             ratio_smooth = max(ratio_smooth,
-                               holder_norm(sf, m, a) / (t ** (m - l) * norm_l))
+                               holder_norm(sf, m) / (t ** (m - l) * norm_l))
         if norm_m > 1e-14:
             rem = f - sf
             ratio_remain = max(ratio_remain,
-                               holder_norm(rem, l, a) / (t ** (l - m) * norm_m))
+                               holder_norm(rem, l) / (t ** (l - m) * norm_m))
     return {"smooth_ratio": ratio_smooth, "remainder_ratio": ratio_remain,
             "m": m, "l": l, "ts": list(ts)}
 
@@ -135,13 +120,12 @@ def _cutoff(u):
     return u * u * (3.0 - 2.0 * u)
 
 
-def extend(f: Curve1D, margin: float = None) -> Curve1D:
-    """Reflection extension to [a-D, b+D], tapered to 0 at the new endpoints
-    by a smooth cutoff that equals 1 on the original interval."""
+def extend(f: Curve1D) -> Curve1D:
+    """Reflection extension to [a-D, b+D], D about a quarter of the length,
+    tapered to 0 at the new endpoints by a smooth cutoff that equals 1 on
+    the original interval."""
     L = f.b - f.a
-    D = DEFAULTS.margin * L if margin is None else float(margin)
-    if D <= 0:
-        raise ValueError("margin must be positive")
+    D = 0.25 * L
     n = f.values.size
     h = L / (n - 1)
     M = min(int(np.ceil(D / h)), n - 1)
@@ -158,13 +142,11 @@ def extend(f: Curve1D, margin: float = None) -> Curve1D:
     return Curve1D(f.a - D, f.b + D, vals * chi)
 
 
-def invert_monotone(f: Curve1D, slope_floor: float = 1e-10) -> Curve1D:
-    """Inverse of a strictly increasing curve; g(f(x)) = x at solver
-    tolerance on the sample range."""
+def invert_monotone(f: Curve1D) -> Curve1D:
+    """Inverse of a curve whose sampled slopes all exceed 1e-10; g(f(x)) = x
+    at solver tolerance on the sample range."""
     slopes = np.diff(f.values) / np.diff(f.grid_x())
-    if slopes.min() <= slope_floor:
-        raise NotMonotoneError(
-            f"min sampled slope {slopes.min():.3e} <= {slope_floor:.1e}"
-        )
+    if slopes.min() <= 1e-10:
+        raise NotMonotoneError(f"min sampled slope {slopes.min():.3e} <= 1.0e-10")
     mono = f if isinstance(f, Monotone1D) else Monotone1D(f.a, f.b, f.values)
     return MonotoneInverse(mono)

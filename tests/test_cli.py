@@ -148,6 +148,10 @@ def test_invert_max_iter_exit3(tmp_path, capsys):
     trace = (tmp_path / "inv" / "trace.csv").read_text().splitlines()
     assert len(trace) == 2 and trace[1].endswith("max-iter")
     assert (tmp_path / "inv" / "profile.csv").exists()
+    # the written profile is the one whose steady state is written
+    _, samples = read_curve_csv(tmp_path / "inv" / "profile.csv")
+    state = json.loads((tmp_path / "inv" / "state.json").read_text())
+    assert np.array_equal(samples, state["profile_samples"])
 
 
 def test_check_unknown_suite(tmp_path, capsys):

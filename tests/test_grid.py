@@ -139,16 +139,16 @@ def test_bracket_integral_identity(grid64):
 
 def test_circulation_log(grid64):
     psi = grid64.field_from(lambda r, t: np.log(r / 2))
-    assert circulation(psi, "inner") == pytest.approx(-2 * np.pi, abs=1e-6)
+    assert circulation(psi) == pytest.approx(-2 * np.pi, abs=1e-6)
 
 
 def test_circulation_constant(grid64):
-    assert circulation(grid64.constant(3.0), "inner") == pytest.approx(0.0, abs=1e-12)
+    assert circulation(grid64.constant(3.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_circulation_parabola(grid64):
     psi = grid64.field_from(lambda r, t: r**2 - 4)
-    assert circulation(psi, "inner") == pytest.approx(-4 * np.pi, abs=1e-10)
+    assert circulation(psi) == pytest.approx(-4 * np.pi, abs=1e-10)
 
 
 def test_integrate_constant(grid64):
