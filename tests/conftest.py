@@ -1,11 +1,13 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from annuflow.grid import make_annulus
+from annuflow.steady import Profile1D
 
 
 @pytest.fixture(scope="session")
@@ -22,3 +24,13 @@ def grid32():
 def grid_radial128():
     # fine radial resolution, coarse angular: radial test solutions only
     return make_annulus(1.0, 2.0, 128, 16)
+
+
+@pytest.fixture(scope="session")
+def bump_profile():
+    # the target profile of the reference inversion (acceptance criterion 10)
+    def bumped(s):
+        u = np.clip((s + 0.45) / 0.3, -1, 1)
+        return 0.5 * s - 1.0 + 0.02 * (1 - u**2) ** 3
+
+    return Profile1D.from_callable(bumped, -3.0, strictly_monotone=True)

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from annuflow.elliptic import (NdReport, _bordered_matrix, bordered_system,
-                                check_nd1, principal_eigenvalue, solve_poisson,
-                                solve_ve)
+from annuflow.elliptic import (NdReport, _bordered_matrix, _factor,
+                                bordered_system, check_nd1, principal_eigenvalue,
+                                solve_poisson, solve_ve)
 from annuflow.grid import (circulation, circulation_row, gradient, integrate,
                            laplacian, make_annulus)
-from annuflow.steady import Profile1D, SteadyState
+from annuflow.steady import Profile1D, SteadyState, solve_steady
+
+
+@pytest.fixture(scope="module")
+def bump64(grid64, bump_profile):
+    return solve_steady(bump_profile, -4 * np.pi, grid=grid64)
 
 
 def test_poisson_harmonic_log(grid64):
@@ -179,8 +184,36 @@ def test_principal_eigenvalue_against_dense():
 
 
 def test_sigma_min_against_dense(grid32):
+    # the dense SVD of the whole bordered matrix is the oracle
     F = Profile1D.from_callable(lambda s: 0.5 * s - 1.0, -2.0)
     state = _steady_bundle(grid32, F)
-    rep_iter = check_nd1(state)
-    rep_dense = check_nd1(state, dense=True)
-    assert rep_iter.sigma_min == pytest.approx(rep_dense.sigma_min, rel=1e-3)
+    sv = np.linalg.svd(state.linearization.matrix.toarray(), compute_uv=False)
+    assert check_nd1(state).sigma_min == pytest.approx(sv[-1], rel=1e-3)
+
+
+def test_factor_fill_bump_linearization(bump64):
+    # COLAMD with threshold pivoting (the splu default) fills 778,434 here
+    lu = bump64.linearization.lu
+    assert lu.L.nnz + lu.U.nnz < 500_000
+
+
+@pytest.mark.parametrize("which", ["linearization", "laplacian", "indefinite"])
+def test_factor_multi_rhs_residual(grid64, bump64, which):
+    # static diagonal pivots stay accurate on 129 right-hand sides, also
+    # for an indefinite Delta + c between the first two eigenvalues
+    if which == "linearization":
+        system = bump64.linearization
+    else:
+        c = 0.0 if which == "laplacian" else 1.5 * principal_eigenvalue(grid64)
+        system = bordered_system(grid64, grid64.constant(c))
+    B = np.random.default_rng(3).normal(size=(system.n_unknowns, 129))
+    X = system.lu.solve(B)
+    assert np.linalg.norm(system.matrix @ X - B) <= 1e-10 * np.linalg.norm(B)
+
+
+def test_factor_exactly_singular_raises(grid32):
+    # solve_ve and moser_solve rely on splu raising for a singular matrix
+    A = _bordered_matrix(grid32, grid32.constant(-1.0)).tolil()
+    A[-1, :] = 0.0                         # no circulation row
+    with pytest.raises(RuntimeError):
+        _factor(A.tocsc())

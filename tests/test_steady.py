@@ -52,6 +52,19 @@ def test_identity_profile_vs_radial_oracle(grid_radial128):
     assert np.abs(state.psi.values - exact[:, None]).max() < 1e-4
 
 
+def test_energy_identity_refinement_order(bump_profile):
+    # the gap between the gradient and the vorticity forms of the energy is
+    # a discretization error: observed order >= 1.8 over two refinements
+    gaps = []
+    for shape in ((32, 64), (64, 128), (128, 256)):
+        state = solve_steady(bump_profile, -4 * np.pi,
+                             grid=make_annulus(1.0, 2.0, *shape))
+        e_grad, e_vort = energy_pair(state)
+        gaps.append(abs(e_grad - e_vort))
+    orders = np.log2(np.array(gaps[:-1]) / gaps[1:])
+    assert orders.min() >= 1.8, orders
+
+
 def test_state_invariants(state_affine):
     st = state_affine
     assert st.newton_residual < 1e-9
