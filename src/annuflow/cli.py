@@ -20,7 +20,8 @@ from . import moser, orbit, tame
 from .curves import Curve1D, Monotone1D, read_curve_csv, write_curve_csv
 from .errors import AnnuflowError, DivergedError
 from .exprparse import ExpressionError, parse_expression
-from .grid import circulation, gradient, integrate, make_annulus, poisson_bracket
+from .grid import (circulation, field_from_json, field_to_json, gradient,
+                   integrate, make_annulus, poisson_bracket)
 from .steady import (N_SAMPLES, TOL_NEWTON, Profile1D, default_cbar,
                      energy_pair, solve_steady, state_from_json, state_to_json)
 
@@ -64,6 +65,16 @@ def _load_profile(arg, cbar):
     return Profile1D.from_callable(fn, cbar)
 
 
+def _start_profile(args, grid):
+    """The --profile on [cbar, 0].  Without --cbar, cbar comes from the
+    profile's value at 0 (steady.default_cbar)."""
+    cbar = args.cbar
+    if cbar is None:
+        probe = _load_profile(args.profile, -1.0)
+        cbar = default_cbar(grid, float(probe(0.0)), args.gamma)
+    return _load_profile(args.profile, cbar)
+
+
 def _outdir(path):
     os.makedirs(path, exist_ok=True)
     return path
@@ -71,11 +82,7 @@ def _outdir(path):
 
 def cmd_solve(args):
     grid = make_annulus(args.ri, args.ro, *_parse_grid(args.grid))
-    cbar = args.cbar
-    if cbar is None:
-        probe = _load_profile(args.profile, -1.0)
-        cbar = default_cbar(grid, float(probe(0.0)), args.gamma)
-    F = _load_profile(args.profile, cbar)
+    F = _start_profile(args, grid)
     state = solve_steady(F, args.gamma, grid=grid, tol=args.tol)
     out = _outdir(args.out)
     with open(os.path.join(out, "state.json"), "w", newline="\n") as fh:
@@ -119,11 +126,7 @@ def cmd_invert(args):
         with open(args.config) as fh:
             cfg = moser.config_from_text(fh.read())
     cfg.validate()
-    cbar = args.cbar
-    if cbar is None:
-        probe = _load_profile(args.profile, -1.0)
-        cbar = default_cbar(grid, float(probe(0.0)), args.gamma)
-    F0 = _load_profile(args.profile, cbar)
+    F0 = _start_profile(args, grid)
     mu, tv = read_curve_csv(args.target)
     gaps = np.diff(tv)
     if np.any(gaps <= 0):
@@ -151,7 +154,6 @@ def cmd_invert(args):
 def cmd_tangent(args):
     with open(args.state) as fh:
         state = state_from_json(fh.read())
-    from .grid import field_from_json
     with open(args.nu) as fh:
         nu = field_from_json(fh.read())
     chart = orbit.level_chart(state.omega)
@@ -164,7 +166,6 @@ def cmd_tangent(args):
         if not tangent:
             raise CliError("not-tangent", "field is not tangent to the orbit")
         alpha = orbit.reconstruct_alpha(chart, nu, tol_rel=args.tangent_tol)
-        from .grid import field_to_json
         with open(os.path.join(out, "alpha.json"), "w", newline="\n") as fh:
             fh.write(field_to_json(alpha))
         result["alpha"] = os.path.join(out, "alpha.json")

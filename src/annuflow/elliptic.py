@@ -1,21 +1,16 @@
 """Linear elliptic solves on the annulus with circulation boundary data.
 
-Two boundary-value problems appear throughout:
+One bordered family covers every linear problem: E(c)phi = Delta(phi) +
+c*phi = k with phi = 0 on the outer circle, phi constant (unknown) on the
+inner circle, and a prescribed circulation.  The unknown inner trace is an
+explicit scalar unknown and the circulation functional an explicit
+constraint row, so the system is square and solved by direct sparse LU.
+Its c = 0 member is the Poisson problem Delta(psi) = omega with
+circulation gamma; Newton steps, profile derivatives and the
+nondegeneracy checks solve with zero circulation.
 
-* the Poisson problem: Delta(psi) = omega, psi = 0 on the outer circle,
-  psi constant (unknown) on the inner circle, prescribed circulation.
-  Solved by splitting psi = u + c*g with Delta(u) = omega, u = 0 on the
-  whole boundary, Delta(g) = 0, g = 1 inside / 0 outside, and c fixed by
-  the circulation constraint (linear in c).
-
-* the bordered family E(c)phi = Delta(phi) + c*phi = k with the same
-  homogeneous conditions and zero circulation.  The unknown inner trace
-  is an explicit scalar unknown and the circulation functional is an
-  explicit constraint row, so the system is square and solved by direct
-  sparse LU.
-
-Both are factorized by ``_factor``: a minimum-degree ordering of A^T + A
-with static diagonal pivoting.  The grid stencil is structurally
+Every matrix is factorized by ``_factor``: a minimum-degree ordering of
+A^T + A with static diagonal pivoting.  The grid stencil is structurally
 symmetric, and its diagonal (of order 1/h^2 inside, 1 on the tie rows) is
 a usable pivot; threshold pivoting would leave it and let the fill grow,
 and an ordering of the columns alone (COLAMD) ignores the symmetry.
@@ -23,9 +18,8 @@ Together they halve the fill of the default.  SuperLU still pivots off
 the diagonal where it is exactly zero (the circulation row), and an
 exactly singular matrix still raises RuntimeError.
 
-Both matrices share one vectorized builder of the interior 5-point polar
-Laplacian.  Each factor has one owner: the grid owns its Dirichlet factor
-(``AnnulusGrid.dirichlet_lu``, built on first use), and a steady state
+Each factor has one owner: the grid owns its Laplacian system
+(``AnnulusGrid.laplacian_system``, built on first use), and a steady state
 owns its linearization Delta - F'(psi) (``SteadyState.linearization``).
 Nothing is cached at module level, so a factor is freed with its owner.
 """
@@ -44,7 +38,7 @@ from .grid import AnnulusGrid, Field2D, circulation_row
 ND_THRESHOLD = 1e-6     # check_nd1/check_nd2: least sigma_min / operator norm
 
 
-def _interior_laplacian(grid: AnnulusGrid, c=0.0):
+def _interior_laplacian(grid: AnnulusGrid, c):
     """(rows, cols, vals) triples of the 5-point polar Laplacian plus c on
     the interior rows (c: scalar or interior values, shape (Nr-2, Ns));
     the angular neighbours wrap around theta."""
@@ -75,54 +69,26 @@ def _factor(A):
     return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
 
 
-def dirichlet_factor(grid: AnnulusGrid):
-    """Sparse LU of the Laplacian with identity rows on both circles.
-    Use ``grid.dirichlet_lu``, which builds it once per grid."""
-    n = grid.Nr * grid.Ns
-    rings = np.r_[0:grid.Ns, n - grid.Ns:n]
-    return _factor(_csc(_interior_laplacian(grid) + [(rings, rings, 1.0)], n))
-
-
-def _dirichlet_solve(grid: AnnulusGrid, rhs_interior, inner_value):
-    """Solution with the given interior right-hand side, the constant
-    inner_value on the inner circle and zero on the outer one."""
-    rhs = rhs_interior.copy()
-    rhs[0, :] = inner_value
-    rhs[-1, :] = 0.0
-    return grid.field(grid.dirichlet_lu.solve(rhs.ravel()).reshape(grid.Nr, grid.Ns))
-
-
 def solve_poisson(omega: Field2D, gamma: float):
-    """Stream function of a vorticity field with prescribed circulation.
-
-    Returns (psi, inner_value); the discrete circulation of psi equals
-    gamma to rounding because c solves the constraint exactly.
-    """
-    grid = omega.grid
-    u = _dirichlet_solve(grid, omega.values, 0.0)
-    gblend = _dirichlet_solve(grid, np.zeros_like(omega.values), 1.0)
-    crow = circulation_row(grid)
-    circ_u = float(np.sum(crow * u.values))
-    circ_g = float(np.sum(crow * gblend.values))
-    if abs(circ_g) < 1e-12:
-        raise SingularSystemError("harmonic blend has zero circulation")
-    c = (gamma - circ_u) / circ_g
-    psi = grid.field(u.values + c * gblend.values)
-    return psi, c
+    """Stream function of a vorticity field with prescribed circulation:
+    the bordered solve of the grid's Laplacian system with circulation
+    gamma.  Returns (psi, inner_value)."""
+    return bordered_solve(omega.grid.laplacian_system, omega, gamma)
 
 
 @dataclass(frozen=True, eq=False)
 class BorderedSystem:
-    """Discrete Delta + c with the zero-trace/zero-circulation conditions,
-    bordered by the unknown inner-boundary constant."""
+    """Discrete Delta + c with the zero outer trace and the circulation
+    row, bordered by the unknown inner-boundary constant.  It holds no
+    reference to its grid, so a grid that owns its Laplacian system is
+    freed by reference counting."""
 
-    grid: AnnulusGrid
     matrix: object            # csc
     lu: object
 
     @property
     def n_unknowns(self):
-        return self.grid.Nr * self.grid.Ns + 1
+        return self.matrix.shape[0]
 
 
 def _bordered_matrix(grid: AnnulusGrid, c: Field2D):
@@ -143,27 +109,28 @@ def _bordered_matrix(grid: AnnulusGrid, c: Field2D):
 
 def bordered_system(grid: AnnulusGrid, c: Field2D) -> BorderedSystem:
     A = _bordered_matrix(grid, c)
-    return BorderedSystem(grid, A, _factor(A))
+    return BorderedSystem(A, _factor(A))
 
 
-def bordered_solve(system: BorderedSystem, k):
-    """Solve the bordered system with zero circulation; returns
-    (phi, inner_value).
+def bordered_solve(system: BorderedSystem, k, circulation=0.0):
+    """Solve the bordered system with the given circulation (the value of
+    its last row); returns (phi, inner_value).
 
     k is a Field2D, or an array of shape (Nr, Ns, m) holding m right-hand
     sides, which are solved at once; phi then has that shape and
     inner_value has shape (m,)."""
-    grid = system.grid
     values = k.values if isinstance(k, Field2D) else np.asarray(k)
+    Nr, Ns = values.shape[:2]
     stack = values.shape[2:]
     rhs = np.zeros((system.n_unknowns,) + stack)
     rhs[:-1] = values.reshape((-1,) + stack)
-    rhs[: grid.Ns] = 0.0                       # inner tie rows
-    rhs[(grid.Nr - 1) * grid.Ns: grid.Nr * grid.Ns] = 0.0
+    rhs[:Ns] = 0.0                             # inner tie rows
+    rhs[(Nr - 1) * Ns: Nr * Ns] = 0.0
+    rhs[-1] = circulation
     sol = system.lu.solve(rhs)
-    phi = sol[:-1].reshape((grid.Nr, grid.Ns) + stack)
+    phi = sol[:-1].reshape(values.shape)
     if isinstance(k, Field2D):
-        return grid.field(phi), float(sol[-1])
+        return k.grid.field(phi), float(sol[-1])
     return phi, sol[-1]
 
 
@@ -235,7 +202,7 @@ def principal_eigenvalue(grid: AnnulusGrid):
     With A the bordered matrix of Delta and E the identity on the interior
     rows, A x = -lam E x; ARPACK finds the largest eigenvalues
     nu = 1/lam of x -> A^{-1}(-E x) from the sparse factor of A."""
-    system = bordered_system(grid, grid.constant(0.0))
+    system = grid.laplacian_system
     n = system.n_unknowns
     interior = np.zeros(n, dtype=bool)
     interior[grid.Ns: (grid.Nr - 1) * grid.Ns] = True

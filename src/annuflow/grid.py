@@ -58,11 +58,11 @@ class AnnulusGrid:
         return self.field(np.full((self.Nr, self.Ns), float(c)))
 
     @cached_property
-    def dirichlet_lu(self):
-        """LU factor of the Laplacian with Dirichlet rows on both circles,
+    def laplacian_system(self):
+        """Factorized bordered Laplacian (the c = 0 member of Delta + c),
         built on first use and freed with the grid."""
-        from .elliptic import dirichlet_factor      # elliptic imports grid
-        return dirichlet_factor(self)
+        from .elliptic import bordered_system       # elliptic imports grid
+        return bordered_system(self, self.constant(0.0))
 
 
 def make_annulus(Ri, Ro, Nr, Ns):

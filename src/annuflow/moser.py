@@ -15,15 +15,16 @@ whose parameters must satisfy the convergence constraints checked by
 MoserConfig.validate().
 
 Every per-state object lives on its steady state: the factorized
-linearization is ``SteadyState.linearization``, and ``workspace(state)``
-stores the workspace (chart, distribution, assembled Id + K) on the state,
-so both are freed with it.
+linearization is ``SteadyState.linearization``, through which ``dt`` and
+``k_apply`` solve (``steady.ds``) and ``Id + K`` is assembled, and
+``workspace(state)`` stores the workspace (chart, distribution, assembled
+Id + K) on the state.  The workspace holds no reference back to its
+state, so both are freed with the state.
 """
 
 from __future__ import annotations
 
 import io
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,9 +34,9 @@ from .curves import Curve1D, Monotone1D
 from .elliptic import bordered_solve
 from .errors import (AnnuflowError, DivergedError, InnerSolveFailureError,
                      NotMonotoneError, SingularIdPlusKError)
-from .orbit import (N_MU, LevelChart, _aprime_values, dist_fn, j_over_grad,
-                    j_over_grad_matrix, level_chart)
-from .steady import Profile1D, SteadyState, solve_steady
+from .orbit import (N_MU, AreaResampler, LevelChart, _aprime_values, dist_fn,
+                    j_over_grad, j_over_grad_matrix, level_chart)
+from .steady import Profile1D, SteadyState, ds, solve_steady
 from .tame import smooth
 
 
@@ -112,8 +113,8 @@ class MoserTrace:
 
 class StateWorkspace:
     """Chart, distribution and assembled Id + K of one steady state.  The
-    state stores its workspace, so the workspace refers to the state only
-    weakly: a dropped state is freed at once, with its factor and its
+    state stores its workspace and the workspace holds no reference to the
+    state, so a dropped state is freed at once, with its factor and its
     workspace, and a state whose Id + K is never assembled is never
     factorized."""
 
@@ -121,15 +122,14 @@ class StateWorkspace:
         g = state.psi.grid
         self.F = state.F
         self.psi = state.psi
-        self._state = weakref.ref(state)
         # the stream travel time varies by orders of magnitude across
         # levels, so the chart takes extra rows to hold the area budget
         self.chart: LevelChart = level_chart(state.psi, Nt=max(2 * g.Nr, 128))
-        self.A_psi, self.A_psi_inv = dist_fn(state.psi, self.chart)
-        self.mu = np.linspace(0.0, g.area, N_MU)
-        self.lam_mu = self.A_psi_inv(self.mu)           # psi-levels at mu
-        j1 = _aprime_values(self.chart)                 # A_psi'(lambda)
-        j1_mu = CubicSpline(self.chart.levels, j1)(self.lam_mu)
+        self.A_psi, A_psi_inv = dist_fn(state.psi, self.chart)
+        self.resample = AreaResampler(self.chart, A_psi_inv)
+        self.mu = self.resample.mu
+        self.lam_mu = self.resample.lam                 # psi-levels at mu
+        j1_mu = self.resample(_aprime_values(self.chart))   # A_psi'(lambda(mu))
         # (d/dmu) A_omega^{-1} = F'(lambda(mu)) / A_psi'(lambda(mu))
         self.dainv_omega = state.F.d1(self.lam_mu) / j1_mu
         self._id_plus_k = None
@@ -142,35 +142,23 @@ class StateWorkspace:
     def transport(self, jvals):
         """(d A_omega^{-1}/dmu) times level-grid loop integrals (leading
         axis) resampled at lambda(mu)."""
-        jmu = CubicSpline(self.chart.levels, jvals)(self.lam_mu)
-        return (self.dainv_omega * jmu.T).T
+        return (self.dainv_omega * self.resample(jvals).T).T
 
     def ktilde(self, phi):
         """Smoothing part of DT: (d A_omega^{-1}/dmu) times the level mean
         transport of phi."""
         return self.transport(j_over_grad(self.chart, phi).values)
 
-    @property
-    def linearization(self):
-        state = self._state()
-        if state is None:
-            raise ReferenceError("the steady state of this workspace was freed")
-        return state.linearization
-
-    def linearized_solve(self, source_field):
-        phi, _ = bordered_solve(self.linearization, source_field)
-        return phi
-
-    def assembled_id_plus_k(self):
+    def assembled_id_plus_k(self, linearization):
         """Id + K = Id + D S J A^-1 E on the mu grid: E composes the
         cardinal splines of the mu grid with VB at the psi nodes, A^-1 is
-        one multi-RHS solve, J the travel-time loop integral and D S the
-        transport to the mu grid."""
+        one multi-RHS solve with the state's linearization, J the
+        travel-time loop integral and D S the transport to the mu grid."""
         if self._id_plus_k is None:
             cardinal = CubicSpline(self.mu, np.eye(N_MU))
             E = _vb_compose(cardinal, cardinal.derivative(), self.A_psi,
                             self.chart.omega_min, self.psi.values)
-            phi, _ = bordered_solve(self.linearization, E)
+            phi, _ = bordered_solve(linearization, E)
             del E           # freed before J is built: both are large
             J = j_over_grad_matrix(self.chart)
             K = self.transport(J @ phi.reshape(J.shape[1], N_MU))
@@ -220,10 +208,8 @@ def t_map(F: Profile1D, gamma: float, grid, cross_check=True):
 def dt(state: SteadyState, f) -> Curve1D:
     """Derivative of the orbit label in the profile direction f."""
     ws = workspace(state)
-    g = state.psi.grid
-    b_part = f(ws.lam_mu)
-    phi = ws.linearized_solve(g.field(f(state.psi.values)))
-    return Curve1D(0.0, g.area, b_part + ws.ktilde(phi))
+    return Curve1D(0.0, state.psi.grid.area,
+                   f(ws.lam_mu) + ws.ktilde(ds(state, f)))
 
 
 def _vb_compose(g, g_d1, a_psi, m, x):
@@ -267,21 +253,19 @@ def vb(state: SteadyState, gcurve: Curve1D):
 
 def k_apply(state: SteadyState, gcurve: Curve1D) -> Curve1D:
     """Compact part of the normalized derivative: K(F)g = DT(F)VB(F)g - g."""
-    ws = workspace(state)
-    f = vb(state, gcurve)
-    phi = ws.linearized_solve(state.psi.grid.field(f(state.psi.values)))
-    return Curve1D(0.0, state.psi.grid.area, ws.ktilde(phi))
+    phi = ds(state, vb(state, gcurve))
+    return Curve1D(0.0, state.psi.grid.area, workspace(state).ktilde(phi))
 
 
 def assemble_id_plus_k(state: SteadyState):
-    return workspace(state).assembled_id_plus_k()
+    return workspace(state).assembled_id_plus_k(state.linearization)
 
 
 def vm(state: SteadyState, h: Curve1D) -> Curve1D:
     """Solve (Id + K(F)) g = h by dense collocation on the area grid;
     raises singular-Id+K when sigma_min/sigma_max < 1e-8."""
     ws = workspace(state)
-    M = ws.assembled_id_plus_k()
+    M = ws.assembled_id_plus_k(state.linearization)
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[-1] < 1e-8 * sv[0]:
         raise SingularIdPlusKError(

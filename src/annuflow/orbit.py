@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import BSpline, CubicSpline, RectBivariateSpline
 
 from .curves import Curve1D, Monotone1D
-from .elliptic import ND_THRESHOLD, NdReport, solve_ve
+from .elliptic import ND_THRESHOLD, NdReport, solve_poisson
 from .errors import (AreaMismatchError, CriticalPointError, NotInFplusError,
                      NotTangentError, NonpositiveFprimeError, TrajectoryExitError)
 from .grid import Field2D, divergence, gradient, integrate, poisson_bracket
@@ -322,30 +322,35 @@ def pushforward(omega: Field2D, alpha: Field2D, eps: float) -> Field2D:
 N_MU = 129
 
 
-def _compose_mu(chart: LevelChart, curve_vals, Ainv):
-    """Evaluate a level-grid curve at lambda(mu) on the uniform mu grid."""
-    mu = np.linspace(0.0, chart.grid.area, N_MU)
-    lam = Ainv(mu)
-    spl = CubicSpline(chart.levels, curve_vals)
-    return spl(np.clip(lam, chart.omega_min, chart.omega_max))
+class AreaResampler:
+    """The uniform area grid mu on [0, |domain|] (N_MU points), the levels
+    lam = A^{-1}(mu) of a chart's field, and level-grid curves evaluated
+    there."""
+
+    def __init__(self, chart: LevelChart, Ainv):
+        self.levels = chart.levels
+        self.mu = np.linspace(0.0, chart.grid.area, N_MU)
+        self.lam = Ainv(self.mu)
+
+    def __call__(self, level_values):
+        """Cubic interpolant of values on the chart levels (leading axis),
+        evaluated at lam."""
+        return CubicSpline(self.levels, level_values)(self.lam)
 
 
 def dq(omega: Field2D, chart: LevelChart, nu: Field2D) -> Curve1D:
     """First derivative of the inverse distribution function in the
     direction nu: the level mean of nu, transported to the area variable."""
-    _, Ainv = dist_fn(omega, chart)
-    jnu = j_over_grad(chart, nu).values
-    j1 = _aprime_values(chart)
-    num = _compose_mu(chart, jnu, Ainv)
-    den = _compose_mu(chart, j1, Ainv)
-    return Curve1D(0.0, chart.grid.area, num / den)
+    at_mu = AreaResampler(chart, dist_fn(omega, chart)[1])
+    num = at_mu(j_over_grad(chart, nu).values)
+    return Curve1D(0.0, chart.grid.area, num / at_mu(_aprime_values(chart)))
 
 
 def d2q(omega: Field2D, chart: LevelChart, nu1: Field2D, nu2: Field2D) -> Curve1D:
     """Second derivative of the inverse distribution function: the
     four-term closed form built from loop integrals of div(nu N/|grad w|)."""
     g = omega.grid
-    _, Ainv = dist_fn(omega, chart)
+    at_mu = AreaResampler(chart, dist_fn(omega, chart)[1])
     gr, gt = gradient(omega)
     gn = np.sqrt(gr.values**2 + gt.values**2)
     nr = g.field(gr.values / gn)
@@ -361,17 +366,11 @@ def d2q(omega: Field2D, chart: LevelChart, nu1: Field2D, nu2: Field2D) -> Curve1
     w12 = div_term(nu1.values * nu2.values)
     w0 = div_term(np.ones_like(gn))
 
-    def comp(curve):
-        return _compose_mu(chart, curve.values, Ainv)
+    def comp(u):
+        return at_mu(j_over_grad(chart, u).values)
 
-    j1 = comp(Curve1D(chart.omega_min, chart.omega_max, _aprime_values(chart)))
-    jn1 = comp(j_over_grad(chart, nu1))
-    jn2 = comp(j_over_grad(chart, nu2))
-    jw1 = comp(j_over_grad(chart, w1))
-    jw2 = comp(j_over_grad(chart, w2))
-    jw12 = comp(j_over_grad(chart, w12))
-    jw0 = comp(j_over_grad(chart, w0))
-
+    j1 = at_mu(_aprime_values(chart))
+    jn1, jn2, jw1, jw2, jw12, jw0 = (comp(u) for u in (nu1, nu2, w1, w2, w12, w0))
     vals = (jn1 * jw2 / j1**2 + jn2 * jw1 / j1**2
             - jw0 * jn1 * jn2 / j1**3 - jw12 / j1)
     return Curve1D(0.0, chart.grid.area, vals)
@@ -465,7 +464,7 @@ def second_variation(state, alpha: Field2D) -> float:
             f"F' must be positive on range(psi); min {fprime.min():.3e}")
     g = state.psi.grid
     nu = poisson_bracket(state.omega, alpha)
-    phi = solve_ve(g.constant(0.0), nu)
+    phi, _ = solve_poisson(nu, 0.0)
     gr, gt = gradient(phi)
     return integrate(gr * gr + gt * gt) + integrate(nu * nu / g.field(fprime))
 

@@ -29,38 +29,22 @@ def _lowpass_window(nmodes, t):
     return w
 
 
-_ramp_cache: dict = {}
-
-
-def _ramp_data(n):
-    """Unit-interval cubic ramps with unit endpoint slopes, their cosine
-    coefficients, and the weighted tail-fit matrix; cached per size."""
-    data = _ramp_cache.get(n)
-    if data is None:
-        u = np.linspace(0.0, 1.0, n)
-        q0 = u * (1 - u) ** 2
-        q1 = u**2 * (u - 1)
-        c0 = dct(q0, type=1)
-        c1 = dct(q1, type=1)
-        m = np.arange(n)
-        band = (m >= max(8, n // 2)) & (m <= n - 4)
-        w = m[band].astype(float) ** 2
-        A = np.stack([c0[band] * w, c1[band] * w], axis=1)
-        data = (q0, q1, band, w, A, np.linalg.pinv(A))
-        _ramp_cache[n] = data
-    return data
-
-
 def _endpoint_ramp(values):
     """Cubic ramp matching the even-periodization kink of the samples.
 
-    The slopes are fitted to the 1/m^2 tail of the cosine coefficients, so
-    the ramp vanishes (to rounding) for constants and for band-limited
-    cosine content, and removes the kink for generic smooth data."""
+    The ramp combines two unit-interval cubics with unit endpoint slopes,
+    weighted by a fit to the 1/m^2 tail of the cosine coefficients, so it
+    vanishes (to rounding) for constants and for band-limited cosine
+    content, and removes the kink for generic smooth data."""
     n = values.size
-    q0, q1, band, w, _A, pinv = _ramp_data(n)
-    c = dct(values, type=1)
-    coef = pinv @ (c[band] * w)
+    u = np.linspace(0.0, 1.0, n)
+    q0 = u * (1 - u) ** 2
+    q1 = u**2 * (u - 1)
+    m = np.arange(n)
+    band = (m >= max(8, n // 2)) & (m <= n - 4)
+    w = m[band].astype(float) ** 2
+    tail = np.stack([dct(q0, type=1)[band] * w, dct(q1, type=1)[band] * w], axis=1)
+    coef = np.linalg.pinv(tail) @ (dct(values, type=1)[band] * w)
     return coef[0] * q0 + coef[1] * q1
 
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -181,6 +184,38 @@ def test_principal_eigenvalue_against_dense():
     real = vals[np.abs(vals.imag) < 1e-8].real
     dense = np.sort(real[real > 1e-10])[0]
     assert principal_eigenvalue(g) == pytest.approx(dense, rel=1e-10)
+
+
+def test_poisson_and_eigenvalue_share_one_factor(monkeypatch):
+    # the Poisson problem is the c = 0 bordered system the grid owns, and
+    # the principal eigenvalue reuses that factor
+    from annuflow import elliptic
+
+    calls = []
+
+    def counted(A):
+        calls.append(A.shape)
+        return _factor(A)
+
+    monkeypatch.setattr(elliptic, "_factor", counted)
+    g = make_annulus(1.0, 2.0, 16, 32)
+    solve_poisson(g.constant(1.0), -4 * np.pi)
+    solve_poisson(g.constant(2.0), 1.0)
+    principal_eigenvalue(g)
+    assert len(calls) == 1
+
+
+def test_dropped_grid_is_freed_without_gc():
+    # the Laplacian system stored on a grid holds no reference back to it
+    g = make_annulus(1.0, 2.0, 16, 32)
+    solve_poisson(g.constant(1.0), 1.0)
+    gc.disable()
+    try:
+        refs = [weakref.ref(g), weakref.ref(g.laplacian_system)]
+        del g
+        assert [r for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
 
 
 def test_sigma_min_against_dense(grid32):
