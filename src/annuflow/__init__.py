@@ -3,6 +3,28 @@ elliptic solves with circulation data, level-set distribution functions,
 and the smoothed Newton inversion recovering a vorticity profile from an
 orbit label."""
 
+import ctypes
+
+
+def _pin_mmap_threshold():
+    """Fix glibc's mmap threshold at 1 MiB.  By default glibc raises the
+    threshold each time a large mapped block is freed (up to 32 MiB), so
+    the multi-megabyte arrays of the LU and Id + K solves come to be
+    carved from the heap, whose freed blocks stay resident: the peak
+    resident size then depends on where the blocks land, and at 64x128
+    it moved by 25 MB from one process to the next.  With a fixed
+    threshold each such array is its own mapping, returned to the system
+    when freed.  Nothing is done on other C libraries."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):        # no handle on the running process
+        return
+    if hasattr(libc, "gnu_get_libc_version"):   # -3 is glibc's constant
+        libc.mallopt(-3, 1 << 20)               # M_MMAP_THRESHOLD
+
+
+_pin_mmap_threshold()
+
 from .grid import (AnnulusGrid, Field2D, circulation, divergence, gradient,
                    holder_norm, integrate, laplacian, make_annulus,
                    poisson_bracket)

@@ -1,3 +1,4 @@
+import ctypes
 import gc
 import weakref
 
@@ -216,6 +217,28 @@ def test_dropped_grid_is_freed_without_gc():
         assert [r for r in refs if r() is not None] == []
     finally:
         gc.enable()
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+def test_large_array_is_mapped_after_a_larger_free():
+    # glibc's default raises the mmap threshold to the size of a freed
+    # mapped block, after which a 2 MiB array comes from the heap; the
+    # package pins the threshold at 1 MiB
+    try:
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("the C library has no mallinfo2")
+    mallinfo2.restype = _MallInfo2
+    big = np.ones(2 << 20)                  # 16 MiB
+    del big
+    mapped = mallinfo2().hblkhd
+    a = np.ones(1 << 18)                    # 2 MiB
+    assert mallinfo2().hblkhd - mapped >= a.nbytes
 
 
 def test_sigma_min_against_dense(grid32):
