@@ -22,8 +22,8 @@ from .errors import AnnuflowError, DivergedError
 from .exprparse import ExpressionError, parse_expression
 from .grid import (circulation, field_from_json, field_to_json, gradient,
                    integrate, make_annulus, poisson_bracket)
-from .steady import (N_SAMPLES, TOL_NEWTON, Profile1D, default_cbar,
-                     energy_pair, solve_steady, state_from_json, state_to_json)
+from .steady import (TOL_NEWTON, Profile1D, default_cbar, energy_pair,
+                     solve_steady, state_from_json, state_to_json)
 
 
 class CliError(Exception):
@@ -53,9 +53,8 @@ def _load_profile(arg, cbar):
         s, v = s[order], v[order]
         if s[-1] > 1e-9 or s[0] >= 0:
             raise CliError("bad-profile", "profile samples must live on [cbar, 0]")
-        cbar = float(s[0])
-        grid_s = np.linspace(cbar, 0.0, N_SAMPLES)
-        return Profile1D(cbar, np.interp(grid_s, s, v))
+        return Profile1D.from_callable(lambda x: np.interp(x, s, v),
+                                       float(s[0]))
     if arg.endswith(".csv") or os.sep in arg:
         raise CliError("profile-not-found", f"no such profile file: {arg}")
     try:
@@ -136,7 +135,7 @@ def cmd_invert(args):
     F, state, trace = moser.moser_solve(F0, args.gamma, target, cfg=cfg,
                                         grid=grid)
     out = _outdir(args.out)
-    write_curve_csv(os.path.join(out, "profile.csv"), F.grid_s(), F.samples)
+    F.to_csv(os.path.join(out, "profile.csv"))
     with open(os.path.join(out, "state.json"), "w", newline="\n") as fh:
         fh.write(state_to_json(state))
     trace.to_csv(os.path.join(out, "trace.csv"))

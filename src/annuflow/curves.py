@@ -47,6 +47,9 @@ class Curve1D:
     def d1(self, x):
         return self._spline.derivative(1)(x)
 
+    def d2(self, x):
+        return self._spline.derivative(2)(x)
+
     def derivative_values(self, order=1):
         if order == 0:
             return self.values.copy()

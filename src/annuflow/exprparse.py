@@ -1,4 +1,4 @@
-"""Recursive-descent parser for profile expressions in one variable s.
+"""Profile expressions in one variable s.
 
 Grammar (v1):
     expr    := term (("+" | "-") term)*
@@ -6,124 +6,58 @@ Grammar (v1):
     factor  := ("+" | "-") factor | primary
     primary := NUMBER | "s" | "(" expr ")"
 
-NUMBER is any Python float literal without sign.  The result is a callable
-evaluating the expression on scalars or numpy arrays.
+NUMBER is an unsigned decimal literal with optional fraction and exponent;
+whitespace may separate tokens.  The grammar is a subset of Python's
+expressions with the same precedence and associativity, so Python's parser
+builds the tree and a whitelist refuses every node outside the grammar.
+The result is a callable evaluating the expression on scalars or numpy
+arrays.
 """
 
+import ast
+import operator
 import re
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-                    r"|\d+(?:[eE][+-]?\d+)?)|([st])|([()+\-*/]))")
+_NUMBER = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+# zeros leading an integer part, which Python refuses in "01"
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
 class ExpressionError(ValueError):
     pass
 
 
-def _tokenize(text):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ExpressionError(f"bad character at {pos}: {text[pos:pos+8]!r}")
-        num, var, op = m.groups()
-        if num is not None:
-            tokens.append(("num", float(num)))
-        elif var is not None:
-            if var != "s":
-                raise ExpressionError(f"unknown variable {var!r}")
-            tokens.append(("var", "s"))
-        else:
-            tokens.append(("op", op))
-        pos = m.end()
-    tokens.append(("end", None))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ExpressionError(f"expected {op!r}, got {val!r}")
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            rhs = self.term()
-            node = (op, node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            rhs = self.factor()
-            node = (op, node, rhs)
-        return node
-
-    def factor(self):
-        if self.peek() == ("op", "+"):
-            self.take()
-            return self.factor()
-        if self.peek() == ("op", "-"):
-            self.take()
-            return ("neg", self.factor())
-        return self.primary()
-
-    def primary(self):
-        kind, val = self.take()
-        if kind == "num":
-            return ("num", val)
-        if kind == "var":
-            return ("var",)
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionError(f"unexpected token {val!r}")
-
-
-def _eval(node, s):
-    tag = node[0]
-    if tag == "num":
-        return node[1]
-    if tag == "var":
-        return s
-    if tag == "neg":
-        return -_eval(node[1], s)
-    a = _eval(node[1], s)
-    b = _eval(node[2], s)
-    if tag == "+":
-        return a + b
-    if tag == "-":
-        return a - b
-    if tag == "*":
-        return a * b
-    if tag == "/":
-        return a / b
-    raise ExpressionError(f"bad node {tag!r}")
+def _compile(node, text):
+    """The function of s that a whitelisted tree computes."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op = _BINARY[type(node.op)]
+        left, right = _compile(node.left, text), _compile(node.right, text)
+        return lambda s: op(left(s), right(s))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        op = _UNARY[type(node.op)]
+        operand = _compile(node.operand, text)
+        return lambda s: op(operand(s))
+    source = ast.get_source_segment(text, node)
+    if isinstance(node, ast.Name) and source == "s":
+        return lambda s: s
+    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(source):
+        value = float(source)
+        return lambda s: value
+    raise ExpressionError(f"not allowed in a profile expression: {source!r}")
 
 
 def parse_expression(text):
     """Compile the expression to a callable of s (scalar or array)."""
-    parser = _Parser(_tokenize(text))
-    tree = parser.expr()
-    if parser.peek() != ("end", None):
-        raise ExpressionError("trailing input after expression")
-    return lambda s: _eval(tree, s) + 0.0 * s
+    if "#" in text:
+        raise ExpressionError("comments are not allowed")
+    text = _LEADING_ZEROS.sub("", " ".join(text.split()))
+    try:
+        tree = ast.parse(text, mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        raise ExpressionError(
+            f"cannot parse {text!r}: {getattr(exc, 'msg', exc)}") from exc
+    fn = _compile(tree.body, text)
+    return lambda s: fn(s) + 0.0 * s

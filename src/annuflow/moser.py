@@ -248,7 +248,7 @@ def vb(state: SteadyState, gcurve: Curve1D):
     """Right-inverse of the composition part of DT."""
     ws = workspace(state)
     return VbDirection(gcurve, ws.A_psi, ws.chart.omega_min,
-                       state.F.cbar, state.F.samples.size)
+                       state.F.cbar, state.F.values.size)
 
 
 def k_apply(state: SteadyState, gcurve: Curve1D) -> Curve1D:
@@ -309,7 +309,7 @@ def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
     ref_slope = F0.min_slope()
     if ref_slope <= 0:
         raise NotMonotoneError("initial profile must be strictly increasing")
-    h_s = abs(F0.cbar) / (F0.samples.size - 1)
+    h_s = abs(F0.cbar) / (F0.values.size - 1)
     trace = MoserTrace()
     prev_residual = np.inf
     grow_count = 0
@@ -349,15 +349,14 @@ def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
         trunc = np.abs(f_dir.values - update.values).max()
         if trunc > 0.1 * max(np.abs(f_dir.values).max(), 1e-300):
             flags.append("truncated")
-        new_samples = F.samples - update.values
+        new_samples = F.values - update.values
         slopes = np.diff(new_samples) / h_s
         if slopes.min() < 0.1 * ref_slope:
             new_samples = _repair_monotone(new_samples, h_s, 0.1 * ref_slope)
             flags.append("repair")
-        flags = "+".join(flags)
-        update_norm = Curve1D(F.cbar, 0.0, new_samples - F.samples).c1_norm()
-        trace.add(n, t_n, residual, update_norm, flags)
-        F = F.with_samples(new_samples, strictly_monotone=False)
+        F_next = F.with_values(new_samples)
+        trace.add(n, t_n, residual, (F_next - F).c1_norm(), "+".join(flags))
+        F = F_next
     else:
         # out of iterations without converging: say so on the last row
         *head, flags = trace.rows[-1]

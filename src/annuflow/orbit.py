@@ -47,10 +47,13 @@ class FieldSpline:
         theta_ext, cols = _theta_padding(g)
         self._spl = RectBivariateSpline(g.r, theta_ext, f.values[:, cols],
                                         kx=3, ky=3)
-        self.grid = g
+        # the radii, not the grid: level_chart's integrand keeps this
+        # spline in solve_ivp's reference cycle, which must not hold the
+        # grid and its factor
+        self._radii = (g.Ri, g.Ro)
 
     def _wrap(self, r, theta):
-        return np.clip(r, self.grid.Ri, self.grid.Ro), np.mod(theta, 2 * np.pi)
+        return np.clip(r, *self._radii), np.mod(theta, 2 * np.pi)
 
     def val(self, r, theta):
         r, theta = self._wrap(r, theta)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from .curves import Curve1D
 from .elliptic import (BorderedSystem, bordered_solve, bordered_system,
                        solve_poisson)
 from .errors import NoConvergenceError, NotMonotoneError, RangeEscapeError
@@ -29,26 +29,19 @@ MAX_NEWTON = 50
 N_SAMPLES = 513         # profile samples on [cbar, 0]
 
 
-class Profile1D:
-    """Function F on a fixed interval [cbar, 0] given by uniform samples
-    and a C^2 cubic interpolant (so F' and F'' are available)."""
+class Profile1D(Curve1D):
+    """Function F on a fixed interval [cbar, 0]: a Curve1D, whose C^2
+    cubic interpolant gives F' and F''."""
 
     def __init__(self, cbar, samples, strictly_monotone=False):
         if cbar >= 0:
             raise ValueError("interval must be [cbar, 0] with cbar < 0")
-        samples = np.asarray(samples, dtype=float)
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("non-finite profile samples")
-        self.cbar = float(cbar)
-        self.samples = samples
-        self._spline = CubicSpline(self.grid_s(), samples)
-        self._d1 = self._spline.derivative(1)
-        self._d2 = self._spline.derivative(2)
+        super().__init__(cbar, 0.0, samples)
         self.strictly_monotone = bool(strictly_monotone)
         if strictly_monotone:
-            s = self.grid_s()
+            s = self.grid_x()
             probe = np.sort(np.concatenate([s, 0.5 * (s[1:] + s[:-1])]))
-            if self._d1(probe).min() <= 0:
+            if self.d1(probe).min() <= 0:
                 raise NotMonotoneError("profile flagged strictly-monotone but "
                                        "F' <= 0 at a node or midpoint")
 
@@ -57,25 +50,16 @@ class Profile1D:
         s = np.linspace(cbar, 0.0, N_SAMPLES)
         return cls(cbar, fn(s), strictly_monotone=strictly_monotone)
 
-    def grid_s(self):
-        return np.linspace(self.cbar, 0.0, self.samples.size)
+    @property
+    def cbar(self):
+        return self.a
 
-    def __call__(self, s):
-        return self._spline(s)
-
-    def d1(self, s):
-        return self._d1(s)
-
-    def d2(self, s):
-        return self._d2(s)
-
-    def with_samples(self, samples, strictly_monotone=None):
-        if strictly_monotone is None:
-            strictly_monotone = self.strictly_monotone
-        return Profile1D(self.cbar, samples, strictly_monotone=strictly_monotone)
+    def with_values(self, values):
+        return Profile1D(self.a, values)
 
     def min_slope(self):
-        return float(np.min(np.diff(self.samples)) / (abs(self.cbar) / (self.samples.size - 1)))
+        h = abs(self.a) / (self.values.size - 1)
+        return float(np.min(np.diff(self.values)) / h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +151,7 @@ def solve_steady(F: Profile1D, gamma: float, psi0: Field2D | None = None,
 def ds(state: SteadyState, f) -> Field2D:
     """First derivative of the steady state in a profile direction f:
     solves Delta(phi) - F'(psi)phi = f(psi) with zero-circulation data.
-    Directions are Profile1D or Curve1D (callable, with d1)."""
+    Directions are Curve1D (callable, with d1)."""
     phi, _ = bordered_solve(state.linearization,
                             state.psi.grid.field(f(state.psi.values)))
     return phi
@@ -233,7 +217,7 @@ def state_to_json(state: SteadyState) -> str:
         "inner_value": state.inner_value,
         "newton_residual": state.newton_residual,
         "profile_cbar": state.F.cbar,
-        "profile_samples": state.F.samples.tolist(),
+        "profile_samples": state.F.values.tolist(),
         "profile_monotone": state.F.strictly_monotone,
         "psi": state.psi.values.ravel().tolist(),
         "omega": state.omega.values.ravel().tolist(),

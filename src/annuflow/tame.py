@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.fft import dct, idct
 
-from .curves import Curve1D, Monotone1D, MonotoneInverse
+from .curves import Curve1D, Monotone1D
 from .errors import DegenerateNormError, NotMonotoneError
 from .grid import holder_norm
 
@@ -133,4 +133,4 @@ def invert_monotone(f: Curve1D) -> Curve1D:
     if slopes.min() <= 1e-10:
         raise NotMonotoneError(f"min sampled slope {slopes.min():.3e} <= 1.0e-10")
     mono = f if isinstance(f, Monotone1D) else Monotone1D(f.a, f.b, f.values)
-    return MonotoneInverse(mono)
+    return mono.inverse()

@@ -340,8 +340,8 @@ def test_criterion_11_uniqueness(g64):
     gstar, _ = t_map(Fstar, GAMMA4, grid=g64, cross_check=False)
     F0 = _fbar()
     Fa, state_a, _ = moser_solve(F0, GAMMA4, gstar, grid=g64)
-    start_b = Profile1D(CBAR, F0.samples + 0.01 * np.sin(
-        np.pi * F0.grid_s() / CBAR), strictly_monotone=True)
+    start_b = Profile1D(CBAR, F0.values + 0.01 * np.sin(
+        np.pi * F0.grid_x() / CBAR), strictly_monotone=True)
     Fb, state_b, _ = moser_solve(start_b, GAMMA4, gstar, grid=g64)
     h2 = g64.h**2
     rep = uniqueness_probe(state_a, state_b, tol=5 * h2)

@@ -23,9 +23,16 @@ def test_expression_parser_basics():
     g = parse_expression("-(s+1)*(s-1)/2")
     assert np.allclose(g(s), -(s + 1) * (s - 1) / 2)
     assert parse_expression("3")(s).shape == s.shape
+    # grammar v1 reads leading zeros and whitespace between tokens
+    assert np.array_equal(parse_expression("0.5*s-01")(s), 0.5 * s - 1.0)
+    assert np.array_equal(parse_expression("0.5*s\n - 1")(s), 0.5 * s - 1.0)
 
 
-@pytest.mark.parametrize("bad", ["0.5*", "s s", "2**s", "sin(s)", "(s"])
+@pytest.mark.parametrize("bad", [
+    "0.5*", "s s", "2**s", "sin(s)", "(s",
+    # Python syntax outside grammar v1
+    "1j", "0x10", "1_0", "True", "s.real", "s[0]", "(s:=1)", "s%2", "s//2",
+    "~s", "__import__('os')", "s # comment"])
 def test_expression_parser_rejects(bad):
     with pytest.raises(ExpressionError):
         parse_expression(bad)

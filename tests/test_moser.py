@@ -86,8 +86,8 @@ def test_dt_central_difference(ref, grid64):
     ours = dt(state, f)
     eps = 1e-3
     mus = np.linspace(0, grid64.area, 129)
-    Fp = F.with_samples(F.samples + eps * f(F.grid_s()), strictly_monotone=False)
-    Fm = F.with_samples(F.samples - eps * f(F.grid_s()), strictly_monotone=False)
+    Fp = F.with_values(F.values + eps * f(F.grid_x()))
+    Fm = F.with_values(F.values - eps * f(F.grid_x()))
     tp, _ = t_map(Fp, GAMMA, grid=grid64, cross_check=False)
     tm, _ = t_map(Fm, GAMMA, grid=grid64, cross_check=False)
     fd = (tp(mus) - tm(mus)) / (2 * eps)
@@ -255,7 +255,7 @@ def test_moser_already_solved(ref, grid64):
     F, state, trace = moser_solve(fbar(), GAMMA, curve, grid=grid64)
     assert len(trace.rows) == 1
     assert trace.rows[0][4] == "converged"
-    assert np.array_equal(F.samples, fbar().samples)
+    assert np.array_equal(F.values, fbar().values)
 
 
 def _bump_profile(scale=0.02):
@@ -365,15 +365,17 @@ def test_grids_and_states_are_freed():
 
 
 def test_dropped_state_is_freed_without_gc():
-    # the workspace stored on a state holds no reference back to it, so
-    # reference counting alone frees the state and its factor
+    # the workspace stored on a state holds no reference back to it, and
+    # its chart's spline holds none to the grid, so reference counting
+    # alone frees the state, its factor, the grid and the grid's factor
     grid = make_annulus(1.0, 2.0, 16, 32)
     state = solve_steady(fbar(), GAMMA, grid=grid)
     gc.disable()
     try:
         assemble_id_plus_k(state)
-        refs = [weakref.ref(state), weakref.ref(state.linearization)]
-        del state
+        refs = [weakref.ref(state), weakref.ref(state.linearization),
+                weakref.ref(grid), weakref.ref(grid.laplacian_system)]
+        del state, grid
         assert [r for r in refs if r() is not None] == []
     finally:
         gc.enable()
@@ -418,8 +420,8 @@ def test_uniqueness_roundtrip_different_starts(grid64):
     gstar, _ = t_map(Fstar, GAMMA, grid=grid64, cross_check=False)
     # two different starting profiles targeting the same orbit label
     Fa, state_a, _ = moser_solve(F0, GAMMA, gstar, grid=grid64)
-    start_b = Profile1D(CBAR, F0.samples + 0.01 * np.sin(
-        np.pi * F0.grid_s() / CBAR), strictly_monotone=True)
+    start_b = Profile1D(CBAR, F0.values + 0.01 * np.sin(
+        np.pi * F0.grid_x() / CBAR), strictly_monotone=True)
     Fb, state_b, _ = moser_solve(start_b, GAMMA, gstar, grid=grid64)
     h2 = grid64.h**2
     rep = uniqueness_probe(state_a, state_b, tol=5 * h2)

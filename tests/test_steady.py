@@ -160,8 +160,8 @@ def test_ds_first_order_richardson(grid64):
     phi = ds(st, f)
     errs = []
     for eps in (1e-3, 5e-4):
-        Fp = F.with_samples(F.samples + eps * f(F.grid_s()))
-        Fm = F.with_samples(F.samples - eps * f(F.grid_s()))
+        Fp = F.with_values(F.values + eps * f(F.grid_x()))
+        Fm = F.with_values(F.values - eps * f(F.grid_x()))
         sp = solve_steady(Fp, GAMMA, grid=grid64, psi0=st.psi, tol=1e-12)
         sm = solve_steady(Fm, GAMMA, grid=grid64, psi0=st.psi, tol=1e-12)
         fd = (sp.psi.values - sm.psi.values) / (2 * eps)
@@ -190,8 +190,8 @@ def test_d2s_second_difference(grid64):
     phi11 = d2s(st, f, f)
     errs = []
     for eps in (2e-2, 1e-2):
-        Fp = F.with_samples(F.samples + eps * f(F.grid_s()))
-        Fm = F.with_samples(F.samples - eps * f(F.grid_s()))
+        Fp = F.with_values(F.values + eps * f(F.grid_x()))
+        Fm = F.with_values(F.values - eps * f(F.grid_x()))
         sp = solve_steady(Fp, GAMMA, grid=grid64, psi0=st.psi, tol=1e-12)
         sm = solve_steady(Fm, GAMMA, grid=grid64, psi0=st.psi, tol=1e-12)
         sd = (sp.psi.values - 2 * st.psi.values + sm.psi.values)
@@ -219,7 +219,7 @@ def test_energy_two_formulas(state_affine):
 def test_state_json_roundtrip(state_affine):
     st2 = state_from_json(state_to_json(state_affine))
     assert np.allclose(st2.psi.values, state_affine.psi.values, rtol=0, atol=0)
-    assert np.allclose(st2.F.samples, state_affine.F.samples, rtol=0, atol=0)
+    assert np.allclose(st2.F.values, state_affine.F.values, rtol=0, atol=0)
     assert st2.gamma == state_affine.gamma
 
 
