@@ -24,7 +24,11 @@ from .errors import (AreaMismatchError, CriticalPointError, NotInFplusError,
                      NotTangentError, NonpositiveFprimeError, TrajectoryExitError)
 from .grid import Field2D, divergence, gradient, integrate, poisson_bracket
 
-CHART_TOL = 1e-7
+CHART_TOL = 1e-10
+# the integration only has to land each node within reach of the Newton
+# projection onto its level; the projection sets the chart's accuracy
+CHART_RTOL = 1e-7
+CHART_ATOL = 1e-10
 GRAD_FLOOR_REL = 1e-6
 AREA_TOL_REL = 5e-3
 
@@ -128,7 +132,8 @@ def _boundary_levels(omega: Field2D):
 
 def level_chart(omega: Field2D, Nt=None) -> LevelChart:
     """Integrate the gradient-curve chart of a boundary-constant field
-    with no critical points (inner value below outer value)."""
+    with no critical points (inner value below outer value), then project
+    its interior nodes onto their levels along the gradient."""
     g = omega.grid
     Nt = g.Nr if Nt is None else int(Nt)
     wmin, wmax = _boundary_levels(omega)
@@ -157,8 +162,8 @@ def level_chart(omega: Field2D, Nt=None) -> LevelChart:
 
     y0 = np.concatenate([np.full(Ns, g.Ri), g.theta.astype(float)])
     t_eval = np.linspace(0.0, 1.0, Nt)
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, t_eval=t_eval, rtol=1e-11, atol=1e-12,
-                    max_step=0.1, dense_output=False)
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, t_eval=t_eval, rtol=CHART_RTOL,
+                    atol=CHART_ATOL, max_step=0.1, dense_output=False)
     if not sol.success:
         raise CriticalPointError(f"chart integration failed: {sol.message}")
     r = sol.y[:Ns, :].T.copy()              # (Nt, Ns)
@@ -167,9 +172,22 @@ def level_chart(omega: Field2D, Nt=None) -> LevelChart:
     if overshoot > g.hr:
         raise TrajectoryExitError(f"chart left the annulus by {overshoot:.3e}")
     r = np.clip(r, g.Ri, g.Ro)
+    # A Newton step along the gradient, then a chord step that reuses its
+    # gradient, put each interior node on its level.  The first leaves a
+    # residual quadratic in the integration's miss, up to 1e-10 where
+    # |grad w| is small on coarse grids; the second leaves about 1e-14.
+    # The boundary rows lie on the circles, where w is constant.
+    ri, ti = r[1:-1], theta[1:-1]
+    wr, wt = spl.dr(ri, ti), spl.dtheta(ri, ti)
+    gradsq = wr**2 + (wt / ri) ** 2
+    along_r, along_theta = wr / gradsq, wt / (ri**2 * gradsq)
+    target = wmin + t_eval[1:-1, None] * rng
+    for _ in range(2):
+        miss = target - spl.val(r[1:-1], theta[1:-1])
+        r[1:-1] = np.clip(r[1:-1] + miss * along_r, g.Ri, g.Ro)
+        theta[1:-1] += miss * along_theta
     r[0, :] = g.Ri
-    r[-1, :] = np.where(np.abs(r[-1, :] - g.Ro) < 1e-5 * (g.Ro - g.Ri),
-                        g.Ro, r[-1, :])
+    r[-1, :] = g.Ro
 
     wr = spl.dr(r, theta)
     wt = spl.dtheta(r, theta)

@@ -74,6 +74,19 @@ def test_solve_bad_expression(tmp_path, capsys):
     assert payload["error"] == "profile-parse-error"
 
 
+@pytest.mark.parametrize("deep", [
+    "+".join(["s"] * 1000), "-" * 1000 + "s",
+    # past Python's parser stack: RecursionError, MemoryError from ast.parse
+    "+".join(["s"] * 5000), "-" * 10000 + "s"],
+    ids=["sum", "unary", "sum-parser", "unary-parser"])
+def test_solve_deep_expression(tmp_path, capsys, deep):
+    # the "=" form, because argparse reads a separate "-..." as an option
+    code, payload = run(capsys, "solve", f"--profile={deep}",
+                        "--gamma", "-6.28", "--out", str(tmp_path))
+    assert code == 2
+    assert payload["error"] == "profile-parse-error"
+
+
 def test_dist_roundtrip(tmp_path, capsys):
     code, _ = run(capsys, "solve", "--profile", "0.5*s-1",
                   "--gamma", str(-4 * np.pi), "--out", str(tmp_path))

@@ -3,7 +3,7 @@ inverse and the profile expression parser."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -112,3 +112,20 @@ def rejected(draw):
 def test_parse_rejects_outside_grammar(text):
     with pytest.raises(ExpressionError):
         parse_expression(text)(S)
+
+
+@props
+@given(n=st.integers(1, 3000), op=st.sampled_from("+-"))
+@example(n=1000, op="+")
+@example(n=1000, op="-")
+def test_parse_deep_nesting(n, op):
+    # n terms of a sum, or n unary minus signs before s: either the exact
+    # value or ExpressionError, never a RecursionError from parse or call
+    text = "+".join(["s"] * n) if op == "+" else "-" * n + "s"
+    try:
+        fn = parse_expression(text)
+    except ExpressionError:
+        assert n > 100
+        return
+    assert n < 1000
+    np.testing.assert_array_equal(fn(S), n * S if op == "+" else (-1) ** n * S)
