@@ -89,6 +89,7 @@ def cmd_solve(args):
     e_grad, e_vort = energy_pair(state)
     diagnostics = {
         "newton_residual": state.newton_residual,
+        "newton_history": [step._asdict() for step in state.newton_history],
         "gamma": state.gamma,
         "circulation_gap": abs(circulation(state.psi) - state.gamma),
         "inner_value": state.inner_value,
@@ -394,8 +395,20 @@ def build_parser():
     return p
 
 
+def _attach_profile(argv):
+    """argparse reads a separate value that starts with '-', such as the
+    expression -0.5*s-1, as an option; pass every --profile value in the
+    --profile=VALUE form instead."""
+    argv = list(argv)
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--profile":
+            argv[i:i + 2] = [f"--profile={argv[i + 1]}"]
+    return argv
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_profile(argv))
     try:
         return args.fn(args)
     except CliError as exc:

@@ -318,8 +318,7 @@ def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
     for n in range(cfg.max_iter):
         try:
             state = solve_steady(F, gamma, psi0=psi0, grid=grid)
-        except (AnnuflowError, RuntimeError, np.linalg.LinAlgError) as exc:
-            # RuntimeError: splu on an exactly singular linearization
+        except AnnuflowError as exc:
             raise InnerSolveFailureError(
                 f"steady solve failed at iteration {n}: {exc}",
                 iteration=n) from exc

@@ -4,10 +4,13 @@ derivatives with respect to the profile F.
 
 Newton linearization: the correction phi solves
 Delta(phi) - F'(psi)phi = F(psi) - Delta(psi) under the zero-circulation
-conditions, so each step is one bordered elliptic solve.  Full steps with
-residual-halving damping (at most 5 halvings per step).  A converged state
-owns its factorized linearization, which every derivative of that state
-shares.
+conditions.  Each step solves it by GMRES preconditioned with the grid's
+Laplacian factor (``elliptic.krylov_solve``), so Newton factorizes nothing:
+the Poisson start, or the caller, has already built that factor.  Full
+steps with residual-halving damping (at most 5 halvings per step).  A
+state records one ``NewtonStep`` per step.  A converged state owns its
+factorized linearization, built on first use, which every derivative of
+that state shares.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .curves import Curve1D
 from .elliptic import (BorderedSystem, bordered_solve, bordered_system,
-                       solve_poisson)
+                       krylov_solve, solve_poisson)
 from .errors import NoConvergenceError, NotMonotoneError, RangeEscapeError
 from .grid import Field2D, gradient, integrate, laplacian, make_annulus
 
@@ -62,9 +66,18 @@ class Profile1D(Curve1D):
         return float(np.min(np.diff(self.values)) / h)
 
 
+class NewtonStep(NamedTuple):
+    """One Newton step of ``solve_steady``."""
+
+    residual: float             # interior residual of the iterate it corrects
+    step: float                 # damping step length: 1, 1/2, ..., 1/32
+    krylov_iterations: int      # GMRES iterations of its linear solve
+
+
 @dataclass(frozen=True, eq=False)
 class SteadyState:
-    """Converged steady bundle; omega = F(psi) node-wise by construction."""
+    """Converged steady bundle; omega = F(psi) node-wise by construction.
+    The Newton history is empty for a state read back from JSON."""
 
     F: Profile1D
     psi: Field2D
@@ -72,6 +85,7 @@ class SteadyState:
     gamma: float
     inner_value: float
     newton_residual: float
+    newton_history: tuple[NewtonStep, ...] = ()
 
     @cached_property
     def linearization(self) -> BorderedSystem:
@@ -81,9 +95,11 @@ class SteadyState:
         return bordered_system(g, g.field(-self.F.d1(self.psi.values)))
 
 
-def _interior_residual(psi: Field2D, F: Profile1D) -> float:
-    res = laplacian(psi).values - F(psi.values)
-    return float(np.abs(res[1:-1, :]).max())
+def _interior_residual(psi: Field2D, F: Profile1D):
+    """F(psi) - Delta(psi), the Newton right-hand side, and the max of its
+    absolute interior values, the residual."""
+    res = F(psi.values) - laplacian(psi).values
+    return res, float(np.abs(res[1:-1, :]).max())
 
 
 def solve_steady(F: Profile1D, gamma: float, psi0: Field2D | None = None,
@@ -115,27 +131,27 @@ def solve_steady(F: Profile1D, gamma: float, psi0: Field2D | None = None,
                 f"{upper_margin:.4g}]", lo=lo, hi=hi)
 
     check_range(psi)
-    residual = _interior_residual(psi, F)
+    rhs, residual = _interior_residual(psi, F)
+    history = []
     for _ in range(MAX_NEWTON):
         if residual < tol:
             break
         c = grid.field(-F.d1(psi.values))
-        system = bordered_system(grid, c)
-        rhs = grid.field(F(psi.values) - laplacian(psi).values)
-        phi, _ = bordered_solve(system, rhs)
+        phi, iterations = krylov_solve(grid.laplacian_system, c, grid.field(rhs))
         step = 1.0
         for _ in range(6):
             cand = grid.field(psi.values + step * phi.values)
-            cand_res = _interior_residual(cand, F)
+            cand_rhs, cand_res = _interior_residual(cand, F)
             if cand_res < residual:
                 break
             step *= 0.5
         else:
             raise NoConvergenceError("damping failed to reduce the residual",
                                      residual=residual)
+        history.append(NewtonStep(residual, step, iterations))
         psi = cand
         check_range(psi)
-        residual = cand_res
+        rhs, residual = cand_rhs, cand_res
     else:
         raise NoConvergenceError(f"no convergence after {MAX_NEWTON} iterations",
                                  residual=residual)
@@ -145,7 +161,8 @@ def solve_steady(F: Profile1D, gamma: float, psi0: Field2D | None = None,
     psi = grid.field(vals)
     omega = grid.field(F(psi.values))
     inner_value = float(psi.values[0, :].mean())
-    return SteadyState(F, psi, omega, float(gamma), inner_value, residual)
+    return SteadyState(F, psi, omega, float(gamma), inner_value, residual,
+                       tuple(history))
 
 
 def ds(state: SteadyState, f) -> Field2D:

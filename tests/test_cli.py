@@ -49,6 +49,26 @@ def test_solve_writes_state(tmp_path, capsys):
     assert state.psi.grid.Nr == 64
     diag = json.loads((tmp_path / "diagnostics.json").read_text())
     assert diag["circulation_gap"] < 1e-8
+    # one record per Newton step; state.json does not carry them
+    history = diag["newton_history"]
+    assert len(history) >= 1
+    assert history[0]["residual"] > diag["newton_residual"]
+    assert all(h["step"] == 1.0 and 1 <= h["krylov_iterations"] <= 20
+               for h in history)
+    assert "newton_history" not in json.loads((tmp_path / "state.json").read_text())
+
+
+def test_solve_profile_starting_with_minus(tmp_path, capsys):
+    # a separate --profile value that starts with "-" is an expression,
+    # not an option
+    code, payload = run(capsys, "solve", "--profile", "-0.5*s-1",
+                        "--gamma", "-6.28", "--grid", "32,64",
+                        "--out", str(tmp_path))
+    assert code == 0
+    with open(tmp_path / "state.json") as fh:
+        state = state_from_json(fh.read())
+    s = state.F.grid_x()
+    assert np.allclose(state.F(s), -0.5 * s - 1.0)
 
 
 def test_solve_harmonic_energy(tmp_path, capsys):
@@ -80,7 +100,6 @@ def test_solve_bad_expression(tmp_path, capsys):
     "+".join(["s"] * 5000), "-" * 10000 + "s"],
     ids=["sum", "unary", "sum-parser", "unary-parser"])
 def test_solve_deep_expression(tmp_path, capsys, deep):
-    # the "=" form, because argparse reads a separate "-..." as an option
     code, payload = run(capsys, "solve", f"--profile={deep}",
                         "--gamma", "-6.28", "--out", str(tmp_path))
     assert code == 2

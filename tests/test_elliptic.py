@@ -290,7 +290,7 @@ def test_factor_multi_rhs_residual(grid64, bump64, which):
 
 
 def test_factor_exactly_singular_raises(grid32):
-    # solve_ve and moser_solve rely on splu raising for a singular matrix
+    # solve_ve relies on splu raising for a singular matrix
     A = _bordered_matrix(grid32, grid32.constant(-1.0)).tolil()
     A[-1, :] = 0.0                         # no circulation row
     with pytest.raises(RuntimeError):

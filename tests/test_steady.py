@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from annuflow.curves import Curve1D
-from annuflow.errors import NotMonotoneError, RangeEscapeError
-from annuflow.grid import circulation, laplacian, make_annulus, poisson_bracket
+from annuflow.elliptic import _factor, principal_eigenvalue
+from annuflow.errors import NoConvergenceError, NotMonotoneError, RangeEscapeError
+from annuflow.grid import circulation, make_annulus, poisson_bracket
 from annuflow.steady import (
     Profile1D, d2s, default_cbar, ds, energy, energy_pair, solve_steady,
     state_from_json, state_to_json,
@@ -106,26 +107,51 @@ def test_gauge_covariance(grid64):
 def test_newton_quadratic_convergence(grid64):
     # strong nonlinearity so the iteration takes several steps
     F = profile(lambda s: np.exp(s) + 0.8 * s)
-    st = solve_steady(F, GAMMA, grid=grid64)
-    assert st.newton_residual < 1e-9
-    # re-run recording residuals manually
-    from annuflow.elliptic import bordered_solve, bordered_system, solve_poisson
-    psi, _ = solve_poisson(grid64.constant(F(0.0)), GAMMA)
-    residuals = []
-    for _ in range(12):
-        res = np.abs((laplacian(psi).values - F(psi.values))[1:-1, :]).max()
-        residuals.append(res)
-        if res < 1e-11:
-            break
-        system = bordered_system(grid64, grid64.field(-F.d1(psi.values)))
-        rhs = grid64.field(F(psi.values) - laplacian(psi).values)
-        phi, _ = bordered_solve(system, rhs)
-        psi = grid64.field(psi.values + phi.values)
+    st = solve_steady(F, GAMMA, grid=grid64, tol=1e-11)
+    assert st.newton_residual < 1e-11
+    history = st.newton_history
+    assert len(history) >= 3
+    assert all(h.step == 1.0 for h in history)
+    assert all(1 <= h.krylov_iterations <= 20 for h in history)
     # residual ratio r_{k+1}/r_k^2 bounded over the convergent stretch
+    residuals = [h.residual for h in history] + [st.newton_residual]
     ratios = [residuals[i + 1] / residuals[i] ** 2
               for i in range(len(residuals) - 1)]
     assert max(ratios) < 100.0
-    assert len(residuals) >= 3
+
+
+def test_newton_factorizes_nothing(monkeypatch):
+    # Newton steps are preconditioned by the grid's Laplacian factor, which
+    # the Poisson start builds; a warm start on the same grid factorizes
+    # nothing
+    from annuflow import elliptic
+
+    calls = []
+
+    def counted(A):
+        calls.append(A.shape)
+        return _factor(A)
+
+    monkeypatch.setattr(elliptic, "_factor", counted)
+    g = make_annulus(1.0, 2.0, 32, 64)
+    F = profile(lambda s: np.exp(s) + 0.8 * s)
+    st = solve_steady(F, GAMMA, grid=g)
+    assert len(st.newton_history) >= 2
+    assert len(calls) == 1
+    F2 = F.with_values(F.values + 0.01 * np.sin(F.grid_x()))
+    st2 = solve_steady(F2, GAMMA, psi0=st.psi)
+    assert len(st2.newton_history) >= 1
+    assert len(calls) == 1
+
+
+def test_krylov_failure_is_no_convergence():
+    # F' = -lam_1 makes Delta - F'(psi) singular: GMRES cannot reach its
+    # stop within one restart cycle, and that is reported as no-convergence
+    g = make_annulus(1.0, 2.0, 32, 64)
+    lam = principal_eigenvalue(g)
+    F = profile(lambda s: -lam * s - 1.0)
+    with pytest.raises(NoConvergenceError, match="GMRES"):
+        solve_steady(F, GAMMA, grid=g)
 
 
 def test_range_escape():
