@@ -18,6 +18,7 @@ import numpy as np
 
 from . import moser, orbit, tame
 from .curves import Curve1D, Monotone1D, read_curve_csv, write_curve_csv
+from .elliptic import solve_poisson
 from .errors import AnnuflowError, DivergedError
 from .exprparse import ExpressionError, parse_expression
 from .grid import (circulation, field_from_json, field_to_json, gradient,
@@ -45,33 +46,34 @@ def _parse_grid(text):
     return nr, ns
 
 
-def _load_profile(arg, cbar):
-    """Profile from a sampled CSV path or an arithmetic expression in s."""
+def _load_profile(arg):
+    """The profile function of a sampled CSV path, with the cbar its samples
+    fix, or of an arithmetic expression in s, with cbar None."""
     if os.path.exists(arg):
         s, v = read_curve_csv(arg)
         order = np.argsort(s)
         s, v = s[order], v[order]
         if s[-1] > 1e-9 or s[0] >= 0:
             raise CliError("bad-profile", "profile samples must live on [cbar, 0]")
-        return Profile1D.from_callable(lambda x: np.interp(x, s, v),
-                                       float(s[0]))
+        return (lambda x: np.interp(x, s, v)), float(s[0])
     if arg.endswith(".csv") or os.sep in arg:
         raise CliError("profile-not-found", f"no such profile file: {arg}")
     try:
-        fn = parse_expression(arg)
+        return parse_expression(arg), None
     except ExpressionError as exc:
         raise CliError("profile-parse-error", str(exc)) from exc
-    return Profile1D.from_callable(fn, cbar)
 
 
 def _start_profile(args, grid):
-    """The --profile on [cbar, 0].  Without --cbar, cbar comes from the
-    profile's value at 0 (steady.default_cbar)."""
-    cbar = args.cbar
-    if cbar is None:
-        probe = _load_profile(args.profile, -1.0)
-        cbar = default_cbar(grid, float(probe(0.0)), args.gamma)
-    return _load_profile(args.profile, cbar)
+    """The --profile on [cbar, 0] and a Newton start psi0 or None.  Without
+    --cbar, an expression's cbar comes from the constant-vorticity start of
+    solve_steady (steady.default_cbar), which is then psi0."""
+    fn, cbar = _load_profile(args.profile)
+    cbar = args.cbar if cbar is None else cbar
+    if cbar is not None:
+        return Profile1D.from_callable(fn, cbar), None
+    psi0, _ = solve_poisson(grid.constant(float(fn(0.0))), args.gamma)
+    return Profile1D.from_callable(fn, default_cbar(psi0)), psi0
 
 
 def _outdir(path):
@@ -81,8 +83,8 @@ def _outdir(path):
 
 def cmd_solve(args):
     grid = make_annulus(args.ri, args.ro, *_parse_grid(args.grid))
-    F = _start_profile(args, grid)
-    state = solve_steady(F, args.gamma, grid=grid, tol=args.tol)
+    F, psi0 = _start_profile(args, grid)
+    state = solve_steady(F, args.gamma, psi0=psi0, grid=grid, tol=args.tol)
     out = _outdir(args.out)
     with open(os.path.join(out, "state.json"), "w", newline="\n") as fh:
         fh.write(state_to_json(state))
@@ -126,7 +128,7 @@ def cmd_invert(args):
         with open(args.config) as fh:
             cfg = moser.config_from_text(fh.read())
     cfg.validate()
-    F0 = _start_profile(args, grid)
+    F0, _ = _start_profile(args, grid)
     mu, tv = read_curve_csv(args.target)
     gaps = np.diff(tv)
     if np.any(gaps <= 0):

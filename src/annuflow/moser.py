@@ -17,15 +17,15 @@ MoserConfig.validate().
 Every per-state object lives on its steady state: the factorized
 linearization is ``SteadyState.linearization``, through which ``dt`` and
 ``k_apply`` solve (``steady.ds``) and ``Id + K`` is assembled, and
-``workspace(state)`` stores the workspace (chart, distribution, assembled
-Id + K) on the state.  The workspace holds no reference back to its
-state, so both are freed with the state.
+``workspace(state)`` stores the workspace (stream chart, which owns the
+distribution and the area grid, and the assembled Id + K) on the state.
+The workspace holds no reference back to its state, so both are freed
+with the state.
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -34,8 +34,8 @@ from .curves import Curve1D, Monotone1D
 from .elliptic import bordered_solve
 from .errors import (AnnuflowError, DivergedError, InnerSolveFailureError,
                      NotMonotoneError, SingularIdPlusKError)
-from .orbit import (N_MU, AreaResampler, LevelChart, _aprime_values, dist_fn,
-                    j_over_grad, j_over_grad_matrix, level_chart)
+from .orbit import (N_MU, LevelChart, dist_chart, j_over_grad,
+                    j_over_grad_matrix, level_chart)
 from .steady import Profile1D, SteadyState, ds, solve_steady
 from .tame import smooth
 
@@ -93,30 +93,23 @@ class MoserTrace:
     def repair_count(self):
         return sum(1 for r in self.rows if "repair" in r[4])
 
-    def to_csv(self, path_or_buf):
-        buf = io.StringIO()
-        buf.write(",".join(self.columns) + "\n")
-        for n, t, res, up, fl in self.rows:
-            buf.write(f"{n},{float(t)!r},{float(res)!r},{float(up)!r},{fl}\n")
-        text = buf.getvalue()
-        if isinstance(path_or_buf, (str, bytes)):
-            with open(path_or_buf, "w", newline="\n") as fh:
-                fh.write(text)
-        else:
-            path_or_buf.write(text)
-        return text
+    def to_csv(self, path):
+        with open(path, "w", newline="\n") as fh:
+            fh.write(",".join(self.columns) + "\n")
+            for n, t, res, up, fl in self.rows:
+                fh.write(f"{n},{float(t)!r},{float(res)!r},{float(up)!r},{fl}\n")
 
 
 # ---------------------------------------------------------------------------
-# per-state workspace: stream chart, distribution, assembled Id + K
+# per-state workspace: stream chart, assembled Id + K
 # ---------------------------------------------------------------------------
 
 class StateWorkspace:
-    """Chart, distribution and assembled Id + K of one steady state.  The
-    state stores its workspace and the workspace holds no reference to the
-    state, so a dropped state is freed at once, with its factor and its
-    workspace, and a state whose Id + K is never assembled is never
-    factorized."""
+    """Stream chart and assembled Id + K of one steady state; the chart
+    owns the stream distribution and the area grid.  The state stores its
+    workspace and the workspace holds no reference to the state, so a
+    dropped state is freed at once, with its factor and its workspace, and
+    a state whose Id + K is never assembled is never factorized."""
 
     def __init__(self, state: SteadyState):
         g = state.psi.grid
@@ -125,24 +118,21 @@ class StateWorkspace:
         # the stream travel time varies by orders of magnitude across
         # levels, so the chart takes extra rows to hold the area budget
         self.chart: LevelChart = level_chart(state.psi, Nt=max(2 * g.Nr, 128))
-        self.A_psi, A_psi_inv = dist_fn(state.psi, self.chart)
-        self.resample = AreaResampler(self.chart, A_psi_inv)
-        self.mu = self.resample.mu
-        self.lam_mu = self.resample.lam                 # psi-levels at mu
-        j1_mu = self.resample(_aprime_values(self.chart))   # A_psi'(lambda(mu))
+        at_mu = self.chart.area_grid
         # (d/dmu) A_omega^{-1} = F'(lambda(mu)) / A_psi'(lambda(mu))
-        self.dainv_omega = state.F.d1(self.lam_mu) / j1_mu
+        self.dainv_omega = (state.F.d1(at_mu.lam_mu)
+                            / at_mu.resample(self.chart.travel_time))
         self._id_plus_k = None
 
     def t_values(self):
         """T(F) samples on the area grid: F composed with the stream
         distribution inverse."""
-        return self.F(self.lam_mu)
+        return self.F(self.chart.area_grid.lam_mu)
 
     def transport(self, jvals):
         """(d A_omega^{-1}/dmu) times level-grid loop integrals (leading
         axis) resampled at lambda(mu)."""
-        return (self.dainv_omega * self.resample(jvals).T).T
+        return (self.dainv_omega * self.chart.area_grid.resample(jvals).T).T
 
     def ktilde(self, phi):
         """Smoothing part of DT: (d A_omega^{-1}/dmu) times the level mean
@@ -155,9 +145,10 @@ class StateWorkspace:
         one multi-RHS solve with the state's linearization, J the
         travel-time loop integral and D S the transport to the mu grid."""
         if self._id_plus_k is None:
-            cardinal = CubicSpline(self.mu, np.eye(N_MU))
-            E = _vb_compose(cardinal, cardinal.derivative(), self.A_psi,
-                            self.chart.omega_min, self.psi.values)
+            cardinal = CubicSpline(self.chart.area_grid.mu, np.eye(N_MU))
+            E = _vb_compose(cardinal, cardinal.derivative(),
+                            self.chart.distribution[0], self.chart.omega_min,
+                            self.psi.values)
             phi, _ = bordered_solve(linearization, E)
             del E           # freed before J is built: both are large
             J = j_over_grad_matrix(self.chart)
@@ -194,8 +185,7 @@ def t_map(F: Profile1D, gamma: float, grid, cross_check=True):
     vals = ws.t_values()
     curve = Monotone1D(0.0, state.psi.grid.area, vals)
     if cross_check:
-        _, ainv_direct = dist_fn(state.omega)
-        direct = ainv_direct(ws.mu)
+        direct = dist_chart(state.omega).area_grid.lam_mu
         scale = max(float(np.ptp(vals)), 1e-300)
         tol = 5 * state.psi.grid.h**2
         gap = float(np.abs(direct - vals).max()) / scale
@@ -209,7 +199,7 @@ def dt(state: SteadyState, f) -> Curve1D:
     """Derivative of the orbit label in the profile direction f."""
     ws = workspace(state)
     return Curve1D(0.0, state.psi.grid.area,
-                   f(ws.lam_mu) + ws.ktilde(ds(state, f)))
+                   f(ws.chart.area_grid.lam_mu) + ws.ktilde(ds(state, f)))
 
 
 def _vb_compose(g, g_d1, a_psi, m, x):
@@ -247,7 +237,7 @@ class VbDirection(Curve1D):
 def vb(state: SteadyState, gcurve: Curve1D):
     """Right-inverse of the composition part of DT."""
     ws = workspace(state)
-    return VbDirection(gcurve, ws.A_psi, ws.chart.omega_min,
+    return VbDirection(gcurve, ws.chart.distribution[0], ws.chart.omega_min,
                        state.F.cbar, state.F.values.size)
 
 
@@ -271,7 +261,7 @@ def vm(state: SteadyState, h: Curve1D) -> Curve1D:
         raise SingularIdPlusKError(
             f"Id+K nearly singular: sigma_min/sigma_max = {sv[-1]/sv[0]:.3e}",
             sigma_min=float(sv[-1]))
-    g = np.linalg.solve(M, h(ws.mu))
+    g = np.linalg.solve(M, h(ws.chart.area_grid.mu))
     return Curve1D(0.0, state.psi.grid.area, g)
 
 
@@ -324,7 +314,7 @@ def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
                 iteration=n) from exc
         psi0 = state.psi
         ws = workspace(state)
-        resid_vals = ws.t_values() - g_target(ws.mu)
+        resid_vals = ws.t_values() - g_target(ws.chart.area_grid.mu)
         residual = float(np.abs(resid_vals).max())
         t_n = cfg.schedule(n)
         if residual < cfg.floor_tol:
@@ -361,10 +351,9 @@ def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
         *head, flags = trace.rows[-1]
         trace.rows[-1] = (*head, "+".join(filter(None, (flags, "max-iter"))))
     # cross-check the recovered state against the direct vorticity path
-    _, ainv_direct = dist_fn(state.omega)
-    ws = workspace(state)
+    direct = dist_chart(state.omega).area_grid
     trace.final_cross_check = float(
-        np.abs(ainv_direct(ws.mu) - g_target(ws.mu)).max())
+        np.abs(direct.lam_mu - g_target(direct.mu)).max())
     return state.F, state, trace
 
 
@@ -391,12 +380,11 @@ class UniquenessReport:
 
 def uniqueness_probe(state_a: SteadyState, state_b: SteadyState,
                      tol) -> UniquenessReport:
-    """Compare orbit labels and stream functions of two nearby states:
-    on a shared orbit the states must agree."""
-    _, qa = dist_fn(state_a.omega)
-    _, qb = dist_fn(state_b.omega)
-    mu = np.linspace(0.0, state_a.psi.grid.area, N_MU)
-    q_dist = float(np.abs(qa(mu) - qb(mu)).max())
+    """Compare orbit labels and stream functions of two nearby states on
+    one grid: on a shared orbit the states must agree."""
+    qa = dist_chart(state_a.omega).area_grid.lam_mu
+    qb = dist_chart(state_b.omega).area_grid.lam_mu
+    q_dist = float(np.abs(qa - qb).max())
     psi_dist = float(np.abs(state_a.psi.values - state_b.psi.values).max())
     return UniquenessReport(q_dist, psi_dist, float(tol))
 
@@ -406,11 +394,12 @@ def uniqueness_probe(state_a: SteadyState, state_b: SteadyState,
 # ---------------------------------------------------------------------------
 
 def config_to_text(cfg: MoserConfig) -> str:
-    return "".join(f"{k}={getattr(cfg, k)}\n" for k in
-                   ("A", "kappa", "mu", "beta", "j", "max_iter", "floor_tol"))
+    return "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg))
 
 
 def config_from_text(text: str) -> MoserConfig:
+    # each key parses as the type of its default: int or float
+    kinds = {f.name: type(f.default) for f in fields(MoserConfig)}
     kw = {}
     for line in text.splitlines():
         line = line.strip()
@@ -419,10 +408,7 @@ def config_from_text(text: str) -> MoserConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key in ("j", "max_iter"):
-            kw[key] = int(val)
-        elif key in ("A", "kappa", "mu", "beta", "floor_tol"):
-            kw[key] = float(val)
-        else:
+        if key not in kinds:
             raise ValueError(f"unknown config key {key!r}")
+        kw[key] = kinds[key](val)
     return MoserConfig(**kw)

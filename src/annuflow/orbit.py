@@ -12,6 +12,8 @@ trapezoid sums over s, with field values interpolated bicubically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,20 +65,35 @@ class FieldSpline:
         r, theta = self._wrap(r, theta)
         return self._spl.ev(r, theta)
 
-    def dr(self, r, theta):
+    def grad(self, r, theta):
+        """The derivatives in r and in theta."""
         r, theta = self._wrap(r, theta)
-        return self._spl.ev(r, theta, dx=1)
+        return self._spl.ev(r, theta, dx=1), self._spl.ev(r, theta, dy=1)
 
-    def dtheta(self, r, theta):
-        r, theta = self._wrap(r, theta)
-        return self._spl.ev(r, theta, dy=1)
+
+N_MU = 129
+
+
+class AreaGrid(NamedTuple):
+    """The uniform area grid mu on [0, |domain|] (N_MU points) and the
+    levels lam_mu = A^{-1}(mu) of a chart's field."""
+
+    levels: np.ndarray
+    mu: np.ndarray
+    lam_mu: np.ndarray
+
+    def resample(self, level_values):
+        """Cubic interpolant of values on the chart levels (leading axis),
+        evaluated at lam_mu."""
+        return CubicSpline(self.levels, level_values)(self.lam_mu)
 
 
 @dataclass(frozen=True, eq=False)
 class LevelChart:
     """Gradient-curve coordinates: row t is the level set at
     min w + t*(max w - min w); row 0 on the inner circle, row 1 on the
-    outer one."""
+    outer one.  The chart owns the level-set data built from it, each on
+    first use: the travel time, the distribution and the area grid."""
 
     grid: object
     t: np.ndarray                 # (Nt,)
@@ -99,6 +116,34 @@ class LevelChart:
     def residual(self):
         target = self.levels[:, None]
         return float(np.abs(self.spline.val(self.r, self.theta) - target).max())
+
+    @cached_property
+    def travel_time(self):
+        """A'(lambda) = loop integral of 1/|grad w| on each chart level."""
+        return _loop_sum(self, self.arc_weight / self.grad_norm)
+
+    @cached_property
+    def distribution(self):
+        """A(lambda) = |{w < lambda}| on the chart levels and its inverse.
+        A is the cumulative integral of the travel time; the raw endpoint
+        is renormalized onto the exact annulus area and the relative miss
+        kept as A.area_discrepancy (error if it exceeds AREA_TOL_REL,
+        which signals an under-resolved chart)."""
+        lam = self.levels
+        raw = CubicSpline(lam, self.travel_time).antiderivative()(lam)
+        total = self.grid.area
+        disc = (raw[-1] - total) / total
+        if abs(disc) > AREA_TOL_REL:
+            raise AreaMismatchError(
+                f"raw area misses |domain| by {disc:.2%}", discrepancy=disc)
+        A = Monotone1D(self.omega_min, self.omega_max, raw * (total / raw[-1]))
+        A.area_discrepancy = float(disc)
+        return A, A.inverse()
+
+    @cached_property
+    def area_grid(self) -> AreaGrid:
+        mu = np.linspace(0.0, self.grid.area, N_MU)
+        return AreaGrid(self.levels, mu, self.distribution[1](mu))
 
 
 def chart_to_json(chart: LevelChart) -> str:
@@ -152,8 +197,7 @@ def level_chart(omega: Field2D, Nt=None) -> LevelChart:
     def rhs(_t, y):
         r = y[:Ns]
         th = y[Ns:]
-        wr = spl.dr(r, th)
-        wt = spl.dtheta(r, th)
+        wr, wt = spl.grad(r, th)
         gradsq = wr**2 + (wt / r) ** 2
         if gradsq.min() < floor**2:
             raise CriticalPointError(
@@ -178,7 +222,7 @@ def level_chart(omega: Field2D, Nt=None) -> LevelChart:
     # |grad w| is small on coarse grids; the second leaves about 1e-14.
     # The boundary rows lie on the circles, where w is constant.
     ri, ti = r[1:-1], theta[1:-1]
-    wr, wt = spl.dr(ri, ti), spl.dtheta(ri, ti)
+    wr, wt = spl.grad(ri, ti)
     gradsq = wr**2 + (wt / ri) ** 2
     along_r, along_theta = wr / gradsq, wt / (ri**2 * gradsq)
     target = wmin + t_eval[1:-1, None] * rng
@@ -189,8 +233,7 @@ def level_chart(omega: Field2D, Nt=None) -> LevelChart:
     r[0, :] = g.Ri
     r[-1, :] = g.Ro
 
-    wr = spl.dr(r, theta)
-    wt = spl.dtheta(r, theta)
+    wr, wt = spl.grad(r, theta)
     gn = np.sqrt(wr**2 + (wt / r) ** 2)
 
     ds = 1.0 / Ns
@@ -264,35 +307,17 @@ def j_over_grad_matrix(chart: LevelChart):
     return J.reshape(Nt, g.Nr * Ns)
 
 
-def _aprime_values(chart: LevelChart):
-    vals = chart.arc_weight / chart.grad_norm
-    return _loop_sum(chart, vals)
+def dist_chart(omega: Field2D) -> LevelChart:
+    """The chart whose distribution dist_fn returns.  It takes at least 64
+    rows: the travel-time integrand can vary by two orders of magnitude
+    across levels."""
+    return level_chart(omega, Nt=max(omega.grid.Nr, 64))
 
 
-def dist_fn(omega: Field2D, chart: LevelChart = None):
-    """Distribution function A(lambda) = |{w < lambda}| and its inverse.
-
-    A is the cumulative integral of the travel-time loop integral; the raw
-    endpoint is renormalized onto the exact annulus area (error if the
-    discrepancy exceeds AREA_TOL_REL, which signals an under-resolved chart).
-    """
-    if chart is None:
-        # internal charts take at least 64 rows: the travel-time integrand
-        # can vary by two orders of magnitude across levels
-        chart = level_chart(omega, Nt=max(omega.grid.Nr, 64))
-    lam = chart.levels
-    integrand = _aprime_values(chart)
-    raw = CubicSpline(lam, integrand).antiderivative()(lam)
-    total = chart.grid.area
-    disc = (raw[-1] - total) / total
-    if abs(disc) > AREA_TOL_REL:
-        raise AreaMismatchError(
-            f"raw area misses |domain| by {disc:.2%}", discrepancy=disc)
-    vals = raw * (total / raw[-1])
-    A = Monotone1D(chart.omega_min, chart.omega_max, vals)
-    A.area_discrepancy = float(disc)
-    Ainv = A.inverse()
-    return A, Ainv
+def dist_fn(omega: Field2D):
+    """Distribution function A(lambda) = |{w < lambda}| and its inverse:
+    the distribution of dist_chart(omega)."""
+    return dist_chart(omega).distribution
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +339,7 @@ def pushforward(omega: Field2D, alpha: Field2D, eps: float) -> Field2D:
     def rhs(_t, y):
         r = np.clip(y[:n], g.Ri, g.Ro)
         th = y[n:]
-        ar = aspl.dr(r, th)
-        at = aspl.dtheta(r, th)
+        ar, at = aspl.grad(r, th)
         return np.concatenate([-at / r, ar / r])
 
     sol = solve_ivp(rhs, (0.0, eps), y0, rtol=1e-10, atol=1e-11,
@@ -340,38 +364,20 @@ def pushforward(omega: Field2D, alpha: Field2D, eps: float) -> Field2D:
 # first and second derivatives of the inverse distribution function
 # ---------------------------------------------------------------------------
 
-N_MU = 129
-
-
-class AreaResampler:
-    """The uniform area grid mu on [0, |domain|] (N_MU points), the levels
-    lam = A^{-1}(mu) of a chart's field, and level-grid curves evaluated
-    there."""
-
-    def __init__(self, chart: LevelChart, Ainv):
-        self.levels = chart.levels
-        self.mu = np.linspace(0.0, chart.grid.area, N_MU)
-        self.lam = Ainv(self.mu)
-
-    def __call__(self, level_values):
-        """Cubic interpolant of values on the chart levels (leading axis),
-        evaluated at lam."""
-        return CubicSpline(self.levels, level_values)(self.lam)
-
-
 def dq(omega: Field2D, chart: LevelChart, nu: Field2D) -> Curve1D:
     """First derivative of the inverse distribution function in the
     direction nu: the level mean of nu, transported to the area variable."""
-    at_mu = AreaResampler(chart, dist_fn(omega, chart)[1])
-    num = at_mu(j_over_grad(chart, nu).values)
-    return Curve1D(0.0, chart.grid.area, num / at_mu(_aprime_values(chart)))
+    at_mu = chart.area_grid
+    num = at_mu.resample(j_over_grad(chart, nu).values)
+    return Curve1D(0.0, chart.grid.area,
+                   num / at_mu.resample(chart.travel_time))
 
 
 def d2q(omega: Field2D, chart: LevelChart, nu1: Field2D, nu2: Field2D) -> Curve1D:
     """Second derivative of the inverse distribution function: the
     four-term closed form built from loop integrals of div(nu N/|grad w|)."""
     g = omega.grid
-    at_mu = AreaResampler(chart, dist_fn(omega, chart)[1])
+    at_mu = chart.area_grid
     gr, gt = gradient(omega)
     gn = np.sqrt(gr.values**2 + gt.values**2)
     nr = g.field(gr.values / gn)
@@ -388,9 +394,9 @@ def d2q(omega: Field2D, chart: LevelChart, nu1: Field2D, nu2: Field2D) -> Curve1
     w0 = div_term(np.ones_like(gn))
 
     def comp(u):
-        return at_mu(j_over_grad(chart, u).values)
+        return at_mu.resample(j_over_grad(chart, u).values)
 
-    j1 = at_mu(_aprime_values(chart))
+    j1 = at_mu.resample(chart.travel_time)
     jn1, jn2, jw1, jw2, jw12, jw0 = (comp(u) for u in (nu1, nu2, w1, w2, w12, w0))
     vals = (jn1 * jw2 / j1**2 + jn2 * jw1 / j1**2
             - jw0 * jn1 * jn2 / j1**3 - jw12 / j1)
@@ -418,7 +424,7 @@ def is_tangent(chart: LevelChart, nu: Field2D, rel=1e-6) -> bool:
 def project_tangent(chart: LevelChart, nu: Field2D) -> Field2D:
     """Remove the level means of nu so the compatibility integrals vanish."""
     g = chart.grid
-    mean_vals = j_over_grad(chart, nu).values / _aprime_values(chart)
+    mean_vals = j_over_grad(chart, nu).values / chart.travel_time
     spl = CubicSpline(chart.levels, mean_vals)
     R, T = np.meshgrid(g.r, g.theta, indexing="ij")
     omega_vals = chart.spline.val(R, T)

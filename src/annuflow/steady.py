@@ -252,11 +252,11 @@ def state_from_json(text: str) -> SteadyState:
                        d["newton_residual"])
 
 
-def default_cbar(grid, F0_at_zero, gamma):
-    """Reference interval depth: twice the minimum of the constant-vorticity
-    stream function (so perturbed solutions stay inside the interval)."""
-    psi, _ = solve_poisson(grid.constant(F0_at_zero), gamma)
-    m = float(psi.values.min())
+def default_cbar(psi0: Field2D):
+    """Reference interval depth: twice the minimum of psi0, the stream
+    function of the constant vorticity F(0) (so perturbed solutions stay
+    inside the interval)."""
+    m = float(psi0.values.min())
     if m >= 0:
         m = -1.0
     return 2.0 * m

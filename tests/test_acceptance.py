@@ -149,7 +149,7 @@ def test_criterion_05_distribution(g64, wavy):
     mus = np.linspace(0.0, 3 * np.pi, 97)
     affine_gap = np.abs(ainv(mus) - (1 + mus / np.pi)).max()
     om_w, chart_w = wavy
-    A, _ = dist_fn(om_w, chart_w)
+    A, _ = chart_w.distribution
     h2 = g64.h**2
     qs = np.linspace(0.1, 0.9, 9)
     worst = 0.0
@@ -219,7 +219,7 @@ def test_criterion_06_derivative_identities(g64, wavy):
 def test_criterion_07_orbit_invariance(g64, wavy):
     om, chart = wavy
     h2 = g64.h**2
-    A0, _ = dist_fn(om, chart)
+    A0, _ = chart.distribution
     generators = [
         g64.field_from(lambda r, t: 0.5 * (r - 1) * (2 - r) * np.cos(t)),
         g64.field_from(lambda r, t: 0.3 * (r - 1) * (2 - r) * np.sin(2 * t)),

@@ -71,6 +71,31 @@ def test_solve_profile_starting_with_minus(tmp_path, capsys):
     assert np.allclose(state.F(s), -0.5 * s - 1.0)
 
 
+def test_solve_parses_profile_and_solves_poisson_once(tmp_path, capsys,
+                                                     monkeypatch):
+    # without --cbar, the constant-vorticity stream function sets cbar and
+    # is the Newton start: one parse and one Poisson solve per command
+    from annuflow import cli, elliptic, steady
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "parse_expression",
+                        counted("parse", cli.parse_expression))
+    for module in (cli, steady):
+        monkeypatch.setattr(module, "solve_poisson",
+                            counted("poisson", elliptic.solve_poisson),
+                            raising=False)
+    code, _ = run(capsys, "solve", "--profile", "0.5*s-1", "--gamma",
+                  str(-2 * np.pi), "--grid", "16,32", "--out", str(tmp_path))
+    assert code == 0
+    assert sorted(calls) == ["parse", "poisson"]
+
+
 def test_solve_harmonic_energy(tmp_path, capsys):
     code, _ = run(capsys, "solve", "--profile", "0", "--gamma",
                   str(-2 * np.pi), "--out", str(tmp_path))

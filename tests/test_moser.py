@@ -52,6 +52,11 @@ def test_config_roundtrip():
     cfg = MoserConfig(A=3.0, kappa=1.4, max_iter=12)
     cfg2 = config_from_text(config_to_text(cfg))
     assert cfg2 == cfg
+    with pytest.raises(ValueError, match="unknown config key"):
+        config_from_text("A=3.0\nsigma=1\n")
+    for bad in ("kappa=fast", "j=9.5"):
+        with pytest.raises(ValueError):
+            config_from_text(bad)
 
 
 def test_t_map_endpoints(ref, grid64):
@@ -117,7 +122,7 @@ def test_vb_constant(ref):
     g = Curve1D(0.0, state.psi.grid.area, np.ones(129))
     f = vb(state, g)
     # composition recovers g on the area grid
-    comp = f(ws.lam_mu)
+    comp = f(ws.chart.area_grid.lam_mu)
     assert np.abs(comp - 1.0).max() < 1e-10
 
 
@@ -127,7 +132,7 @@ def test_vb_affine_roundtrip(ref, grid64):
     mus = np.linspace(0, grid64.area, 129)
     g = Curve1D(0.0, grid64.area, mus.copy())
     f = vb(state, g)
-    assert np.abs(f(ws.lam_mu) - mus).max() < 1e-8
+    assert np.abs(f(ws.chart.area_grid.lam_mu) - mus).max() < 1e-8
 
 
 def test_vb_random_roundtrip(ref, grid64):
@@ -140,7 +145,7 @@ def test_vb_random_roundtrip(ref, grid64):
           + coeffs[2] * (mus / grid64.area) ** 2)
     g = Curve1D(0.0, grid64.area, gv)
     f = vb(state, g)
-    assert np.abs(f(ws.lam_mu) - gv).max() < 1e-7
+    assert np.abs(f(ws.chart.area_grid.lam_mu) - gv).max() < 1e-7
 
 
 def test_k_zero(ref):

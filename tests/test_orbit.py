@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from annuflow.curves import Monotone1D
 from annuflow.errors import (CriticalPointError, NotInFplusError,
                              NotTangentError)
 from annuflow.grid import integrate, gradient, poisson_bracket
 from annuflow.orbit import (
-    _aprime_values, dist_fn, dq, d2q, is_tangent, j_functional, j_over_grad,
+    dist_fn, dq, d2q, is_tangent, j_functional, j_over_grad,
     j_over_grad_matrix, level_chart, project_tangent, pushforward, reconstruct_alpha, second_variation,
     tangency_defect,
 )
@@ -62,8 +63,8 @@ def test_aprime_stable_under_rounding(which, grid64, bump_profile, omega_wavy):
         field, Nt = solve_steady(bump_profile, GAMMA4, grid=grid64).psi, 128
     else:
         field, Nt = omega_wavy, None
-    base = _aprime_values(level_chart(field, Nt=Nt))
-    scaled = _aprime_values(level_chart(field * (1 + 1e-13), Nt=Nt))
+    base = level_chart(field, Nt=Nt).travel_time
+    scaled = level_chart(field * (1 + 1e-13), Nt=Nt).travel_time
     assert np.abs(scaled / base - 1).max() < 1e-10
 
 
@@ -134,7 +135,7 @@ def test_j_over_grad_matrix_matches_loop_integral(chart_wavy, grid64):
 
 
 def test_dist_radial_closed_form(omega_r2, chart_r2):
-    A, Ainv = dist_fn(omega_r2, chart_r2)
+    A, Ainv = chart_r2.distribution
     # A(lam) = pi (lam - 1), Ainv(mu) = 1 + mu/pi
     lam = chart_r2.levels
     assert np.abs(A.values - np.pi * (lam - 1)).max() < 1e-5
@@ -150,7 +151,7 @@ def test_dist_aprime_constant(chart_r2):
 
 
 def test_dist_matches_cell_count(omega_wavy, chart_wavy, grid64):
-    A, _ = dist_fn(omega_wavy, chart_wavy)
+    A, _ = chart_wavy.distribution
     h2 = grid64.h**2
     qs = np.linspace(0.1, 0.9, 9)
     lam = chart_wavy.omega_min + qs * (chart_wavy.omega_max - chart_wavy.omega_min)
@@ -159,8 +160,23 @@ def test_dist_matches_cell_count(omega_wavy, chart_wavy, grid64):
         assert abs(A(l) - oracle) < 2 * h2 * grid64.area
 
 
+def test_dist_fn_is_its_chart_distribution(grid32):
+    # on 32 rows the chart takes 64: dist_fn returns the distribution of
+    # that chart, value for value
+    om = grid32.field_from(
+        lambda r, t: r**2 + 0.05 * np.sin(np.pi * (r - 1)) * np.sin(t))
+    A, Ainv = dist_fn(om)
+    ref = level_chart(om, Nt=max(grid32.Nr, 64)).distribution
+    assert A.values.size == 64
+    assert np.array_equal(A.values, ref[0].values)
+    assert np.array_equal(Ainv.values, ref[1].values)
+    assert A.area_discrepancy == ref[0].area_discrepancy
+    mus = np.linspace(0.0, grid32.area, 33)
+    assert np.array_equal(Ainv(mus), ref[1](mus))
+
+
 def test_dist_q_identity(omega_wavy, chart_wavy):
-    A, Ainv = dist_fn(omega_wavy, chart_wavy)
+    A, Ainv = chart_wavy.distribution
     lam = np.linspace(chart_wavy.omega_min, chart_wavy.omega_max, 41)
     assert np.abs(Ainv(np.asarray(A(lam))) - lam).max() < 1e-8
 
@@ -196,6 +212,23 @@ def chartless_level(A, q):
 def test_dq_constant_shift(omega_wavy, chart_wavy, grid64):
     out = dq(omega_wavy, chart_wavy, grid64.constant(1.0))
     assert np.abs(out.values - 1.0).max() < 1e-6
+
+
+def test_dq_and_d2q_build_one_distribution(monkeypatch, omega_wavy, grid64):
+    # the chart owns its distribution: dq and d2q read it, neither refits it
+    calls = []
+    inverse = Monotone1D.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Monotone1D, "inverse", counted)
+    chart = level_chart(omega_wavy)
+    nu = grid64.field_from(lambda r, t: np.cos(np.pi * (r - 1)))
+    dq(omega_wavy, chart, nu)
+    d2q(omega_wavy, chart, nu, nu)
+    assert len(calls) == 1
 
 
 def test_dq_mean_zero_direction(omega_r2, chart_r2, grid64):

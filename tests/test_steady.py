@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from annuflow.curves import Curve1D
-from annuflow.elliptic import _factor, principal_eigenvalue
+from annuflow.elliptic import _factor, principal_eigenvalue, solve_poisson
 from annuflow.errors import NoConvergenceError, NotMonotoneError, RangeEscapeError
 from annuflow.grid import circulation, make_annulus, poisson_bracket
 from annuflow.steady import (
@@ -250,7 +250,7 @@ def test_state_json_roundtrip(state_affine):
 
 
 def test_default_cbar(grid64):
-    c = default_cbar(grid64, -1.0, GAMMA)
+    c = default_cbar(solve_poisson(grid64.constant(-1.0), GAMMA)[0])
     st = solve_steady(profile(lambda s: 0.5 * s - 1.0, cbar=c), GAMMA, grid=grid64)
     assert c < 0
     assert c < st.psi.values.min()
