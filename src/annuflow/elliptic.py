@@ -4,39 +4,35 @@ One bordered family covers every linear problem: E(c)phi = Delta(phi) +
 c*phi = k with phi = 0 on the outer circle, phi constant (unknown) on the
 inner circle, and a prescribed circulation.  The unknown inner trace is an
 explicit scalar unknown and the circulation functional an explicit
-constraint row, so the system is square and solved by direct sparse LU.
-Its c = 0 member is the Poisson problem Delta(psi) = omega with
-circulation gamma; Newton steps, profile derivatives and the
-nondegeneracy checks solve with zero circulation.
+constraint row, so the system is square.  Its c = 0 member is the Poisson
+problem Delta(psi) = omega with circulation gamma; profile derivatives and
+the nondegeneracy checks solve with zero circulation.
 
-A Newton step solves Delta + c for a c that changes at every iterate.
-``krylov_solve`` does so by GMRES preconditioned on the right with the
-factor of the grid's Laplacian system, applying Delta + c as that system's
-matrix plus c on the interior rows, so no matrix is assembled or
-factorized per step.  Right preconditioning makes the residual that GMRES
-minimizes the true one, so its stop bounds the residual of the step.  For
-a constant c = -F' the preconditioned spectrum is 1 + F'/lam_k, with lam_k
-the eigenvalues of -Delta (lam_1 about 3.2 on the annulus 1 < r < 2); it
-does not spread as the grid is refined, and GMRES stops after 4-5
-iterations from 32x64 to 128x256.  The stop, a relative residual of
-``KRYLOV_RTOL``, sits two orders above the residual that the direct LU
-itself leaves (up to 1.2e-12 at 128x256), so it is reachable.  One restart
-cycle (20 iterations) is allowed; a solve that has not converged within it
-raises no-convergence.
+When c depends on r alone, ``FourierSystem`` solves the system with no
+matrix and no factor (Hockney 1965; Buzbee, Golub and Nielson 1970): a
+real FFT in theta splits it into one tridiagonal system in r per mode,
+which the outer Dirichlet rows decouple into one stacked solve; the tie
+and circulation rows touch mode 0 only, where one extra homogeneous solve
+gives the inner constant.  The grid owns its c = 0 member
+(``AnnulusGrid.laplacian_system``).
 
-Every matrix is factorized by ``_factor``: a minimum-degree ordering of
-A^T + A with static diagonal pivoting.  The grid stencil is structurally
-symmetric, and its diagonal (of order 1/h^2 inside, 1 on the tie rows) is
-a usable pivot; threshold pivoting would leave it and let the fill grow,
-and an ordering of the columns alone (COLAMD) ignores the symmetry.
-Together they halve the fill of the default.  SuperLU still pivots off
-the diagonal where it is exactly zero (the circulation row), and an
-exactly singular matrix still raises RuntimeError.
+``krylov_solve`` solves a Newton step, Delta + c for a c that changes at
+every iterate, by GMRES preconditioned on the right with the Fourier solve
+of Delta + cbar(r), cbar the theta-mean of c.  On a radially symmetric
+state the preconditioner is exact and GMRES stops after one iteration; on
+others it takes 4-6.  The stop is a relative residual of ``KRYLOV_RTOL``
+within one restart cycle (20 iterations).  The true residual of the result
+is checked too, since GMRES assumes that the preconditioner solves exactly,
+which a cbar near an eigenvalue of -Delta breaks; a solve that fails
+either test raises no-convergence.
 
-Each factor has one owner: the grid owns its Laplacian system
-(``AnnulusGrid.laplacian_system``, built on first use), and a steady state
-owns its linearization Delta - F'(psi) (``SteadyState.linearization``).
-Nothing is cached at module level, so a factor is freed with its owner.
+A steady state owns its factorized linearization Delta - F'(psi)
+(``SteadyState.linearization``).  ``_factor`` orders A^T + A by minimum
+degree and pivots statically on the diagonal, which the structurally
+symmetric stencil makes usable (of order 1/h^2 inside, 1 on the tie rows);
+together they halve the fill of the default.  SuperLU still pivots off the
+diagonal where it is exactly zero (the circulation row), and an exactly
+singular matrix raises RuntimeError.  Nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -46,13 +42,20 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from .errors import (NearSingularOperatorError, NoConvergenceError,
                      SingularSystemError)
-from .grid import AnnulusGrid, Field2D, circulation_row
+from .grid import AnnulusGrid, Field2D, circulation_row, laplacian
 
 ND_THRESHOLD = 1e-6     # check_nd1/check_nd2: least sigma_min / operator norm
 KRYLOV_RTOL = 1e-10     # krylov_solve: relative residual of the bordered system
+
+
+def _stencil(grid: AnnulusGrid):
+    """Interior coefficients of the 5-point polar Laplacian (d_rr, d_r, d_tt)."""
+    r = grid.r[1:-1, None]
+    return 1.0 / grid.hr**2, 1.0 / (2 * grid.hr * r), 1.0 / (grid.htheta**2 * r**2)
 
 
 def _interior_laplacian(grid: AnnulusGrid, c):
@@ -63,10 +66,7 @@ def _interior_laplacian(grid: AnnulusGrid, c):
     j = np.arange(1, Nr - 1)[:, None]
     k = np.arange(Ns)
     row = j * Ns + k
-    r = grid.r[1:-1, None]
-    c_rr = 1.0 / grid.hr**2
-    c_r = 1.0 / (2 * grid.hr * r)
-    c_tt = 1.0 / (grid.htheta**2 * r**2)
+    c_rr, c_r, c_tt = _stencil(grid)
     return [(row, row + Ns, c_rr + c_r), (row, row - Ns, c_rr - c_r),
             (row, j * Ns + (k + 1) % Ns, c_tt), (row, j * Ns + (k - 1) % Ns, c_tt),
             (row, row, -2 * c_rr - 2 * c_tt + c)]
@@ -88,7 +88,7 @@ def _factor(A):
 
 def solve_poisson(omega: Field2D, gamma: float):
     """Stream function of a vorticity field with prescribed circulation:
-    the bordered solve of the grid's Laplacian system with circulation
+    the grid's Fourier solve of the c = 0 bordered system with circulation
     gamma.  Returns (psi, inner_value)."""
     return bordered_solve(omega.grid.laplacian_system, omega, gamma)
 
@@ -96,9 +96,8 @@ def solve_poisson(omega: Field2D, gamma: float):
 @dataclass(frozen=True, eq=False)
 class BorderedSystem:
     """Discrete Delta + c with the zero outer trace and the circulation
-    row, bordered by the unknown inner-boundary constant.  It holds no
-    reference to its grid, so a grid that owns its Laplacian system is
-    freed by reference counting."""
+    row, bordered by the unknown inner-boundary constant, and its sparse
+    LU.  It holds no reference to its grid."""
 
     matrix: object            # csc
     lu: object
@@ -106,6 +105,48 @@ class BorderedSystem:
     @property
     def n_unknowns(self):
         return self.matrix.shape[0]
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs)
+
+
+class FourierSystem:
+    """Direct solver of the bordered system of Delta + shift(r), shift a
+    scalar or its values on the interior radii.  It holds no reference to
+    its grid.  Raises singular-system when the circulation row cannot fix
+    the inner constant."""
+
+    def __init__(self, grid: AnnulusGrid, shift=0.0):
+        Nr, Ns = grid.Nr, grid.Ns
+        c_rr, c_r, c_tt = _stencil(grid)
+        modes = np.arange(Ns // 2 + 1)[:, None]
+        # banded form of the unknowns m*Nr + j; identity tie rows decouple the modes
+        bands = np.zeros((3, modes.size, Nr))
+        bands[1] = 1.0
+        bands[0, :, 2:] = c_rr + c_r.T
+        bands[1, :, 1:-1] = (-2 * c_rr + shift
+                             - 4 * c_tt.T * np.sin(modes * grid.htheta / 2) ** 2)
+        bands[2, :, :-2] = c_rr - c_r.T
+        self.bands = bands.reshape(3, -1)
+        self.shape = (Nr, Ns)
+        self.n_unknowns = Nr * Ns + 1
+        # mode 0 of a unit inner constant: its tie rows sum to Ns in row 0
+        self.unit_inner = solve_banded((1, 1), self.bands[:, :Nr],
+                                       np.r_[float(Ns), np.zeros(Nr - 1)])
+        # weights of one theta column, applied to mode 0 (the column sums)
+        self.circulation = circulation_row(grid)[:, 0]
+        self.unit_circulation = self.circulation @ self.unit_inner
+        if self.unit_circulation == 0.0:
+            raise SingularSystemError("the circulation row leaves the inner constant free")
+
+    def solve(self, rhs):
+        """Solution for one bordered right-hand side (length Nr*Ns + 1)."""
+        Nr, Ns = self.shape
+        modes = np.fft.rfft(rhs[:-1].reshape(Nr, Ns), axis=1).T.ravel()
+        sol = solve_banded((1, 1), self.bands, modes).reshape(-1, Nr)
+        inner = (rhs[-1] - self.circulation @ sol[0].real) / self.unit_circulation
+        sol[0] += inner * self.unit_inner
+        return np.append(np.fft.irfft(sol.T, n=Ns, axis=1).ravel(), inner)
 
 
 def _bordered_matrix(grid: AnnulusGrid, c: Field2D):
@@ -129,11 +170,6 @@ def bordered_system(grid: AnnulusGrid, c: Field2D) -> BorderedSystem:
     return BorderedSystem(A, _factor(A))
 
 
-def _interior_rows(grid: AnnulusGrid):
-    """Rows of the bordered system that carry the interior equations."""
-    return slice(grid.Ns, (grid.Nr - 1) * grid.Ns)
-
-
 def _bordered_rhs(n_unknowns, values, circulation):
     """Right-hand side of the bordered system: values (shape (Nr, Ns) or
     (Nr, Ns, m)) on the interior rows, zero on the tie rows of both
@@ -148,47 +184,52 @@ def _bordered_rhs(n_unknowns, values, circulation):
     return rhs
 
 
-def bordered_solve(system: BorderedSystem, k, circulation=0.0):
-    """Solve the bordered system with the given circulation (the value of
-    its last row); returns (phi, inner_value).
+def bordered_solve(system, k, circulation=0.0):
+    """Solve a bordered or Fourier system with the given circulation (the
+    value of its last row); returns (phi, inner_value).
 
-    k is a Field2D, or an array of shape (Nr, Ns, m) holding m right-hand
-    sides, which are solved at once; phi then has that shape and
-    inner_value has shape (m,)."""
+    k is a Field2D, or (for a BorderedSystem) an array of shape
+    (Nr, Ns, m) holding m right-hand sides, which are solved at once; phi
+    then has that shape and inner_value has shape (m,)."""
     values = k.values if isinstance(k, Field2D) else np.asarray(k)
-    sol = system.lu.solve(_bordered_rhs(system.n_unknowns, values, circulation))
+    sol = system.solve(_bordered_rhs(system.n_unknowns, values, circulation))
     phi = sol[:-1].reshape(values.shape)
     if isinstance(k, Field2D):
         return k.grid.field(phi), float(sol[-1])
     return phi, sol[-1]
 
 
-def krylov_solve(system: BorderedSystem, c: Field2D, k: Field2D):
-    """Solve (Delta + c) phi = k under the zero-circulation conditions by
-    GMRES, preconditioned on the right with the factor of ``system``, the
-    grid's Laplacian system.  Returns (phi, number of GMRES iterations);
-    raises no-convergence when one restart cycle does not reach
-    ``KRYLOV_RTOL``."""
+def krylov_solve(c: Field2D, k: Field2D, circulation=0.0):
+    """Solve (Delta + c) phi = k with the given circulation by GMRES (see
+    the module docstring).  Returns (phi, number of GMRES iterations);
+    raises no-convergence when the GMRES stop or the check of the true
+    residual fails."""
     grid = k.grid
+    cbar = c.values.mean(axis=1, keepdims=True)
+    try:
+        system = FourierSystem(grid, cbar[1:-1, 0])
+    except SingularSystemError as exc:
+        raise NoConvergenceError(f"GMRES has no preconditioner: {exc}") from exc
     n = system.n_unknowns
-    shift = np.zeros(n)
-    shift[_interior_rows(grid)] = c.values[1:-1].ravel()
+    variation = _bordered_rhs(n, c.values - cbar, 0.0)
 
-    def apply(y):                       # (Delta + c) applied to M^{-1} y
-        x = system.lu.solve(y)
-        return system.matrix @ x + shift * x
+    def apply(y):               # (Delta + c) M^{-1} y, with M = Delta + cbar
+        return y + variation * system.solve(y)
 
+    rhs = _bordered_rhs(n, k.values, circulation)
     residuals = []
     y, info = spla.gmres(spla.LinearOperator((n, n), matvec=apply, dtype=float),
-                         _bordered_rhs(n, k.values, 0.0), rtol=KRYLOV_RTOL,
-                         maxiter=1, callback=residuals.append,
-                         callback_type="pr_norm")
-    if info != 0:
-        raise NoConvergenceError(
-            f"GMRES left a relative residual above {KRYLOV_RTOL:g} after "
-            f"{len(residuals)} iterations", iterations=len(residuals))
-    phi = system.lu.solve(y)[:-1]
-    return grid.field(phi.reshape(grid.Nr, grid.Ns)), len(residuals)
+                         rhs, rtol=KRYLOV_RTOL, maxiter=1,
+                         callback=residuals.append, callback_type="pr_norm")
+    phi = grid.field(system.solve(y)[:-1].reshape(grid.Nr, grid.Ns))
+    # the tie and circulation rows hold by construction of the Fourier solve
+    true = (np.linalg.norm((laplacian(phi) + c * phi - k).values[1:-1])
+            / np.linalg.norm(rhs))
+    if info != 0 or not true <= 2 * KRYLOV_RTOL:
+        raise NoConvergenceError(f"GMRES left a relative residual of {true:.2e} (stop "
+                                 f"{KRYLOV_RTOL:g}) after {len(residuals)} iterations",
+                                 iterations=len(residuals))
+    return phi, len(residuals)
 
 
 def solve_ve(c: Field2D, k: Field2D) -> Field2D:
@@ -258,13 +299,11 @@ def principal_eigenvalue(grid: AnnulusGrid):
 
     With A the bordered matrix of Delta and E the identity on the interior
     rows, A x = -lam E x; ARPACK finds the largest eigenvalues
-    nu = 1/lam of x -> A^{-1}(-E x) from the sparse factor of A."""
+    nu = 1/lam of x -> A^{-1}(-E x) from the grid's Fourier solve of A."""
     system = grid.laplacian_system
     n = system.n_unknowns
-    interior = np.zeros(n, dtype=bool)
-    interior[_interior_rows(grid)] = True
-    op = spla.LinearOperator((n, n), matvec=lambda x: system.lu.solve(
-        np.where(interior, -np.ravel(x), 0.0)), dtype=float)
+    op = spla.LinearOperator((n, n), matvec=lambda x: system.solve(_bordered_rhs(
+        n, -np.ravel(x)[:-1].reshape(grid.Nr, grid.Ns), 0.0)), dtype=float)
     v0 = np.random.default_rng(7).normal(size=n)
     nu = spla.eigs(op, k=6, which="LM", v0=v0, return_eigenvectors=False)
     real = nu[np.abs(nu.imag) < 1e-8 * np.abs(nu)].real

@@ -59,10 +59,10 @@ class AnnulusGrid:
 
     @cached_property
     def laplacian_system(self):
-        """Factorized bordered Laplacian (the c = 0 member of Delta + c),
-        built on first use and freed with the grid."""
-        from .elliptic import bordered_system       # elliptic imports grid
-        return bordered_system(self, self.constant(0.0))
+        """Fourier solver of the bordered Laplacian (the c = 0 member of
+        Delta + c), built on first use and freed with the grid."""
+        from .elliptic import FourierSystem       # elliptic imports grid
+        return FourierSystem(self)
 
 
 def make_annulus(Ri, Ro, Nr, Ns):

@@ -3,14 +3,16 @@ constant inner trace, prescribed circulation, plus its first and second
 derivatives with respect to the profile F.
 
 Newton linearization: the correction phi solves
-Delta(phi) - F'(psi)phi = F(psi) - Delta(psi) under the zero-circulation
-conditions.  Each step solves it by GMRES preconditioned with the grid's
-Laplacian factor (``elliptic.krylov_solve``), so Newton factorizes nothing:
-the Poisson start, or the caller, has already built that factor.  Full
-steps with residual-halving damping (at most 5 halvings per step).  A
-state records one ``NewtonStep`` per step.  A converged state owns its
-factorized linearization, built on first use, which every derivative of
-that state shares.
+Delta(phi) - F'(psi)phi = F(psi) - Delta(psi) with zero outer trace and
+constant inner trace, by ``elliptic.krylov_solve``, so Newton assembles
+and factorizes nothing; on a radially symmetric state a step takes one
+GMRES iteration.  Rounding the update psi + phi moves the circulation by
+up to about 1e-13, the same in every column of a radial state; the next
+step takes it out again, so the iterates keep the circulation of the
+start.  Full steps with residual-halving damping (at most 5 halvings per
+step).  A state records one ``NewtonStep`` per step.  A converged state
+owns its factorized linearization, built on first use, which every
+derivative of that state shares.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .curves import Curve1D
 from .elliptic import (BorderedSystem, bordered_solve, bordered_system,
                        krylov_solve, solve_poisson)
 from .errors import NoConvergenceError, NotMonotoneError, RangeEscapeError
-from .grid import Field2D, gradient, integrate, laplacian, make_annulus
+from .grid import Field2D, circulation, gradient, integrate, laplacian, make_annulus
 
 TOL_NEWTON = 1e-9
 MAX_NEWTON = 50
@@ -133,11 +135,12 @@ def solve_steady(F: Profile1D, gamma: float, psi0: Field2D | None = None,
     check_range(psi)
     rhs, residual = _interior_residual(psi, F)
     history = []
+    drift = 0.0
     for _ in range(MAX_NEWTON):
         if residual < tol:
             break
         c = grid.field(-F.d1(psi.values))
-        phi, iterations = krylov_solve(grid.laplacian_system, c, grid.field(rhs))
+        phi, iterations = krylov_solve(c, grid.field(rhs), -drift)
         step = 1.0
         for _ in range(6):
             cand = grid.field(psi.values + step * phi.values)
@@ -149,6 +152,7 @@ def solve_steady(F: Profile1D, gamma: float, psi0: Field2D | None = None,
             raise NoConvergenceError("damping failed to reduce the residual",
                                      residual=residual)
         history.append(NewtonStep(residual, step, iterations))
+        drift += circulation(cand - psi)
         psi = cand
         check_range(psi)
         rhs, residual = cand_rhs, cand_res

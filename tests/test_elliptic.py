@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import annuflow
-from annuflow.elliptic import (NdReport, _bordered_matrix, _factor,
-                                bordered_system, check_nd1, principal_eigenvalue,
-                                solve_poisson, solve_ve)
+from annuflow.elliptic import (FourierSystem, NdReport, _bordered_matrix,
+                                _factor, bordered_solve, bordered_system,
+                                check_nd1, principal_eigenvalue, solve_poisson,
+                                solve_ve)
 from annuflow.grid import (circulation, circulation_row, gradient, integrate,
                            laplacian, make_annulus)
 from annuflow.steady import Profile1D, SteadyState, solve_steady
@@ -141,6 +142,31 @@ def test_bordered_matrix_rows(shape):
     assert last[n] == 0.0
 
 
+@pytest.mark.parametrize("shape", [(32, 64), (64, 128), (128, 256)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_fourier_laplacian_matches_lu(shape):
+    # the sparse LU of the assembled bordered matrix is the oracle, for
+    # c = 0 and for a radial shift, on random right-hand sides
+    grid = make_annulus(1.0, 2.0, *shape)
+    shift = -0.5 - 0.1 * (grid.r[1:-1] - 1)
+    c = grid.field(np.broadcast_to(np.r_[0.0, shift, 0.0][:, None], shape).copy())
+    rng = np.random.default_rng(5)
+    for oracle, system in [
+            (bordered_system(grid, grid.constant(0.0)), grid.laplacian_system),
+            (bordered_system(grid, c), FourierSystem(grid, shift))]:
+        for _ in range(3):
+            k = grid.field(rng.normal(size=shape))
+            phi, inner = bordered_solve(system, k, -4 * np.pi)
+            phi_lu, inner_lu = bordered_solve(oracle, k, -4 * np.pi)
+            scale = np.abs(phi_lu.values).max()
+            assert np.abs(phi.values - phi_lu.values).max() <= 1e-12 * scale
+            assert abs(inner - inner_lu) <= 1e-12 * abs(inner_lu)
+            b = np.append(k.values.ravel(), -4 * np.pi)
+            b[:grid.Ns] = b[-grid.Ns - 1:-1] = 0.0      # tie rows
+            x = np.append(phi.values.ravel(), inner)
+            assert np.linalg.norm(oracle.matrix @ x - b) <= 1e-11 * np.linalg.norm(b)
+
+
 def _steady_bundle(grid, profile, gamma=-2 * np.pi):
     """Assemble a state bundle without running the nonlinear solver."""
     psi, inner = solve_poisson(grid.constant(0.0), gamma)
@@ -191,9 +217,10 @@ def test_principal_eigenvalue_against_dense():
     assert principal_eigenvalue(g) == pytest.approx(dense, rel=1e-10)
 
 
-def test_poisson_and_eigenvalue_share_one_factor(monkeypatch):
-    # the Poisson problem is the c = 0 bordered system the grid owns, and
-    # the principal eigenvalue reuses that factor
+def test_poisson_and_eigenvalue_factorize_nothing(monkeypatch):
+    # the Poisson problem and the principal eigenvalue both solve the c = 0
+    # bordered system through the grid's Fourier solver, which holds no
+    # factor
     from annuflow import elliptic
 
     calls = []
@@ -207,13 +234,14 @@ def test_poisson_and_eigenvalue_share_one_factor(monkeypatch):
     solve_poisson(g.constant(1.0), -4 * np.pi)
     solve_poisson(g.constant(2.0), 1.0)
     principal_eigenvalue(g)
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def test_dropped_grid_is_freed_without_gc():
-    # the Laplacian system stored on a grid holds no reference back to it
+    # the Fourier solver stored on a grid holds no reference back to it
     g = make_annulus(1.0, 2.0, 16, 32)
     solve_poisson(g.constant(1.0), 1.0)
+    assert isinstance(g.laplacian_system, FourierSystem)
     gc.disable()
     try:
         refs = [weakref.ref(g), weakref.ref(g.laplacian_system)]

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from annuflow.curves import Curve1D
-from annuflow.elliptic import _factor, principal_eigenvalue, solve_poisson
-from annuflow.errors import NoConvergenceError, NotMonotoneError, RangeEscapeError
+from annuflow.elliptic import (FourierSystem, _factor, krylov_solve,
+                               principal_eigenvalue, solve_poisson)
+from annuflow.errors import (NoConvergenceError, NotMonotoneError,
+                             RangeEscapeError, SingularSystemError)
 from annuflow.grid import circulation, make_annulus, poisson_bracket
 from annuflow.steady import (
     Profile1D, d2s, default_cbar, ds, energy, energy_pair, solve_steady,
@@ -121,9 +123,9 @@ def test_newton_quadratic_convergence(grid64):
 
 
 def test_newton_factorizes_nothing(monkeypatch):
-    # Newton steps are preconditioned by the grid's Laplacian factor, which
-    # the Poisson start builds; a warm start on the same grid factorizes
-    # nothing
+    # the Poisson start and the preconditioner of every Newton step are
+    # Fourier solves, which hold no factor: neither a cold start nor a warm
+    # start on the same grid factorizes anything
     from annuflow import elliptic
 
     calls = []
@@ -137,11 +139,32 @@ def test_newton_factorizes_nothing(monkeypatch):
     F = profile(lambda s: np.exp(s) + 0.8 * s)
     st = solve_steady(F, GAMMA, grid=g)
     assert len(st.newton_history) >= 2
-    assert len(calls) == 1
+    assert len(calls) == 0
     F2 = F.with_values(F.values + 0.01 * np.sin(F.grid_x()))
     st2 = solve_steady(F2, GAMMA, psi0=st.psi)
     assert len(st2.newton_history) >= 1
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+def test_newton_krylov_iterations():
+    # on a radial state the Fourier preconditioner Delta + cbar(r) is exact
+    # and GMRES stops after one iteration; a shift that varies in theta
+    # costs a few more
+    g = make_annulus(1.0, 2.0, 64, 128)
+
+    def fn(s):
+        return 0.5 * s - 0.95 + 0.01 * s * s
+
+    psi0, _ = solve_poisson(g.constant(fn(0.0)), -4 * np.pi)
+    F = profile(fn, cbar=default_cbar(psi0))
+    st = solve_steady(F, -4 * np.pi, psi0=psi0)
+    assert len(st.newton_history) >= 2
+    assert all(h.krylov_iterations == 1 for h in st.newton_history)
+    c = g.field_from(lambda r, t: -0.5 - 0.1 * np.sin(t) * np.sin(np.pi * (r - 1))
+                     - 0.1 * (r - 1))
+    k = g.field_from(lambda r, t: r**2 + r * np.cos(3 * t))
+    _, iterations = krylov_solve(c, k)
+    assert 2 <= iterations <= 6
 
 
 def test_krylov_failure_is_no_convergence():
@@ -152,6 +175,23 @@ def test_krylov_failure_is_no_convergence():
     F = profile(lambda s: -lam * s - 1.0)
     with pytest.raises(NoConvergenceError, match="GMRES"):
         solve_steady(F, GAMMA, grid=g)
+
+
+def test_singular_shift_returns_nothing_non_finite():
+    # at the principal eigenvalue the shifted Fourier solve is singular: it
+    # refuses with singular-system or returns finite values, never inf or
+    # NaN; the Poisson solve on the same grid stays finite
+    g = make_annulus(1.0, 2.0, 32, 64)
+    lam = principal_eigenvalue(g)
+    b = np.random.default_rng(2).normal(size=g.Nr * g.Ns + 1)
+    for shift in (lam, np.nextafter(lam, 0.0), np.nextafter(lam, 4.0)):
+        try:
+            x = FourierSystem(g, shift).solve(b)
+        except SingularSystemError:
+            continue
+        assert np.all(np.isfinite(x))
+    psi, inner = solve_poisson(g.constant(1.0), GAMMA)
+    assert np.all(np.isfinite(psi.values)) and np.isfinite(inner)
 
 
 def test_range_escape():
