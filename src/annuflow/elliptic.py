@@ -8,26 +8,28 @@ constraint row, so the system is square.  Its c = 0 member is the Poisson
 problem Delta(psi) = omega with circulation gamma; profile derivatives and
 the nondegeneracy checks solve with zero circulation.
 
-When c depends on r alone, ``FourierSystem`` solves the system with no
-matrix and no factor (Hockney 1965; Buzbee, Golub and Nielson 1970): a
-real FFT in theta splits it into one tridiagonal system in r per mode,
-which the outer Dirichlet rows decouple into one stacked solve; the tie
-and circulation rows touch mode 0 only, where one extra homogeneous solve
-gives the inner constant.  The grid owns its c = 0 member
-(``AnnulusGrid.laplacian_system``).
+When c depends on r alone, ``FourierSystem`` solves the system, for one
+right-hand side or a stack, with no matrix and no factor (Hockney 1965;
+Buzbee, Golub and Nielson 1970): a real FFT in theta splits it into one
+tridiagonal system in r per mode, which the outer Dirichlet rows decouple
+into one stacked solve; the tie and circulation rows touch mode 0 only,
+where one extra homogeneous solve gives the inner constant.  The grid owns
+its c = 0 member (``AnnulusGrid.laplacian_system``).
 
-``krylov_solve`` solves a Newton step, Delta + c for a c that changes at
-every iterate, by GMRES preconditioned on the right with the Fourier solve
-of Delta + cbar(r), cbar the theta-mean of c.  On a radially symmetric
-state the preconditioner is exact and GMRES stops after one iteration; on
-others it takes 4-6.  The stop is a relative residual of ``KRYLOV_RTOL``
-within one restart cycle (20 iterations).  The true residual of the result
-is checked too, since GMRES assumes that the preconditioner solves exactly,
-which a cbar near an eigenvalue of -Delta breaks; a solve that fails
-either test raises no-convergence.
+For any c, the Fourier solve of Delta + cbar(r), cbar the theta-mean of c,
+is exact when c does not vary in theta, as on a radially symmetric state.
+``fourier_solve`` keeps it when its true residual is small.
+``krylov_solve`` (a Newton step) uses it as the right preconditioner of
+GMRES, which then stops after one iteration on a radially symmetric state
+and after 4-6 on others.  The stop is a relative residual of
+``KRYLOV_RTOL`` within one restart cycle (20 iterations).  The true
+residual of the result is checked too, since GMRES assumes that the
+preconditioner solves exactly, which a cbar near an eigenvalue of -Delta
+breaks; a solve that fails either test raises no-convergence.
 
 A steady state owns its factorized linearization Delta - F'(psi)
-(``SteadyState.linearization``).  ``_factor`` orders A^T + A by minimum
+(``SteadyState.linearization``) for ``check_nd1`` and for the solves that
+``fourier_solve`` refuses.  ``_factor`` orders A^T + A by minimum
 degree and pivots statically on the diagonal, which the structurally
 symmetric stencil makes usable (of order 1/h^2 inside, 1 on the tie rows);
 together they halve the fill of the default.  SuperLU still pivots off the
@@ -50,6 +52,7 @@ from .grid import AnnulusGrid, Field2D, circulation_row, laplacian
 
 ND_THRESHOLD = 1e-6     # check_nd1/check_nd2: least sigma_min / operator norm
 KRYLOV_RTOL = 1e-10     # krylov_solve: relative residual of the bordered system
+FOURIER_RTOL = 1e-12    # fourier_solve: relative bordered residual of each column
 
 
 def _stencil(grid: AnnulusGrid):
@@ -140,13 +143,21 @@ class FourierSystem:
             raise SingularSystemError("the circulation row leaves the inner constant free")
 
     def solve(self, rhs):
-        """Solution for one bordered right-hand side (length Nr*Ns + 1)."""
+        """Solution for a bordered right-hand side of shape (n,) or (n, m),
+        n = Nr*Ns + 1, the m columns solved at once."""
         Nr, Ns = self.shape
-        modes = np.fft.rfft(rhs[:-1].reshape(Nr, Ns), axis=1).T.ravel()
-        sol = solve_banded((1, 1), self.bands, modes).reshape(-1, Nr)
-        inner = (rhs[-1] - self.circulation @ sol[0].real) / self.unit_circulation
-        sol[0] += inner * self.unit_inner
-        return np.append(np.fft.irfft(sol.T, n=Ns, axis=1).ravel(), inner)
+        stack = rhs.shape[1:]
+        # Fortran order lays the modes out as the unknowns m*Nr + j: solved in place
+        modes = np.empty((Nr, Ns // 2 + 1) + stack, complex, order="F")
+        np.fft.rfft(rhs[:-1].reshape((Nr, Ns) + stack), axis=1, out=modes)
+        modes = solve_banded((1, 1), self.bands, modes.reshape((-1,) + stack, order="F"),
+                             overwrite_b=True).reshape(modes.shape, order="F")
+        inner = (rhs[-1] - self.circulation @ modes[:, 0].real) / self.unit_circulation
+        modes[:, 0] += np.multiply.outer(self.unit_inner, inner)
+        sol = np.empty(rhs.shape)
+        np.fft.irfft(modes, n=Ns, axis=1, out=sol[:-1].reshape((Nr, Ns) + stack))
+        sol[-1] = inner
+        return sol
 
 
 def _bordered_matrix(grid: AnnulusGrid, c: Field2D):
@@ -197,6 +208,25 @@ def bordered_solve(system, k, circulation=0.0):
     if isinstance(k, Field2D):
         return k.grid.field(phi), float(sol[-1])
     return phi, sol[-1]
+
+
+def fourier_solve(c: Field2D, k):
+    """Solve (Delta + c) phi = k, k of shape (Nr, Ns) or (Nr, Ns, m), with
+    zero circulation by the Fourier solve of Delta + cbar(r), cbar the
+    theta-mean of c.  Returns phi when each column's bordered residual is
+    at most FOURIER_RTOL of its right-hand side, else None."""
+    rhs = _bordered_rhs(c.values.size + 1, k, 0.0)
+    try:
+        sol = FourierSystem(c.grid, c.values[1:-1].mean(axis=1)).solve(rhs)
+    except (SingularSystemError, np.linalg.LinAlgError):
+        return None
+    residual = _bordered_matrix(c.grid, c) @ sol
+    residual -= rhs
+    squares = "i...,i...->..."          # column sums of squares
+    if np.all(np.einsum(squares, residual, residual)
+              <= FOURIER_RTOL**2 * np.einsum(squares, rhs, rhs)):
+        return sol[:-1].reshape(k.shape)
+    return None
 
 
 def krylov_solve(c: Field2D, k: Field2D, circulation=0.0):

@@ -14,13 +14,12 @@ The iteration is the smoothed Newton scheme
 whose parameters must satisfy the convergence constraints checked by
 MoserConfig.validate().
 
-Every per-state object lives on its steady state: the factorized
-linearization is ``SteadyState.linearization``, through which ``dt`` and
-``k_apply`` solve (``steady.ds``) and ``Id + K`` is assembled, and
-``workspace(state)`` stores the workspace (stream chart, which owns the
-distribution and the area grid, and the assembled Id + K) on the state.
-The workspace holds no reference back to its state, so both are freed
-with the state.
+Every per-state object lives on its steady state: ``dt``, ``k_apply``
+(through ``steady.ds``) and ``Id + K`` solve through
+``SteadyState.solve_linearization``, and ``workspace(state)`` stores the
+stream chart (which owns the distribution and the area grid) and the
+assembled Id + K on the state.  The workspace holds no reference back to
+its state, so both are freed with the state.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .curves import Curve1D, Monotone1D
-from .elliptic import bordered_solve
 from .errors import (AnnuflowError, DivergedError, InnerSolveFailureError,
                      NotMonotoneError, SingularIdPlusKError)
 from .orbit import (N_MU, LevelChart, dist_chart, j_over_grad,
@@ -78,12 +76,14 @@ class MoserConfig:
 
 @dataclass
 class MoserTrace:
-    columns = ("n", "t_n", "residual", "update_norm", "flags")
+    # sigma_ratio: sigma_min/sigma_max of the Id + K of the row's update (nan
+    # on a row without one)
+    columns = ("n", "t_n", "residual", "update_norm", "flags", "sigma_ratio")
     rows: list = field(default_factory=list)
     final_cross_check: float = np.nan
 
-    def add(self, n, t_n, residual, update_norm, flags=""):
-        self.rows.append((n, t_n, residual, update_norm, flags))
+    def add(self, n, t_n, residual, update_norm, flags, sigma_ratio):
+        self.rows.append((n, t_n, residual, update_norm, flags, sigma_ratio))
 
     @property
     def residuals(self):
@@ -96,8 +96,9 @@ class MoserTrace:
     def to_csv(self, path):
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(self.columns) + "\n")
-            for n, t, res, up, fl in self.rows:
-                fh.write(f"{n},{float(t)!r},{float(res)!r},{float(up)!r},{fl}\n")
+            for n, t, res, up, fl, sr in self.rows:
+                fh.write(f"{n},{float(t)!r},{float(res)!r},{float(up)!r},{fl},"
+                         f"{float(sr)!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +109,8 @@ class StateWorkspace:
     """Stream chart and assembled Id + K of one steady state; the chart
     owns the stream distribution and the area grid.  The state stores its
     workspace and the workspace holds no reference to the state, so a
-    dropped state is freed at once, with its factor and its workspace, and
-    a state whose Id + K is never assembled is never factorized."""
+    dropped state is freed at once, with its factor, if it has one, and
+    its workspace."""
 
     def __init__(self, state: SteadyState):
         g = state.psi.grid
@@ -123,6 +124,7 @@ class StateWorkspace:
         self.dainv_omega = (state.F.d1(at_mu.lam_mu)
                             / at_mu.resample(self.chart.travel_time))
         self._id_plus_k = None
+        self.singular_values = None         # of Id + K, descending
 
     def t_values(self):
         """T(F) samples on the area grid: F composed with the stream
@@ -139,21 +141,22 @@ class StateWorkspace:
         transport of phi."""
         return self.transport(j_over_grad(self.chart, phi).values)
 
-    def assembled_id_plus_k(self, linearization):
+    def assembled_id_plus_k(self, solve):
         """Id + K = Id + D S J A^-1 E on the mu grid: E composes the
         cardinal splines of the mu grid with VB at the psi nodes, A^-1 is
-        one multi-RHS solve with the state's linearization, J the
+        one multi-RHS ``solve`` with the state's linearization, J the
         travel-time loop integral and D S the transport to the mu grid."""
         if self._id_plus_k is None:
             cardinal = CubicSpline(self.chart.area_grid.mu, np.eye(N_MU))
             E = _vb_compose(cardinal, cardinal.derivative(),
                             self.chart.distribution[0], self.chart.omega_min,
                             self.psi.values)
-            phi, _ = bordered_solve(linearization, E)
+            phi = solve(E)
             del E           # freed before J is built: both are large
             J = j_over_grad_matrix(self.chart)
             K = self.transport(J @ phi.reshape(J.shape[1], N_MU))
             self._id_plus_k = np.eye(N_MU) + K
+            self.singular_values = np.linalg.svd(self._id_plus_k, compute_uv=False)
         return self._id_plus_k
 
 
@@ -248,15 +251,15 @@ def k_apply(state: SteadyState, gcurve: Curve1D) -> Curve1D:
 
 
 def assemble_id_plus_k(state: SteadyState):
-    return workspace(state).assembled_id_plus_k(state.linearization)
+    return workspace(state).assembled_id_plus_k(state.solve_linearization)
 
 
 def vm(state: SteadyState, h: Curve1D) -> Curve1D:
     """Solve (Id + K(F)) g = h by dense collocation on the area grid;
     raises singular-Id+K when sigma_min/sigma_max < 1e-8."""
     ws = workspace(state)
-    M = ws.assembled_id_plus_k(state.linearization)
-    sv = np.linalg.svd(M, compute_uv=False)
+    M = ws.assembled_id_plus_k(state.solve_linearization)
+    sv = ws.singular_values
     if sv[-1] < 1e-8 * sv[0]:
         raise SingularIdPlusKError(
             f"Id+K nearly singular: sigma_min/sigma_max = {sv[-1]/sv[0]:.3e}",
@@ -289,10 +292,10 @@ def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
     """Invert the orbit label map: find F with T(F) = g_target near F0.
 
     Returns (profile, its steady state, trace).  The residual trace records
-    t_n, the sup-norm residual, the C1 update norm, and repair flags; the
-    last row is flagged max-iter when cfg.max_iter steps end without
-    convergence.  The final state carries the direct vorticity-chart
-    cross-check in trace.final_cross_check.
+    t_n, the sup-norm residual, the C1 update norm, repair flags and
+    sigma_min/sigma_max of Id + K; the last row is flagged max-iter when
+    cfg.max_iter steps end without convergence.  The final state carries
+    the direct vorticity-chart cross-check in trace.final_cross_check.
     """
     cfg.validate()
     F = F0
@@ -318,12 +321,12 @@ def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
         residual = float(np.abs(resid_vals).max())
         t_n = cfg.schedule(n)
         if residual < cfg.floor_tol:
-            trace.add(n, t_n, residual, 0.0, "converged")
+            trace.add(n, t_n, residual, 0.0, "converged", np.nan)
             break
         if residual > prev_residual:
             grow_count += 1
             if grow_count >= 3:
-                trace.add(n, t_n, residual, 0.0, "diverged")
+                trace.add(n, t_n, residual, 0.0, "diverged", np.nan)
                 raise DivergedError(
                     f"residual grew 3 consecutive steps (now {residual:.3e})",
                     trace=trace)
@@ -344,12 +347,14 @@ def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
             new_samples = _repair_monotone(new_samples, h_s, 0.1 * ref_slope)
             flags.append("repair")
         F_next = F.with_values(new_samples)
-        trace.add(n, t_n, residual, (F_next - F).c1_norm(), "+".join(flags))
+        sv = ws.singular_values
+        trace.add(n, t_n, residual, (F_next - F).c1_norm(), "+".join(flags),
+                  sv[-1] / sv[0])
         F = F_next
     else:
         # out of iterations without converging: say so on the last row
-        *head, flags = trace.rows[-1]
-        trace.rows[-1] = (*head, "+".join(filter(None, (flags, "max-iter"))))
+        *head, flags, ratio = trace.rows[-1]
+        trace.rows[-1] = (*head, "+".join(filter(None, (flags, "max-iter"))), ratio)
     # cross-check the recovered state against the direct vorticity path
     direct = dist_chart(state.omega).area_grid
     trace.final_cross_check = float(

@@ -502,7 +502,7 @@ def check_nd2(state):
     collocation matrix."""
     from . import moser
 
-    M = moser.assemble_id_plus_k(state)
-    sv = np.linalg.svd(M, compute_uv=False)
+    moser.assemble_id_plus_k(state)
+    sv = moser.workspace(state).singular_values
     sigma, opnorm = float(sv[-1]), float(sv[0])
     return NdReport(sigma, opnorm, ND_THRESHOLD, sigma > ND_THRESHOLD * opnorm)

@@ -10,9 +10,10 @@ GMRES iteration.  Rounding the update psi + phi moves the circulation by
 up to about 1e-13, the same in every column of a radial state; the next
 step takes it out again, so the iterates keep the circulation of the
 start.  Full steps with residual-halving damping (at most 5 halvings per
-step).  A state records one ``NewtonStep`` per step.  A converged state
-owns its factorized linearization, built on first use, which every
-derivative of that state shares.
+step).  A state records one ``NewtonStep`` per step.  Every derivative
+of a state solves through ``SteadyState.solve_linearization``: a Fourier
+solve, exact on a radially symmetric state, or else the state's
+factorized linearization, built on first use.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .curves import Curve1D
 from .elliptic import (BorderedSystem, bordered_solve, bordered_system,
-                       krylov_solve, solve_poisson)
+                       fourier_solve, krylov_solve, solve_poisson)
 from .errors import NoConvergenceError, NotMonotoneError, RangeEscapeError
 from .grid import Field2D, circulation, gradient, integrate, laplacian, make_annulus
 
@@ -96,6 +97,13 @@ class SteadyState:
         g = self.psi.grid
         return bordered_system(g, g.field(-self.F.d1(self.psi.values)))
 
+    def solve_linearization(self, k):
+        """phi with Delta(phi) - F'(psi)phi = k, k of shape (Nr, Ns) or
+        (Nr, Ns, m), under the zero-circulation conditions: by
+        ``fourier_solve``, or else through the factor."""
+        phi = fourier_solve(self.psi.grid.field(-self.F.d1(self.psi.values)), k)
+        return bordered_solve(self.linearization, k)[0] if phi is None else phi
+
 
 def _interior_residual(psi: Field2D, F: Profile1D):
     """F(psi) - Delta(psi), the Newton right-hand side, and the max of its
@@ -110,7 +118,7 @@ def solve_steady(F: Profile1D, gamma: float, psi0: Field2D | None = None,
 
     psi0 defaults to the stream function of the constant vorticity F(0).
     Raises range-escape if an iterate leaves the profile interval, and
-    no-convergence after MAX_NEWTON steps.
+    no-convergence after MAX_NEWTON steps or when damping fails.
     """
     if psi0 is None:
         if grid is None:
@@ -149,8 +157,14 @@ def solve_steady(F: Profile1D, gamma: float, psi0: Field2D | None = None,
                 break
             step *= 0.5
         else:
-            raise NoConvergenceError("damping failed to reduce the residual",
-                                     residual=residual)
+            # rounding of Delta(psi): eps * |psi| * the stencil's absolute sum
+            floor = (4 * np.finfo(float).eps * np.abs(psi.values).max()
+                     * (grid.hr**-2 + (grid.Ri * grid.htheta)**-2))
+            raise NoConvergenceError(
+                "damping failed to reduce the residual" if residual > floor else
+                f"tolerance {tol:.1e} is below the rounding floor {floor:.1e} of "
+                f"the interior residual, reached at {residual:.2e}",
+                residual=residual, floor=floor)
         history.append(NewtonStep(residual, step, iterations))
         drift += circulation(cand - psi)
         psi = cand
@@ -173,9 +187,7 @@ def ds(state: SteadyState, f) -> Field2D:
     """First derivative of the steady state in a profile direction f:
     solves Delta(phi) - F'(psi)phi = f(psi) with zero-circulation data.
     Directions are Curve1D (callable, with d1)."""
-    phi, _ = bordered_solve(state.linearization,
-                            state.psi.grid.field(f(state.psi.values)))
-    return phi
+    return state.psi.grid.field(state.solve_linearization(f(state.psi.values)))
 
 
 def d2s(state: SteadyState, f1, f2) -> Field2D:
@@ -187,8 +199,7 @@ def d2s(state: SteadyState, f1, f2) -> Field2D:
     phi2 = ds(state, f2).values
     src = (state.F.d2(psi) * phi1 * phi2
            + f2.d1(psi) * phi1 + f1.d1(psi) * phi2)
-    phi12, _ = bordered_solve(state.linearization, g.field(src))
-    return phi12
+    return g.field(state.solve_linearization(src))
 
 
 def energy(state_or_omega, gamma=None) -> float:

@@ -210,7 +210,10 @@ def test_invert_max_iter_exit3(tmp_path, capsys):
     assert code == 3
     assert payload["error"] == "max-iter"
     trace = (tmp_path / "inv" / "trace.csv").read_text().splitlines()
-    assert len(trace) == 2 and trace[1].endswith("max-iter")
+    assert trace[0] == "n,t_n,residual,update_norm,flags,sigma_ratio"
+    assert len(trace) == 2
+    row = trace[1].split(",")
+    assert row[4] == "max-iter" and 0.0 < float(row[5]) <= 1.0
     assert (tmp_path / "inv" / "profile.csv").exists()
     # the written profile is the one whose steady state is written
     _, samples = read_curve_csv(tmp_path / "inv" / "profile.csv")
@@ -233,6 +236,24 @@ def test_check_suites_pass(tmp_path, capsys, suite):
     assert payload["ok"]
     table = (tmp_path / f"check_{suite}.csv").read_text()
     assert table.splitlines()[0] == "check,value,threshold,pass"
+
+
+def test_check_nd_factorizes_once(tmp_path, capsys, monkeypatch):
+    # check_nd1 needs the reference state's factor for transposed solves;
+    # check_nd2 assembles Id + K of the radial state by Fourier solves
+    from annuflow import elliptic
+    calls = []
+    factor = elliptic._factor
+
+    def counted(A):
+        calls.append(A.shape)
+        return factor(A)
+
+    monkeypatch.setattr(elliptic, "_factor", counted)
+    code, payload = run(capsys, "check", "--suite", "nd", "--grid", "32,64",
+                        "--out", str(tmp_path))
+    assert code == 0 and payload["ok"]
+    assert len(calls) == 1
 
 
 def test_check_deterministic(tmp_path, capsys):

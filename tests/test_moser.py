@@ -4,16 +4,16 @@ import weakref
 import numpy as np
 import pytest
 
-from annuflow import moser
+from annuflow import elliptic, moser
 from annuflow.curves import Curve1D, Monotone1D
-from annuflow.elliptic import solve_poisson
+from annuflow.elliptic import _factor, bordered_solve, solve_poisson
 from annuflow.errors import (DivergedError, InnerSolveFailureError,
                              NoConvergenceError)
 from annuflow.grid import make_annulus
 from annuflow.moser import (
-    MoserConfig, assemble_id_plus_k, config_from_text, config_to_text, dt,
-    k_apply, moser_solve, right_inverse, t_map, uniqueness_probe, vb, vm,
-    workspace,
+    MoserConfig, StateWorkspace, assemble_id_plus_k, config_from_text,
+    config_to_text, dt, k_apply, moser_solve, right_inverse, t_map,
+    uniqueness_probe, vb, vm, workspace,
 )
 from annuflow.steady import Profile1D, solve_steady
 
@@ -372,12 +372,15 @@ def test_grids_and_states_are_freed():
 def test_dropped_state_is_freed_without_gc():
     # the workspace stored on a state holds no reference back to it, and
     # its chart's spline holds none to the grid, so reference counting
-    # alone frees the state, its factor, the grid and the grid's factor
+    # alone frees the state, its factor, the grid and the grid's Fourier
+    # solver
     grid = make_annulus(1.0, 2.0, 16, 32)
     state = solve_steady(fbar(), GAMMA, grid=grid)
     gc.disable()
     try:
         assemble_id_plus_k(state)
+        # a radial state assembles Id + K without its factor
+        assert "linearization" not in vars(state)
         refs = [weakref.ref(state), weakref.ref(state.linearization),
                 weakref.ref(grid), weakref.ref(grid.laplacian_system)]
         del state, grid
@@ -394,6 +397,38 @@ def test_id_plus_k_matches_k_apply(grid32):
     cols = np.stack([k_apply(state, Curve1D(0.0, area, e)).values
                      for e in np.eye(129)], axis=1)
     assert np.abs(K - cols).max() <= 1e-10 * np.abs(K).max()
+
+
+def test_id_plus_k_fourier_matches_factor(grid32):
+    # the radial state's Id + K, assembled through the Fourier solve,
+    # against the same assembly through the factor
+    _, state = t_map(fbar(), GAMMA, grid=grid32, cross_check=False)
+    M = assemble_id_plus_k(state)
+    assert "linearization" not in vars(state)
+    by_factor = StateWorkspace(state).assembled_id_plus_k(
+        lambda E: bordered_solve(state.linearization, E)[0])
+    K = by_factor - np.eye(129)
+    assert np.abs(M - by_factor).max() <= 1e-12 * np.abs(K).max()
+
+
+def test_moser_on_radial_states_factorizes_nothing(monkeypatch, grid32):
+    # every Moser state is radial, so every Id + K is a Fourier solve; the
+    # trace records the conditioning of each one
+    F0, Fstar = _bump_profile()
+    gstar, _ = t_map(Fstar, GAMMA, grid=grid32, cross_check=False)
+    calls = []
+
+    def counted(A):
+        calls.append(A.shape)
+        return _factor(A)
+
+    monkeypatch.setattr(elliptic, "_factor", counted)
+    _, _, trace = moser_solve(F0, GAMMA, gstar, cfg=MoserConfig(max_iter=3),
+                              grid=grid32)
+    assert len(trace.rows) == 3
+    assert calls == []
+    ratios = [row[-1] for row in trace.rows]
+    assert all(0.5 < r <= 1.0 for r in ratios)
 
 
 def test_uniqueness_same_state(ref):

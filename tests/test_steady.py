@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from annuflow.curves import Curve1D
-from annuflow.elliptic import (FourierSystem, _factor, krylov_solve,
-                               principal_eigenvalue, solve_poisson)
+from annuflow.elliptic import (FourierSystem, _factor, bordered_solve,
+                               krylov_solve, principal_eigenvalue,
+                               solve_poisson)
 from annuflow.errors import (NoConvergenceError, NotMonotoneError,
                              RangeEscapeError, SingularSystemError)
 from annuflow.grid import circulation, make_annulus, poisson_bracket
 from annuflow.steady import (
-    Profile1D, d2s, default_cbar, ds, energy, energy_pair, solve_steady,
-    state_from_json, state_to_json,
+    Profile1D, SteadyState, d2s, default_cbar, ds, energy, energy_pair,
+    solve_steady, state_from_json, state_to_json,
 )
 
 from oracles import radial_linearized, radial_steady
@@ -146,6 +147,20 @@ def test_newton_factorizes_nothing(monkeypatch):
     assert len(calls) == 0
 
 
+@pytest.mark.parametrize("shape, tol", [((32, 64), 1e-14), ((64, 128), 1e-13)])
+def test_tolerance_below_rounding_floor_is_named(shape, tol):
+    # Newton reaches the rounding floor of the interior residual, below tol
+    # only by chance: the failure stays an error, and names both numbers
+    g = make_annulus(1.0, 2.0, *shape)
+    F = profile(lambda s: np.exp(s) + 0.8 * s)
+    with pytest.raises(NoConvergenceError, match="rounding floor") as excinfo:
+        solve_steady(F, -4 * np.pi, grid=g, tol=tol)
+    info = excinfo.value.info
+    assert f"tolerance {tol:.1e}" in str(excinfo.value)
+    assert f"{info['floor']:.1e}" in str(excinfo.value)
+    assert tol < info["residual"] <= info["floor"]
+
+
 def test_newton_krylov_iterations():
     # on a radial state the Fourier preconditioner Delta + cbar(r) is exact
     # and GMRES stops after one iteration; a shift that varies in theta
@@ -234,6 +249,51 @@ def test_ds_first_order_richardson(grid64):
         errs.append(np.abs(fd - phi.values).max())
     ratio = errs[0] / errs[1]
     assert 3.6 <= ratio <= 4.4
+
+
+def test_ds_d2s_fourier_match_factor(state_affine):
+    # the radial state solves by Fourier; the factor path is the reference
+    st = state_affine
+    g, psi = st.psi.grid, st.psi.values
+    f1 = profile(lambda s: np.sin(s))
+    f2 = profile(lambda s: s**2 / 3)
+    phi1, phi12 = ds(st, f1).values, d2s(st, f1, f2).values
+    assert "linearization" not in vars(st)
+
+    def by_factor(k):
+        return bordered_solve(st.linearization, g.field(k))[0].values
+
+    ref1, ref2 = by_factor(f1(psi)), by_factor(f2(psi))
+    ref12 = by_factor(st.F.d2(psi) * ref1 * ref2 + f2.d1(psi) * ref1
+                      + f1.d1(psi) * ref2)
+    assert np.abs(phi1 - ref1).max() <= 1e-12 * np.abs(ref1).max()
+    assert np.abs(phi12 - ref12).max() <= 1e-12 * np.abs(ref12).max()
+
+
+def test_non_radial_state_solves_through_factor(monkeypatch, grid32):
+    # F' varies along the theta-dependent psi, so the Fourier solve of the
+    # theta-mean fails its residual check and ds falls back to the factor
+    from annuflow import elliptic
+
+    calls = []
+
+    def counted(A):
+        calls.append(A.shape)
+        return _factor(A)
+
+    monkeypatch.setattr(elliptic, "_factor", counted)
+    g = grid32
+    raw = g.field_from(lambda r, t: r**2 + 0.05 * np.sin(np.pi * (r - 1)) * np.sin(t))
+    psi = g.field(2.0 * (raw.values - 4.0) / 3.0)          # inside [-3, 0]
+    F = profile(lambda s: np.exp(s) + 0.8 * s)
+    state = SteadyState(F, psi, g.field(F(psi.values)), GAMMA,
+                        float(psi.values[0].mean()), 0.0)
+    f = profile(lambda s: np.sin(s))
+    phi = ds(state, f)
+    assert len(calls) == 1
+    ref, _ = bordered_solve(state.linearization, g.field(f(psi.values)))
+    assert len(calls) == 1
+    assert np.array_equal(phi.values, ref.values)
 
 
 def test_d2s_zero(state_affine):
