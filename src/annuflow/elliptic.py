@@ -16,25 +16,28 @@ into one stacked solve; the tie and circulation rows touch mode 0 only,
 where one extra homogeneous solve gives the inner constant.  The grid owns
 its c = 0 member (``AnnulusGrid.laplacian_system``).
 
-For any c, the Fourier solve of Delta + cbar(r), cbar the theta-mean of c,
-is exact when c does not vary in theta, as on a radially symmetric state.
-``fourier_solve`` keeps it when its true residual is small.
-``krylov_solve`` (a Newton step) uses it as the right preconditioner of
-GMRES, which then stops after one iteration on a radially symmetric state
-and after 4-6 on others.  The stop is a relative residual of
-``KRYLOV_RTOL`` within one restart cycle (20 iterations).  The true
-residual of the result is checked too, since GMRES assumes that the
-preconditioner solves exactly, which a cbar near an eigenvalue of -Delta
-breaks; a solve that fails either test raises no-convergence.
+For any c, the Fourier solve of Delta + cbar(r), cbar the theta-mean of
+c, is exact when c does not vary in theta, as on a radially symmetric
+state.  ``solve_ve`` is the one solver of Delta + c, for one right-hand
+side or a stack: it solves every column with that Fourier system and
+checks each column's relative residual on the interior rows (the tie and
+circulation rows hold by construction).  Columns that miss
+``KRYLOV_RTOL`` continue, all at once, by GMRES right-preconditioned
+with the same system and started from the Fourier answer, which then
+takes no iteration on a radially symmetric state and 2-6 on others.
+GMRES stops within one restart cycle (20 iterations); every column it
+returns is checked again, since GMRES assumes that the preconditioner
+solves exactly, which a cbar near an eigenvalue of -Delta breaks.  A
+solve that fails either test raises no-convergence.
 
-A steady state owns its factorized linearization Delta - F'(psi)
-(``SteadyState.linearization``) for ``check_nd1`` and for the solves that
-``fourier_solve`` refuses.  ``_factor`` orders A^T + A by minimum
-degree and pivots statically on the diagonal, which the structurally
-symmetric stencil makes usable (of order 1/h^2 inside, 1 on the tie rows);
-together they halve the fill of the default.  SuperLU still pivots off the
-diagonal where it is exactly zero (the circulation row), and an exactly
-singular matrix raises RuntimeError.  Nothing is cached at module level.
+``check_nd1`` builds the one sparse LU left (``bordered_system``), for
+the transposed solves of its singular-value estimate.  ``_factor``
+orders A^T + A by minimum degree and pivots statically on the diagonal,
+which the structurally symmetric stencil makes usable (of order 1/h^2
+inside, 1 on the tie rows); together they halve the fill of the
+default.  SuperLU still pivots off the diagonal where it is exactly zero
+(the circulation row), and an exactly singular matrix raises
+RuntimeError.  Nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -46,13 +49,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
-from .errors import (NearSingularOperatorError, NoConvergenceError,
-                     SingularSystemError)
-from .grid import AnnulusGrid, Field2D, circulation_row, laplacian
+from .errors import NoConvergenceError, SingularSystemError
+from .grid import AnnulusGrid, Field2D, circulation_row
 
 ND_THRESHOLD = 1e-6     # check_nd1/check_nd2: least sigma_min / operator norm
-KRYLOV_RTOL = 1e-10     # krylov_solve: relative residual of the bordered system
-FOURIER_RTOL = 1e-12    # fourier_solve: relative bordered residual of each column
+KRYLOV_RTOL = 1e-10     # solve_ve: relative interior residual of each column
 
 
 def _stencil(grid: AnnulusGrid):
@@ -84,8 +85,8 @@ def _csc(entries, n):
 
 
 def _factor(A):
-    """Sparse LU of a grid matrix with the ordering and pivoting policy
-    described in the module docstring."""
+    """Sparse LU of a bordered matrix with the ordering and pivoting
+    policy described in the module docstring."""
     return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
 
 
@@ -108,9 +109,6 @@ class BorderedSystem:
     @property
     def n_unknowns(self):
         return self.matrix.shape[0]
-
-    def solve(self, rhs):
-        return self.lu.solve(rhs)
 
 
 class FourierSystem:
@@ -195,90 +193,94 @@ def _bordered_rhs(n_unknowns, values, circulation):
     return rhs
 
 
-def bordered_solve(system, k, circulation=0.0):
-    """Solve a bordered or Fourier system with the given circulation (the
-    value of its last row); returns (phi, inner_value).
-
-    k is a Field2D, or (for a BorderedSystem) an array of shape
-    (Nr, Ns, m) holding m right-hand sides, which are solved at once; phi
-    then has that shape and inner_value has shape (m,)."""
-    values = k.values if isinstance(k, Field2D) else np.asarray(k)
-    sol = system.solve(_bordered_rhs(system.n_unknowns, values, circulation))
-    phi = sol[:-1].reshape(values.shape)
-    if isinstance(k, Field2D):
-        return k.grid.field(phi), float(sol[-1])
-    return phi, sol[-1]
+def bordered_solve(system: FourierSystem, k: Field2D, circulation=0.0):
+    """Solve a Fourier system for k with the given circulation (the value
+    of its last row); returns (phi, inner_value)."""
+    sol = system.solve(_bordered_rhs(system.n_unknowns, k.values, circulation))
+    return k.grid.field(sol[:-1].reshape(k.values.shape)), float(sol[-1])
 
 
-def fourier_solve(c: Field2D, k):
-    """Solve (Delta + c) phi = k, k of shape (Nr, Ns) or (Nr, Ns, m), with
-    zero circulation by the Fourier solve of Delta + cbar(r), cbar the
-    theta-mean of c.  Returns phi when each column's bordered residual is
-    at most FOURIER_RTOL of its right-hand side, else None."""
-    rhs = _bordered_rhs(c.values.size + 1, k, 0.0)
-    try:
-        sol = FourierSystem(c.grid, c.values[1:-1].mean(axis=1)).solve(rhs)
-    except (SingularSystemError, np.linalg.LinAlgError):
-        return None
-    residual = _bordered_matrix(c.grid, c) @ sol
-    residual -= rhs
-    squares = "i...,i...->..."          # column sums of squares
-    if np.all(np.einsum(squares, residual, residual)
-              <= FOURIER_RTOL**2 * np.einsum(squares, rhs, rhs)):
-        return sol[:-1].reshape(k.shape)
-    return None
+def _residual_squares(c: Field2D, phi, k):
+    """Squared 2-norm of each column of (Delta + c)phi - k on the interior
+    rows, phi and k of shape (Nr, Ns, m): from the stencil with no
+    matrix, a block of about 256 KB of radial rows at a time."""
+    grid = c.grid
+    c_rr, c_r, c_tt = _stencil(grid)
+    c_r, c_tt = c_r[..., None], c_tt[..., None]
+    diag = c.values[1:-1, :, None] - 2 * c_rr - 2 * c_tt
+    rows = max(1, (1 << 15) // phi[0].size)
+    squares = np.zeros(phi.shape[2])
+    for lo in range(1, grid.Nr - 1, rows):
+        hi = min(lo + rows, grid.Nr - 1)
+        mid, up, down = phi[lo:hi], phi[lo + 1:hi + 1], phi[lo - 1:hi - 1]
+        i = slice(lo - 1, hi - 1)           # the same rows of the interior arrays
+        res = diag[i] * mid - k[lo:hi]
+        part = up + down
+        part *= c_rr
+        res += part
+        np.subtract(up, down, out=part)
+        part *= c_r[i]
+        res += part
+        # the angular neighbours, wrapping around theta
+        np.add(mid[:, 2:], mid[:, :-2], out=part[:, 1:-1])
+        np.add(mid[:, 1], mid[:, -1], out=part[:, 0])
+        np.add(mid[:, 0], mid[:, -2], out=part[:, -1])
+        part *= c_tt[i]
+        res += part
+        squares += np.einsum("ijk,ijk->k", res, res)
+    return squares
 
 
-def krylov_solve(c: Field2D, k: Field2D, circulation=0.0):
-    """Solve (Delta + c) phi = k with the given circulation by GMRES (see
-    the module docstring).  Returns (phi, number of GMRES iterations);
-    raises no-convergence when the GMRES stop or the check of the true
-    residual fails."""
-    grid = k.grid
+def solve_ve(c: Field2D, k, circulation=0.0):
+    """Solve (Delta + c)phi = k with the given circulation, k of shape
+    (Nr, Ns) or (Nr, Ns, m), the m columns at once: the Fourier solve of
+    Delta + cbar(r), continued by GMRES for the columns whose residual
+    misses (see the module docstring).  Returns (phi, number of GMRES
+    iterations); raises no-convergence when GMRES or the check of its
+    true residuals fails."""
+    grid = c.grid
     cbar = c.values.mean(axis=1, keepdims=True)
+    n = c.values.size + 1
+    values = k.reshape(grid.Nr, grid.Ns, -1)
+    rhs = _bordered_rhs(n, values, circulation)
     try:
         system = FourierSystem(grid, cbar[1:-1, 0])
-    except SingularSystemError as exc:
+        sol = system.solve(rhs)
+    except (SingularSystemError, np.linalg.LinAlgError) as exc:
         raise NoConvergenceError(f"GMRES has no preconditioner: {exc}") from exc
-    n = system.n_unknowns
-    variation = _bordered_rhs(n, c.values - cbar, 0.0)
+    norms = np.linalg.norm(rhs, axis=0)
+    bound = (KRYLOV_RTOL * norms) ** 2
+    squares = _residual_squares(c, sol[:-1].reshape(values.shape), values)
+    miss = np.flatnonzero(~(squares <= bound))          # a NaN residual misses too
+    iterations = 0
+    if miss.size:
+        m = miss.size
+        variation = _bordered_rhs(n, c.values - cbar, 0.0)[:, None]
 
-    def apply(y):               # (Delta + c) M^{-1} y, with M = Delta + cbar
-        return y + variation * system.solve(y)
+        def apply(y):           # (Delta + c) M^{-1} y, with M = Delta + cbar
+            y = y.reshape(n, m)
+            return (y + variation * system.solve(y)).ravel()
 
-    rhs = _bordered_rhs(n, k.values, circulation)
-    residuals = []
-    y, info = spla.gmres(spla.LinearOperator((n, n), matvec=apply, dtype=float),
-                         rhs, rtol=KRYLOV_RTOL, maxiter=1,
-                         callback=residuals.append, callback_type="pr_norm")
-    phi = grid.field(system.solve(y)[:-1].reshape(grid.Nr, grid.Ns))
-    # the tie and circulation rows hold by construction of the Fourier solve
-    true = (np.linalg.norm((laplacian(phi) + c * phi - k).values[1:-1])
-            / np.linalg.norm(rhs))
-    if info != 0 or not true <= 2 * KRYLOV_RTOL:
-        raise NoConvergenceError(f"GMRES left a relative residual of {true:.2e} (stop "
-                                 f"{KRYLOV_RTOL:g}) after {len(residuals)} iterations",
-                                 iterations=len(residuals))
-    return phi, len(residuals)
-
-
-def solve_ve(c: Field2D, k: Field2D) -> Field2D:
-    """Inverse of the family Delta + c under the zero-circulation conditions.
-
-    Raises near-singular-operator (with the sigma_min estimate) when the
-    bordered matrix is numerically singular, which is the discrete signal
-    that c left the invertible neighborhood.
-    """
-    system = bordered_system(c.grid, c)
-    try:
-        phi, _ = bordered_solve(system, k)
-    except RuntimeError as exc:  # splu singular
-        raise NearSingularOperatorError(str(exc), sigma_min=0.0) from exc
-    rhs_norm = max(np.abs(k.values).max(), 1e-300)
-    if not np.all(np.isfinite(phi.values)) or np.abs(phi.values).max() > 1e14 * rhs_norm:
-        est = sigma_min_estimate(system)
-        raise NearSingularOperatorError("bordered solve blew up", sigma_min=est)
-    return phi
+        # GMRES for the correction, from the residual of the Fourier answer
+        # in columns scaled to unit right-hand sides; it stops when the
+        # stack's residual is KRYLOV_RTOL/2, so each column's is at most that
+        residuals = []
+        y, info = spla.gmres(spla.LinearOperator((n * m, n * m), matvec=apply,
+                                                 dtype=float),
+                             (-variation * sol[:, miss] / norms[miss]).ravel(),
+                             rtol=0.0, atol=KRYLOV_RTOL / 2, maxiter=1,
+                             callback=residuals.append, callback_type="pr_norm")
+        iterations = len(residuals)
+        sol[:, miss] += system.solve(y.reshape(n, m)) * norms[miss]
+        left = _residual_squares(c, sol[:-1, miss].reshape(grid.Nr, grid.Ns, m),
+                                 values[..., miss])
+        if info != 0 or not np.all(left <= bound[miss]):
+            worst = np.max(np.sqrt(left) / norms[miss])
+            raise NoConvergenceError(
+                f"GMRES left a relative residual of {worst:.2e} (stop "
+                f"{KRYLOV_RTOL:g}) after {iterations} iterations",
+                iterations=iterations)
+    return sol[:-1].reshape(k.shape), iterations
 
 
 def sigma_min_estimate(system: BorderedSystem):
@@ -317,7 +319,8 @@ def check_nd1(state) -> NdReport:
     """Invertibility margin of Delta - F'(psi) with the zero-circulation
     conditions at a steady state: smallest singular value of the bordered
     matrix, relative to its one-norm estimate."""
-    system = state.linearization
+    g = state.psi.grid
+    system = bordered_system(g, g.field(-state.F.d1(state.psi.values)))
     sigma = sigma_min_estimate(system)
     opnorm = float(spla.onenormest(system.matrix))
     return NdReport(sigma, opnorm, ND_THRESHOLD, sigma > ND_THRESHOLD * opnorm)

@@ -23,12 +23,6 @@ class SingularSystemError(AnnuflowError):
     code = "singular-system"
 
 
-class NearSingularOperatorError(AnnuflowError):
-    """Linearized elliptic operator close to singular; carries sigma_min."""
-
-    code = "near-singular-operator"
-
-
 class NoConvergenceError(AnnuflowError):
     code = "no-convergence"
 

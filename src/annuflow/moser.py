@@ -109,8 +109,7 @@ class StateWorkspace:
     """Stream chart and assembled Id + K of one steady state; the chart
     owns the stream distribution and the area grid.  The state stores its
     workspace and the workspace holds no reference to the state, so a
-    dropped state is freed at once, with its factor, if it has one, and
-    its workspace."""
+    dropped state is freed at once with its workspace."""
 
     def __init__(self, state: SteadyState):
         g = state.psi.grid

@@ -55,7 +55,7 @@ class FieldSpline:
                                         kx=3, ky=3)
         # the radii, not the grid: level_chart's integrand keeps this
         # spline in solve_ivp's reference cycle, which must not hold the
-        # grid and its factor
+        # grid and its Fourier solver
         self._radii = (g.Ri, g.Ro)
 
     def _wrap(self, r, theta):

@@ -4,30 +4,27 @@ derivatives with respect to the profile F.
 
 Newton linearization: the correction phi solves
 Delta(phi) - F'(psi)phi = F(psi) - Delta(psi) with zero outer trace and
-constant inner trace, by ``elliptic.krylov_solve``, so Newton assembles
-and factorizes nothing; on a radially symmetric state a step takes one
-GMRES iteration.  Rounding the update psi + phi moves the circulation by
+constant inner trace, by ``elliptic.solve_ve``, so Newton assembles and
+factorizes nothing; on a radially symmetric state a step takes no GMRES
+iteration.  Rounding the update psi + phi moves the circulation by
 up to about 1e-13, the same in every column of a radial state; the next
 step takes it out again, so the iterates keep the circulation of the
 start.  Full steps with residual-halving damping (at most 5 halvings per
 step).  A state records one ``NewtonStep`` per step.  Every derivative
-of a state solves through ``SteadyState.solve_linearization``: a Fourier
-solve, exact on a radially symmetric state, or else the state's
-factorized linearization, built on first use.
+of a state solves through ``SteadyState.solve_linearization``, which is
+``elliptic.solve_ve`` with zero circulation, so no state holds a factor.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .curves import Curve1D
-from .elliptic import (BorderedSystem, bordered_solve, bordered_system,
-                       fourier_solve, krylov_solve, solve_poisson)
+from .elliptic import solve_poisson, solve_ve
 from .errors import NoConvergenceError, NotMonotoneError, RangeEscapeError
 from .grid import Field2D, circulation, gradient, integrate, laplacian, make_annulus
 
@@ -90,19 +87,10 @@ class SteadyState:
     newton_residual: float
     newton_history: tuple[NewtonStep, ...] = ()
 
-    @cached_property
-    def linearization(self) -> BorderedSystem:
-        """Factorized Delta - F'(psi) under the zero-circulation
-        conditions, built on first use and freed with the state."""
-        g = self.psi.grid
-        return bordered_system(g, g.field(-self.F.d1(self.psi.values)))
-
     def solve_linearization(self, k):
         """phi with Delta(phi) - F'(psi)phi = k, k of shape (Nr, Ns) or
-        (Nr, Ns, m), under the zero-circulation conditions: by
-        ``fourier_solve``, or else through the factor."""
-        phi = fourier_solve(self.psi.grid.field(-self.F.d1(self.psi.values)), k)
-        return bordered_solve(self.linearization, k)[0] if phi is None else phi
+        (Nr, Ns, m), under the zero-circulation conditions."""
+        return solve_ve(self.psi.grid.field(-self.F.d1(self.psi.values)), k)[0]
 
 
 def _interior_residual(psi: Field2D, F: Profile1D):
@@ -148,10 +136,10 @@ def solve_steady(F: Profile1D, gamma: float, psi0: Field2D | None = None,
         if residual < tol:
             break
         c = grid.field(-F.d1(psi.values))
-        phi, iterations = krylov_solve(c, grid.field(rhs), -drift)
+        phi, iterations = solve_ve(c, rhs, -drift)
         step = 1.0
         for _ in range(6):
-            cand = grid.field(psi.values + step * phi.values)
+            cand = grid.field(psi.values + step * phi)
             cand_rhs, cand_res = _interior_residual(cand, F)
             if cand_res < residual:
                 break

@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
-Each oracle deliberately avoids the code path it checks: the radial
-steady oracle is a 1D two-point BVP solve, the sublevel-area oracle is a
+Each oracle deliberately avoids the code path it checks: the sparse LU
+of a bordered matrix checks the factor-free solves, the radial steady
+oracle is a 1D two-point BVP solve, the sublevel-area oracle is a
 per-cell linear-cut area count on a refined cell-centered grid, and the
 brute-force Hoelder norm enumerates all node pairs directly.
 """
@@ -9,6 +10,21 @@ brute-force Hoelder norm enumerates all node pairs directly.
 import numpy as np
 from scipy.integrate import solve_bvp
 from scipy.interpolate import RectBivariateSpline
+
+from annuflow.elliptic import _bordered_rhs, bordered_system
+
+
+def factored_linearization(state):
+    """Sparse LU of a state's bordered Delta - F'(psi), built as check_nd1
+    builds it."""
+    g = state.psi.grid
+    return bordered_system(g, g.field(-state.F.d1(state.psi.values)))
+
+
+def lu_solve(system, k):
+    """phi with A phi = k under the zero-circulation conditions, by the LU
+    of a bordered system; k of shape (Nr, Ns) or (Nr, Ns, m)."""
+    return system.lu.solve(_bordered_rhs(system.n_unknowns, k, 0.0))[:-1].reshape(k.shape)
 
 
 def radial_steady(F, gamma, Ri=1.0, Ro=2.0, n=4001):

@@ -49,11 +49,12 @@ def test_solve_writes_state(tmp_path, capsys):
     assert state.psi.grid.Nr == 64
     diag = json.loads((tmp_path / "diagnostics.json").read_text())
     assert diag["circulation_gap"] < 1e-8
-    # one record per Newton step; state.json does not carry them
+    # one record per Newton step; state.json does not carry them; the state
+    # is radial, so each step is the Fourier solve alone
     history = diag["newton_history"]
     assert len(history) >= 1
     assert history[0]["residual"] > diag["newton_residual"]
-    assert all(h["step"] == 1.0 and 1 <= h["krylov_iterations"] <= 20
+    assert all(h["step"] == 1.0 and h["krylov_iterations"] == 0
                for h in history)
     assert "newton_history" not in json.loads((tmp_path / "state.json").read_text())
 

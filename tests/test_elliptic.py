@@ -10,12 +10,14 @@ import pytest
 
 import annuflow
 from annuflow.elliptic import (FourierSystem, NdReport, _bordered_matrix,
-                                _factor, bordered_solve, bordered_system,
-                                check_nd1, principal_eigenvalue, solve_poisson,
-                                solve_ve)
+                                _factor, _residual_squares, bordered_solve,
+                                bordered_system, check_nd1, principal_eigenvalue,
+                                solve_poisson, solve_ve)
 from annuflow.grid import (circulation, circulation_row, gradient, integrate,
                            laplacian, make_annulus)
 from annuflow.steady import Profile1D, SteadyState, solve_steady
+
+from oracles import factored_linearization
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +79,13 @@ def test_energy_identity_poisson(grid64):
         assert abs(e1 - e2) < 100 * grid64.h**2 * max(1.0, abs(e1))
 
 
+def ve(c, k):
+    """solve_ve of a Field2D right-hand side, as a Field2D."""
+    return c.grid.field(solve_ve(c, k.values)[0])
+
+
 def test_ve_radial_closed_form(grid64):
-    phi = solve_ve(grid64.constant(0.0), grid64.constant(4.0))
+    phi = ve(grid64.constant(0.0), grid64.constant(4.0))
     exact = grid64.field_from(lambda r, t: r**2 - 2 * np.log(r) - 4 + 2 * np.log(2))
     assert np.abs(phi.values - exact.values).max() < 20 * grid64.hr**2
     assert phi.values[0, 0] == pytest.approx(-3 + 2 * np.log(2), abs=20 * grid64.hr**2)
@@ -86,7 +93,7 @@ def test_ve_radial_closed_form(grid64):
 
 def test_ve_zero_rhs(grid64):
     c = grid64.field_from(lambda r, t: -1.0 - 0.3 * np.sin(t))
-    phi = solve_ve(c, grid64.constant(0.0))
+    phi = ve(c, grid64.constant(0.0))
     assert np.abs(phi.values).max() < 1e-12
 
 
@@ -94,7 +101,7 @@ def test_ve_residual_random(grid64):
     rng = np.random.default_rng(2)
     k = grid64.field(rng.normal(size=(64, 128)))
     c = grid64.constant(-1.0)
-    phi = solve_ve(c, k)
+    phi = ve(c, k)
     res = (laplacian(phi).values + c.values * phi.values - k.values)[1:-1, :]
     assert np.abs(res).max() < 1e-8 * np.abs(k.values).max()
     assert abs(circulation(phi)) < 1e-9
@@ -106,8 +113,8 @@ def test_ve_linearity(grid64):
     k1 = grid64.field_from(lambda r, t: np.sin(r))
     k2 = grid64.field_from(lambda r, t: np.cos(2 * t))
     a, b = 1.7, -0.4
-    lhs = solve_ve(c, a * k1 + b * k2)
-    rhs = a * solve_ve(c, k1).values + b * solve_ve(c, k2).values
+    lhs = ve(c, a * k1 + b * k2)
+    rhs = a * ve(c, k1).values + b * ve(c, k2).values
     assert np.abs(lhs.values - rhs).max() < 1e-10
 
 
@@ -115,7 +122,7 @@ def test_ve_maximum_principle(grid64):
     # c <= 0 and k >= 0 (not identically 0) force phi <= 0 inside
     c = grid64.field_from(lambda r, t: -(1 + 0.5 * np.sin(t) ** 2))
     k = grid64.field_from(lambda r, t: (r - 1) * (2 - r) + 0.1)
-    phi = solve_ve(c, k)
+    phi = ve(c, k)
     assert phi.values[1:-1, :].max() < 1e-12
 
 
@@ -142,6 +149,20 @@ def test_bordered_matrix_rows(shape):
     assert last[n] == 0.0
 
 
+@pytest.mark.parametrize("m", [1, 129])
+def test_residual_squares_match_matrix(m):
+    # the blocked stencil residual against the assembled bordered matrix,
+    # on rows split into several blocks when m = 129
+    grid = make_annulus(1.0, 2.0, 24, 40)
+    c = grid.field_from(lambda r, t: -1.0 + 0.3 * r * np.cos(t))
+    rng = np.random.default_rng(4)
+    phi, k = rng.normal(size=(2, 24, 40, m))
+    x = np.concatenate([phi.reshape(-1, m), np.zeros((1, m))])
+    res = (_bordered_matrix(grid, c) @ x)[:-1].reshape(phi.shape) - k
+    ref = np.einsum("ijk,ijk->k", res[1:-1], res[1:-1])
+    assert np.abs(_residual_squares(c, phi, k) - ref).max() <= 1e-12 * ref.max()
+
+
 @pytest.mark.parametrize("shape", [(32, 64), (64, 128), (128, 256)],
                          ids=lambda s: f"{s[0]}x{s[1]}")
 def test_fourier_laplacian_matches_lu(shape):
@@ -157,12 +178,13 @@ def test_fourier_laplacian_matches_lu(shape):
         for _ in range(3):
             k = grid.field(rng.normal(size=shape))
             phi, inner = bordered_solve(system, k, -4 * np.pi)
-            phi_lu, inner_lu = bordered_solve(oracle, k, -4 * np.pi)
-            scale = np.abs(phi_lu.values).max()
-            assert np.abs(phi.values - phi_lu.values).max() <= 1e-12 * scale
-            assert abs(inner - inner_lu) <= 1e-12 * abs(inner_lu)
             b = np.append(k.values.ravel(), -4 * np.pi)
             b[:grid.Ns] = b[-grid.Ns - 1:-1] = 0.0      # tie rows
+            x_lu = oracle.lu.solve(b)
+            phi_lu, inner_lu = x_lu[:-1], x_lu[-1]
+            scale = np.abs(phi_lu).max()
+            assert np.abs(phi.values.ravel() - phi_lu).max() <= 1e-12 * scale
+            assert abs(inner - inner_lu) <= 1e-12 * abs(inner_lu)
             x = np.append(phi.values.ravel(), inner)
             assert np.linalg.norm(oracle.matrix @ x - b) <= 1e-11 * np.linalg.norm(b)
 
@@ -293,13 +315,13 @@ def test_sigma_min_against_dense(grid32):
     # the dense SVD of the whole bordered matrix is the oracle
     F = Profile1D.from_callable(lambda s: 0.5 * s - 1.0, -2.0)
     state = _steady_bundle(grid32, F)
-    sv = np.linalg.svd(state.linearization.matrix.toarray(), compute_uv=False)
+    sv = np.linalg.svd(factored_linearization(state).matrix.toarray(), compute_uv=False)
     assert check_nd1(state).sigma_min == pytest.approx(sv[-1], rel=1e-3)
 
 
 def test_factor_fill_bump_linearization(bump64):
     # COLAMD with threshold pivoting (the splu default) fills 778,434 here
-    lu = bump64.linearization.lu
+    lu = factored_linearization(bump64).lu
     assert lu.L.nnz + lu.U.nnz < 500_000
 
 
@@ -308,7 +330,7 @@ def test_factor_multi_rhs_residual(grid64, bump64, which):
     # static diagonal pivots stay accurate on 129 right-hand sides, also
     # for an indefinite Delta + c between the first two eigenvalues
     if which == "linearization":
-        system = bump64.linearization
+        system = factored_linearization(bump64)
     else:
         c = 0.0 if which == "laplacian" else 1.5 * principal_eigenvalue(grid64)
         system = bordered_system(grid64, grid64.constant(c))
@@ -318,7 +340,7 @@ def test_factor_multi_rhs_residual(grid64, bump64, which):
 
 
 def test_factor_exactly_singular_raises(grid32):
-    # solve_ve relies on splu raising for a singular matrix
+    # bordered_system relies on splu raising for a singular matrix
     A = _bordered_matrix(grid32, grid32.constant(-1.0)).tolil()
     A[-1, :] = 0.0                         # no circulation row
     with pytest.raises(RuntimeError):

@@ -6,7 +6,7 @@ import pytest
 
 from annuflow import elliptic, moser
 from annuflow.curves import Curve1D, Monotone1D
-from annuflow.elliptic import _factor, bordered_solve, solve_poisson
+from annuflow.elliptic import _factor, solve_poisson
 from annuflow.errors import (DivergedError, InnerSolveFailureError,
                              NoConvergenceError)
 from annuflow.grid import make_annulus
@@ -15,9 +15,9 @@ from annuflow.moser import (
     config_to_text, dt, k_apply, moser_solve, right_inverse, t_map,
     uniqueness_probe, vb, vm, workspace,
 )
-from annuflow.steady import Profile1D, solve_steady
+from annuflow.steady import Profile1D, ds, solve_steady
 
-from oracles import radial_linearized, radial_steady
+from oracles import factored_linearization, lu_solve, radial_linearized, radial_steady
 
 GAMMA = -4 * np.pi
 CBAR = -3.0
@@ -372,16 +372,14 @@ def test_grids_and_states_are_freed():
 def test_dropped_state_is_freed_without_gc():
     # the workspace stored on a state holds no reference back to it, and
     # its chart's spline holds none to the grid, so reference counting
-    # alone frees the state, its factor, the grid and the grid's Fourier
+    # alone frees the state, its workspace, the grid and the grid's Fourier
     # solver
     grid = make_annulus(1.0, 2.0, 16, 32)
     state = solve_steady(fbar(), GAMMA, grid=grid)
     gc.disable()
     try:
         assemble_id_plus_k(state)
-        # a radial state assembles Id + K without its factor
-        assert "linearization" not in vars(state)
-        refs = [weakref.ref(state), weakref.ref(state.linearization),
+        refs = [weakref.ref(state), weakref.ref(workspace(state)),
                 weakref.ref(grid), weakref.ref(grid.laplacian_system)]
         del state, grid
         assert [r for r in refs if r() is not None] == []
@@ -399,16 +397,31 @@ def test_id_plus_k_matches_k_apply(grid32):
     assert np.abs(K - cols).max() <= 1e-10 * np.abs(K).max()
 
 
-def test_id_plus_k_fourier_matches_factor(grid32):
-    # the radial state's Id + K, assembled through the Fourier solve,
-    # against the same assembly through the factor
-    _, state = t_map(fbar(), GAMMA, grid=grid32, cross_check=False)
+@pytest.mark.parametrize("grid", ["grid32", "grid_radial128"])
+def test_id_plus_k_fourier_matches_factor(monkeypatch, request, grid):
+    # the radial reference state's Id + K and ds are Fourier solves, which
+    # factorize nothing, also at 128 radial nodes, where the Fourier
+    # residual sits at 1.3e-12 of the right-hand side; the same assembly
+    # through the LU of the bordered matrix is the reference
+    _, state = t_map(fbar(), GAMMA, grid=request.getfixturevalue(grid),
+                     cross_check=False)
+    calls = []
+
+    def counted(A):
+        calls.append(A.shape)
+        return _factor(A)
+
+    monkeypatch.setattr(elliptic, "_factor", counted)
     M = assemble_id_plus_k(state)
-    assert "linearization" not in vars(state)
-    by_factor = StateWorkspace(state).assembled_id_plus_k(
-        lambda E: bordered_solve(state.linearization, E)[0])
+    f = Profile1D.from_callable(np.sin, CBAR)
+    phi = ds(state, f)
+    assert calls == []
+    system = factored_linearization(state)
+    by_factor = StateWorkspace(state).assembled_id_plus_k(lambda E: lu_solve(system, E))
     K = by_factor - np.eye(129)
     assert np.abs(M - by_factor).max() <= 1e-12 * np.abs(K).max()
+    ref = lu_solve(system, f(state.psi.values))
+    assert np.abs(phi.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_moser_on_radial_states_factorizes_nothing(monkeypatch, grid32):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from annuflow.curves import Curve1D
-from annuflow.elliptic import (FourierSystem, _factor, bordered_solve,
-                               krylov_solve, principal_eigenvalue,
-                               solve_poisson)
+from annuflow.elliptic import (FourierSystem, _factor, bordered_system,
+                               principal_eigenvalue, solve_poisson, solve_ve)
 from annuflow.errors import (NoConvergenceError, NotMonotoneError,
                              RangeEscapeError, SingularSystemError)
 from annuflow.grid import circulation, make_annulus, poisson_bracket
@@ -13,7 +12,7 @@ from annuflow.steady import (
     solve_steady, state_from_json, state_to_json,
 )
 
-from oracles import radial_linearized, radial_steady
+from oracles import factored_linearization, lu_solve, radial_linearized, radial_steady
 
 GAMMA = -2 * np.pi
 
@@ -115,7 +114,8 @@ def test_newton_quadratic_convergence(grid64):
     history = st.newton_history
     assert len(history) >= 3
     assert all(h.step == 1.0 for h in history)
-    assert all(1 <= h.krylov_iterations <= 20 for h in history)
+    # a radial state: every step is the Fourier solve alone
+    assert all(h.krylov_iterations == 0 for h in history)
     # residual ratio r_{k+1}/r_k^2 bounded over the convergent stretch
     residuals = [h.residual for h in history] + [st.newton_residual]
     ratios = [residuals[i + 1] / residuals[i] ** 2
@@ -162,9 +162,8 @@ def test_tolerance_below_rounding_floor_is_named(shape, tol):
 
 
 def test_newton_krylov_iterations():
-    # on a radial state the Fourier preconditioner Delta + cbar(r) is exact
-    # and GMRES stops after one iteration; a shift that varies in theta
-    # costs a few more
+    # on a radial state the Fourier solve of Delta + cbar(r) is exact and
+    # GMRES takes no iteration; a shift that varies in theta costs a few
     g = make_annulus(1.0, 2.0, 64, 128)
 
     def fn(s):
@@ -174,11 +173,11 @@ def test_newton_krylov_iterations():
     F = profile(fn, cbar=default_cbar(psi0))
     st = solve_steady(F, -4 * np.pi, psi0=psi0)
     assert len(st.newton_history) >= 2
-    assert all(h.krylov_iterations == 1 for h in st.newton_history)
+    assert all(h.krylov_iterations == 0 for h in st.newton_history)
     c = g.field_from(lambda r, t: -0.5 - 0.1 * np.sin(t) * np.sin(np.pi * (r - 1))
                      - 0.1 * (r - 1))
     k = g.field_from(lambda r, t: r**2 + r * np.cos(3 * t))
-    _, iterations = krylov_solve(c, k)
+    _, iterations = solve_ve(c, k.values)
     assert 2 <= iterations <= 6
 
 
@@ -258,10 +257,10 @@ def test_ds_d2s_fourier_match_factor(state_affine):
     f1 = profile(lambda s: np.sin(s))
     f2 = profile(lambda s: s**2 / 3)
     phi1, phi12 = ds(st, f1).values, d2s(st, f1, f2).values
-    assert "linearization" not in vars(st)
+    system = factored_linearization(st)
 
     def by_factor(k):
-        return bordered_solve(st.linearization, g.field(k))[0].values
+        return lu_solve(system, k)
 
     ref1, ref2 = by_factor(f1(psi)), by_factor(f2(psi))
     ref12 = by_factor(st.F.d2(psi) * ref1 * ref2 + f2.d1(psi) * ref1
@@ -270,9 +269,10 @@ def test_ds_d2s_fourier_match_factor(state_affine):
     assert np.abs(phi12 - ref12).max() <= 1e-12 * np.abs(ref12).max()
 
 
-def test_non_radial_state_solves_through_factor(monkeypatch, grid32):
+def test_non_radial_state_solves_without_factor(monkeypatch, grid32):
     # F' varies along the theta-dependent psi, so the Fourier solve of the
-    # theta-mean fails its residual check and ds falls back to the factor
+    # theta-mean misses its residual check and GMRES continues it: nothing
+    # is factorized, and ds agrees with the LU of the bordered matrix
     from annuflow import elliptic
 
     calls = []
@@ -290,10 +290,12 @@ def test_non_radial_state_solves_through_factor(monkeypatch, grid32):
                         float(psi.values[0].mean()), 0.0)
     f = profile(lambda s: np.sin(s))
     phi = ds(state, f)
-    assert len(calls) == 1
-    ref, _ = bordered_solve(state.linearization, g.field(f(psi.values)))
-    assert len(calls) == 1
-    assert np.array_equal(phi.values, ref.values)
+    assert calls == []
+    _, iterations = solve_ve(g.field(-F.d1(psi.values)), f(psi.values))
+    assert iterations >= 1
+    ref = lu_solve(bordered_system(g, g.field(-F.d1(psi.values))), f(psi.values))
+    # measured: 6.2e-14 relative at 32x64 (3 GMRES iterations)
+    assert np.abs(phi.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_d2s_zero(state_affine):
