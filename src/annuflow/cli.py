@@ -128,13 +128,19 @@ def cmd_invert(args):
         with open(args.config) as fh:
             cfg = moser.config_from_text(fh.read())
     cfg.validate()
-    F0, _ = _start_profile(args, grid)
     mu, tv = read_curve_csv(args.target)
-    gaps = np.diff(tv)
-    if np.any(gaps <= 0):
+    # the target samples T(F) at uniform abscissae on [0, |domain|]
+    steps = np.diff(mu)
+    if not (mu.size > 1 and steps.min() > 0 and np.ptp(steps) <= 1e-9 * steps.mean()
+            and abs(mu[0]) <= 1e-9 * grid.area
+            and abs(mu[-1] - grid.area) <= 1e-9 * grid.area):
+        raise CliError("bad-target", "target abscissae must be uniform on "
+                       f"[0, {grid.area!r}], the area of the annulus")
+    if np.any(np.diff(tv) <= 0):
         raise CliError("target-not-increasing",
                        "target must be strictly increasing", exit_code=3)
     target = Monotone1D(float(mu[0]), float(mu[-1]), tv)
+    F0, _ = _start_profile(args, grid)
     F, state, trace = moser.moser_solve(F0, args.gamma, target, cfg=cfg,
                                         grid=grid)
     out = _outdir(args.out)

@@ -13,25 +13,30 @@ right-hand side or a stack, with no matrix and no factor (Hockney 1965;
 Buzbee, Golub and Nielson 1970): a real FFT in theta splits it into one
 tridiagonal system in r per mode, which the outer Dirichlet rows decouple
 into one stacked solve; the tie and circulation rows touch mode 0 only,
-where one extra homogeneous solve gives the inner constant.  The grid owns
-its c = 0 member (``AnnulusGrid.laplacian_system``).
+where one extra homogeneous solve gives the inner constant.  It takes
+and returns grid arrays, with the circulation and the inner constant.
 
 For any c, the Fourier solve of Delta + cbar(r), cbar the theta-mean of
 c, is exact when c does not vary in theta, as on a radially symmetric
-state.  ``solve_ve`` is the one solver of Delta + c, for one right-hand
-side or a stack: it solves every column with that Fourier system and
-checks each column's relative residual on the interior rows (the tie and
-circulation rows hold by construction).  Columns that miss
-``KRYLOV_RTOL`` continue, all at once, by GMRES right-preconditioned
-with the same system and started from the Fourier answer, which then
-takes no iteration on a radially symmetric state and 2-6 on others.
-GMRES stops within one restart cycle (20 iterations); every column it
-returns is checked again, since GMRES assumes that the preconditioner
-solves exactly, which a cbar near an eigenvalue of -Delta breaks.  A
-solve that fails either test raises no-convergence.
+state.  ``solve_ve`` is the one solver of Delta + c, Poisson included,
+for one right-hand side or a stack: it solves every column with that
+Fourier system and checks each column's interior residual against
+``KRYLOV_RTOL`` times the norm of its interior values and its
+circulation (the tie and circulation rows hold by construction).  The
+circulation counts with the weight of the largest stencil diagonal over
+the circulation row's 2-norm: that row's scale is arbitrary, and without
+the weight the rounding of a harmonic psi misses the check at 128x256
+when Ri = 0.2, Ro = 1.  Columns that miss continue, all at once, by GMRES
+right-preconditioned with the same system and started from the Fourier
+answer, which then takes no iteration on a radially symmetric state and
+2-6 on others.  GMRES stops within one restart cycle (20 iterations);
+every column it returns is checked again, since GMRES assumes that the
+preconditioner solves exactly, which a cbar near an eigenvalue of -Delta
+breaks.  A solve that fails either test raises no-convergence.
 
 ``check_nd1`` builds the one sparse LU left (``bordered_system``), for
-the transposed solves of its singular-value estimate.  ``_factor``
+the transposed solves of its singular-value estimate; only its matrix
+orders the unknowns as one vector of length Nr*Ns + 1.  ``_factor``
 orders A^T + A by minimum degree and pivots statically on the diagonal,
 which the structurally symmetric stencil makes usable (of order 1/h^2
 inside, 1 on the tie rows); together they halve the fill of the
@@ -92,9 +97,11 @@ def _factor(A):
 
 def solve_poisson(omega: Field2D, gamma: float):
     """Stream function of a vorticity field with prescribed circulation:
-    the grid's Fourier solve of the c = 0 bordered system with circulation
-    gamma.  Returns (psi, inner_value)."""
-    return bordered_solve(omega.grid.laplacian_system, omega, gamma)
+    the c = 0 solve of ``solve_ve`` with circulation gamma.  Returns psi
+    and its inner value, the mean of row 0, which the tie rows fix."""
+    grid = omega.grid
+    psi, _ = solve_ve(grid.constant(0.0), omega.values, gamma)
+    return grid.field(psi), float(psi[0].mean())
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +137,6 @@ class FourierSystem:
         bands[2, :, :-2] = c_rr - c_r.T
         self.bands = bands.reshape(3, -1)
         self.shape = (Nr, Ns)
-        self.n_unknowns = Nr * Ns + 1
         # mode 0 of a unit inner constant: its tie rows sum to Ns in row 0
         self.unit_inner = solve_banded((1, 1), self.bands[:, :Nr],
                                        np.r_[float(Ns), np.zeros(Nr - 1)])
@@ -140,22 +146,23 @@ class FourierSystem:
         if self.unit_circulation == 0.0:
             raise SingularSystemError("the circulation row leaves the inner constant free")
 
-    def solve(self, rhs):
-        """Solution for a bordered right-hand side of shape (n,) or (n, m),
-        n = Nr*Ns + 1, the m columns solved at once."""
+    def solve(self, values, circulation):
+        """(phi, inner) for interior values of shape (Nr, Ns) or (Nr, Ns, m),
+        the m columns solved at once, and a circulation, a scalar or one per
+        column; the boundary rows of values are not read."""
         Nr, Ns = self.shape
-        stack = rhs.shape[1:]
+        stack = values.shape[2:]
         # Fortran order lays the modes out as the unknowns m*Nr + j: solved in place
         modes = np.empty((Nr, Ns // 2 + 1) + stack, complex, order="F")
-        np.fft.rfft(rhs[:-1].reshape((Nr, Ns) + stack), axis=1, out=modes)
+        np.fft.rfft(values, axis=1, out=modes)
+        modes[[0, -1]] = 0.0                    # the tie rows of both circles
         modes = solve_banded((1, 1), self.bands, modes.reshape((-1,) + stack, order="F"),
                              overwrite_b=True).reshape(modes.shape, order="F")
-        inner = (rhs[-1] - self.circulation @ modes[:, 0].real) / self.unit_circulation
+        inner = (circulation - self.circulation @ modes[:, 0].real) / self.unit_circulation
         modes[:, 0] += np.multiply.outer(self.unit_inner, inner)
-        sol = np.empty(rhs.shape)
-        np.fft.irfft(modes, n=Ns, axis=1, out=sol[:-1].reshape((Nr, Ns) + stack))
-        sol[-1] = inner
-        return sol
+        phi = np.empty(values.shape)
+        np.fft.irfft(modes, n=Ns, axis=1, out=phi)
+        return phi, inner
 
 
 def _bordered_matrix(grid: AnnulusGrid, c: Field2D):
@@ -177,27 +184,6 @@ def _bordered_matrix(grid: AnnulusGrid, c: Field2D):
 def bordered_system(grid: AnnulusGrid, c: Field2D) -> BorderedSystem:
     A = _bordered_matrix(grid, c)
     return BorderedSystem(A, _factor(A))
-
-
-def _bordered_rhs(n_unknowns, values, circulation):
-    """Right-hand side of the bordered system: values (shape (Nr, Ns) or
-    (Nr, Ns, m)) on the interior rows, zero on the tie rows of both
-    circles, and the circulation in the last row."""
-    Nr, Ns = values.shape[:2]
-    stack = values.shape[2:]
-    rhs = np.zeros((n_unknowns,) + stack)
-    rhs[:-1] = values.reshape((-1,) + stack)
-    rhs[:Ns] = 0.0                             # inner tie rows
-    rhs[(Nr - 1) * Ns: Nr * Ns] = 0.0
-    rhs[-1] = circulation
-    return rhs
-
-
-def bordered_solve(system: FourierSystem, k: Field2D, circulation=0.0):
-    """Solve a Fourier system for k with the given circulation (the value
-    of its last row); returns (phi, inner_value)."""
-    sol = system.solve(_bordered_rhs(system.n_unknowns, k.values, circulation))
-    return k.grid.field(sol[:-1].reshape(k.values.shape)), float(sol[-1])
 
 
 def _residual_squares(c: Field2D, phi, k):
@@ -240,47 +226,48 @@ def solve_ve(c: Field2D, k, circulation=0.0):
     true residuals fails."""
     grid = c.grid
     cbar = c.values.mean(axis=1, keepdims=True)
-    n = c.values.size + 1
     values = k.reshape(grid.Nr, grid.Ns, -1)
-    rhs = _bordered_rhs(n, values, circulation)
     try:
         system = FourierSystem(grid, cbar[1:-1, 0])
-        sol = system.solve(rhs)
+        phi, _ = system.solve(values, circulation)
     except (SingularSystemError, np.linalg.LinAlgError) as exc:
         raise NoConvergenceError(f"GMRES has no preconditioner: {exc}") from exc
-    norms = np.linalg.norm(rhs, axis=0)
+    c_rr, _, c_tt = _stencil(grid)      # the circulation's weight (module docstring)
+    weight = 2 * (c_rr + c_tt.max()) / np.linalg.norm(circulation_row(grid))
+    norms = np.sqrt(np.einsum("ijk,ijk->k", values[1:-1], values[1:-1])
+                    + np.square(weight * circulation))
     bound = (KRYLOV_RTOL * norms) ** 2
-    squares = _residual_squares(c, sol[:-1].reshape(values.shape), values)
+    squares = _residual_squares(c, phi, values)
     miss = np.flatnonzero(~(squares <= bound))          # a NaN residual misses too
     iterations = 0
     if miss.size:
-        m = miss.size
-        variation = _bordered_rhs(n, c.values - cbar, 0.0)[:, None]
+        shape = (grid.Nr, grid.Ns, miss.size)
+        n = np.prod(shape)
+        variation = (c.values - cbar)[..., None]
+        variation[[0, -1]] = 0.0                # the tie rows hold for any y
 
         def apply(y):           # (Delta + c) M^{-1} y, with M = Delta + cbar
-            y = y.reshape(n, m)
-            return (y + variation * system.solve(y)).ravel()
+            y = y.reshape(shape)
+            return (y + variation * system.solve(y, 0.0)[0]).ravel()
 
         # GMRES for the correction, from the residual of the Fourier answer
         # in columns scaled to unit right-hand sides; it stops when the
         # stack's residual is KRYLOV_RTOL/2, so each column's is at most that
         residuals = []
-        y, info = spla.gmres(spla.LinearOperator((n * m, n * m), matvec=apply,
-                                                 dtype=float),
-                             (-variation * sol[:, miss] / norms[miss]).ravel(),
+        y, info = spla.gmres(spla.LinearOperator((n, n), matvec=apply, dtype=float),
+                             (-variation * phi[..., miss] / norms[miss]).ravel(),
                              rtol=0.0, atol=KRYLOV_RTOL / 2, maxiter=1,
                              callback=residuals.append, callback_type="pr_norm")
         iterations = len(residuals)
-        sol[:, miss] += system.solve(y.reshape(n, m)) * norms[miss]
-        left = _residual_squares(c, sol[:-1, miss].reshape(grid.Nr, grid.Ns, m),
-                                 values[..., miss])
+        phi[..., miss] += system.solve(y.reshape(shape), 0.0)[0] * norms[miss]
+        left = _residual_squares(c, phi[..., miss], values[..., miss])
         if info != 0 or not np.all(left <= bound[miss]):
             worst = np.max(np.sqrt(left) / norms[miss])
             raise NoConvergenceError(
                 f"GMRES left a relative residual of {worst:.2e} (stop "
                 f"{KRYLOV_RTOL:g}) after {iterations} iterations",
                 iterations=iterations)
-    return sol[:-1].reshape(k.shape), iterations
+    return phi.reshape(k.shape), iterations
 
 
 def sigma_min_estimate(system: BorderedSystem):
@@ -331,12 +318,13 @@ def principal_eigenvalue(grid: AnnulusGrid):
     zero-circulation conditions.
 
     With A the bordered matrix of Delta and E the identity on the interior
-    rows, A x = -lam E x; ARPACK finds the largest eigenvalues
-    nu = 1/lam of x -> A^{-1}(-E x) from the grid's Fourier solve of A."""
-    system = grid.laplacian_system
-    n = system.n_unknowns
-    op = spla.LinearOperator((n, n), matvec=lambda x: system.solve(_bordered_rhs(
-        n, -np.ravel(x)[:-1].reshape(grid.Nr, grid.Ns), 0.0)), dtype=float)
+    rows, A x = -lam E x; ARPACK finds the largest eigenvalues nu = 1/lam
+    of x -> A^{-1}(-E x) from one Fourier solve of A, on grid arrays (the
+    tie rows fix the inner constant)."""
+    system = FourierSystem(grid)
+    n = grid.Nr * grid.Ns
+    op = spla.LinearOperator((n, n), matvec=lambda x: system.solve(
+        -np.reshape(x, system.shape), 0.0)[0].ravel(), dtype=float)
     v0 = np.random.default_rng(7).normal(size=n)
     nu = spla.eigs(op, k=6, which="LM", v0=v0, return_eigenvectors=False)
     real = nu[np.abs(nu.imag) < 1e-8 * np.abs(nu)].real

@@ -6,14 +6,14 @@ periodic on [0, 2*pi).  All differential operators are second order:
 central stencils inside, one-sided at the radial boundaries.  The
 quadrature is a trapezoid rule in r (with a small moment correction that
 makes it exact for radial polynomials up to degree 5) times the periodic
-rectangle rule in theta.
+rectangle rule in theta.  A grid holds its nodes and weights only: the
+solvers of ``elliptic`` are built by the call that uses them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -56,13 +56,6 @@ class AnnulusGrid:
 
     def constant(self, c):
         return self.field(np.full((self.Nr, self.Ns), float(c)))
-
-    @cached_property
-    def laplacian_system(self):
-        """Fourier solver of the bordered Laplacian (the c = 0 member of
-        Delta + c), built on first use and freed with the grid."""
-        from .elliptic import FourierSystem       # elliptic imports grid
-        return FourierSystem(self)
 
 
 def make_annulus(Ri, Ro, Nr, Ns):

@@ -278,12 +278,11 @@ def right_inverse(state: SteadyState, h: Curve1D):
 # ---------------------------------------------------------------------------
 
 def _repair_monotone(samples, h_s, floor_slope):
-    out = samples.copy()
-    for i in range(out.size - 1):
-        lo = out[i] + floor_slope * h_s
-        if out[i + 1] < lo:
-            out[i + 1] = lo
-    return out
+    """Raise each sample to at least floor_slope*h_s above the one before
+    it: out[i+1] = max(samples[i+1], out[i] + floor_slope*h_s), taken as a
+    running maximum of the samples less the floor's ramp."""
+    ramp = floor_slope * h_s * np.arange(samples.size)
+    return np.maximum.accumulate(samples - ramp) + ramp
 
 
 def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,

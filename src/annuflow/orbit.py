@@ -53,9 +53,8 @@ class FieldSpline:
         theta_ext, cols = _theta_padding(g)
         self._spl = RectBivariateSpline(g.r, theta_ext, f.values[:, cols],
                                         kx=3, ky=3)
-        # the radii, not the grid: level_chart's integrand keeps this
-        # spline in solve_ivp's reference cycle, which must not hold the
-        # grid and its Fourier solver
+        # the radii, not the grid: level_chart's integrand keeps this spline
+        # in solve_ivp's reference cycle, which must not hold the grid
         self._radii = (g.Ri, g.Ro)
 
     def _wrap(self, r, theta):

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.integrate import solve_bvp
 from scipy.interpolate import RectBivariateSpline
 
-from annuflow.elliptic import _bordered_rhs, bordered_system
+from annuflow.elliptic import bordered_system
 
 
 def factored_linearization(state):
@@ -21,10 +21,24 @@ def factored_linearization(state):
     return bordered_system(g, g.field(-state.F.d1(state.psi.values)))
 
 
+def bordered_rhs(n_unknowns, values, circulation):
+    """Right-hand side of the bordered system: values (shape (Nr, Ns) or
+    (Nr, Ns, m)) on the interior rows, zero on the tie rows of both
+    circles, and the circulation in the last row."""
+    Nr, Ns = values.shape[:2]
+    stack = values.shape[2:]
+    rhs = np.zeros((n_unknowns,) + stack)
+    rhs[:-1] = values.reshape((-1,) + stack)
+    rhs[:Ns] = 0.0                             # inner tie rows
+    rhs[(Nr - 1) * Ns: Nr * Ns] = 0.0
+    rhs[-1] = circulation
+    return rhs
+
+
 def lu_solve(system, k):
     """phi with A phi = k under the zero-circulation conditions, by the LU
     of a bordered system; k of shape (Nr, Ns) or (Nr, Ns, m)."""
-    return system.lu.solve(_bordered_rhs(system.n_unknowns, k, 0.0))[:-1].reshape(k.shape)
+    return system.lu.solve(bordered_rhs(system.n_unknowns, k, 0.0))[:-1].reshape(k.shape)
 
 
 def radial_steady(F, gamma, Ri=1.0, Ro=2.0, n=4001):

@@ -190,6 +190,40 @@ def test_invert_decreasing_target_exit3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.fixture(scope="module")
+def ainv32(tmp_path_factory):
+    """mu and A^{-1}(mu) that `dist` writes for 0.5*s-1 at 32x64."""
+    out = tmp_path_factory.mktemp("dist32")
+    assert main(["solve", "--profile", "0.5*s-1", "--gamma", str(-4 * np.pi),
+                 "--grid", "32,64", "--out", str(out)]) == 0
+    assert main(["dist", "--state", str(out / "state.json"), "--out", str(out)]) == 0
+    return read_curve_csv(out / "Ainv.csv")
+
+
+@pytest.mark.parametrize("edit", ["rescaled", "thinned"])
+def test_invert_bad_target_abscissae(tmp_path, capsys, monkeypatch, ainv32, edit):
+    # a target is sampled uniformly on [0, |domain|] of the --grid annulus;
+    # other abscissae are refused before any solve
+    from annuflow import cli
+
+    mu, ainv = ainv32
+    if edit == "rescaled":
+        mu = mu * (2 * np.pi / mu[-1])
+    else:                                   # every other point of the first half
+        keep = np.r_[np.arange(0, mu.size // 2, 2), np.arange(mu.size // 2, mu.size)]
+        mu, ainv = mu[keep], ainv[keep]
+    write_curve_csv(tmp_path / "target.csv", mu, ainv)
+    solves, real = [], cli.solve_poisson
+    monkeypatch.setattr(cli, "solve_poisson", lambda *a: solves.append(a) or real(*a))
+    code, payload = run(capsys, "invert", "--profile", "0.5*s-1",
+                        "--gamma", str(-4 * np.pi), "--grid", "32,64",
+                        "--target", str(tmp_path / "target.csv"),
+                        "--out", str(tmp_path / "inv"))
+    assert code == 2
+    assert payload["error"] == "bad-target"
+    assert solves == []
+
+
 def test_invert_max_iter_exit3(tmp_path, capsys):
     # one step cannot reach the floor from a start off the target: the
     # outputs are written and the exit code says it did not converge

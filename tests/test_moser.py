@@ -372,15 +372,14 @@ def test_grids_and_states_are_freed():
 def test_dropped_state_is_freed_without_gc():
     # the workspace stored on a state holds no reference back to it, and
     # its chart's spline holds none to the grid, so reference counting
-    # alone frees the state, its workspace, the grid and the grid's Fourier
-    # solver
+    # alone frees the state, its workspace and the grid
     grid = make_annulus(1.0, 2.0, 16, 32)
     state = solve_steady(fbar(), GAMMA, grid=grid)
     gc.disable()
     try:
         assemble_id_plus_k(state)
         refs = [weakref.ref(state), weakref.ref(workspace(state)),
-                weakref.ref(grid), weakref.ref(grid.laplacian_system)]
+                weakref.ref(grid)]
         del state, grid
         assert [r for r in refs if r() is not None] == []
     finally:

@@ -1,5 +1,6 @@
 """Property tests of the 1D layers: the smoothing operator, the monotone
-inverse and the profile expression parser."""
+inverse, the monotone repair of a profile update and the profile
+expression parser."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from annuflow.curves import Curve1D, Monotone1D
 from annuflow.exprparse import ExpressionError, parse_expression
+from annuflow.moser import _repair_monotone
 from annuflow.tame import smooth
 
 props = settings(derandomize=True, deadline=None)
@@ -48,6 +50,25 @@ def test_monotone_inverse_round_trip(data, start, steps):
     y = data.draw(st.floats(lo, hi))
     # the stopping rule of Monotone1D.eval_inverse
     assert abs(m(m.inverse()(y)) - y) <= 1e-12 * max(1.0, abs(lo), abs(hi))
+
+
+def _repair_loop(samples, h_s, floor_slope):
+    """The repair as its recurrence, one sample at a time."""
+    out = samples.copy()
+    for i in range(out.size - 1):
+        out[i + 1] = max(out[i + 1], out[i] + floor_slope * h_s)
+    return out
+
+
+@props
+@given(samples=arrays(float, st.integers(2, 600), elements=st.floats(-1e3, 1e3)),
+       h_s=st.floats(1e-4, 1.0), floor_slope=st.floats(0.0, 10.0))
+def test_repair_monotone_matches_its_recurrence(samples, h_s, floor_slope):
+    ref = _repair_loop(samples, h_s, floor_slope)
+    out = _repair_monotone(samples, h_s, floor_slope)
+    scale = np.abs(samples).max() + floor_slope * h_s * samples.size
+    assert np.abs(out - ref).max() <= 1e-13 * scale
+    assert np.all(out >= samples - 1e-13 * scale)
 
 
 # grammar v1 of exprparse; numbers are reprs of non-negative finite floats
