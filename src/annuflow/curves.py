@@ -164,4 +164,6 @@ def write_curve_csv(path, x, v):
 
 def read_curve_csv(path):
     data = np.loadtxt(path, delimiter=",", ndmin=2)
+    if data.shape[1] < 2:
+        raise ValueError(f"{path}: a curve CSV has two columns, abscissa and value")
     return data[:, 0], data[:, 1]

@@ -26,11 +26,12 @@ circulation (the tie and circulation rows hold by construction).  The
 circulation counts with the weight of the largest stencil diagonal over
 the circulation row's 2-norm: that row's scale is arbitrary, and without
 the weight the rounding of a harmonic psi misses the check at 128x256
-when Ri = 0.2, Ro = 1.  Columns that miss continue, all at once, by GMRES
-right-preconditioned with the same system and started from the Fourier
-answer, which then takes no iteration on a radially symmetric state and
-2-6 on others.  GMRES stops within one restart cycle (20 iterations);
-every column it returns is checked again, since GMRES assumes that the
+when Ri = 0.2, Ro = 1.  Each column that misses continues by its own
+GMRES, right-preconditioned with the same system, started from the
+Fourier answer and stopped at that column's bound, which then takes no
+iteration on a radially symmetric state and 2-6 on others.  GMRES stops
+within one restart cycle (20 iterations); every column it returns is
+checked again, since GMRES assumes that the
 preconditioner solves exactly, which a cbar near an eigenvalue of -Delta
 breaks.  A solve that fails either test raises no-convergence.
 
@@ -220,10 +221,10 @@ def _residual_squares(c: Field2D, phi, k):
 def solve_ve(c: Field2D, k, circulation=0.0):
     """Solve (Delta + c)phi = k with the given circulation, k of shape
     (Nr, Ns) or (Nr, Ns, m), the m columns at once: the Fourier solve of
-    Delta + cbar(r), continued by GMRES for the columns whose residual
-    misses (see the module docstring).  Returns (phi, number of GMRES
-    iterations); raises no-convergence when GMRES or the check of its
-    true residuals fails."""
+    Delta + cbar(r), continued by GMRES for each column whose residual
+    misses (see the module docstring).  Returns (phi, the largest number
+    of GMRES iterations of a column); raises no-convergence when GMRES or
+    the check of its true residuals fails."""
     grid = c.grid
     cbar = c.values.mean(axis=1, keepdims=True)
     values = k.reshape(grid.Nr, grid.Ns, -1)
@@ -239,34 +240,30 @@ def solve_ve(c: Field2D, k, circulation=0.0):
     bound = (KRYLOV_RTOL * norms) ** 2
     squares = _residual_squares(c, phi, values)
     miss = np.flatnonzero(~(squares <= bound))          # a NaN residual misses too
+    n = grid.Nr * grid.Ns
+    variation = c.values - cbar
+    variation[[0, -1]] = 0.0                    # the tie rows hold for any y
+
+    def apply(y):               # (Delta + c) M^{-1} y, with M = Delta + cbar
+        y = y.reshape(grid.Nr, grid.Ns)
+        return (y + variation * system.solve(y, 0.0)[0]).ravel()
+
+    operator = spla.LinearOperator((n, n), matvec=apply, dtype=float)
     iterations = 0
-    if miss.size:
-        shape = (grid.Nr, grid.Ns, miss.size)
-        n = np.prod(shape)
-        variation = (c.values - cbar)[..., None]
-        variation[[0, -1]] = 0.0                # the tie rows hold for any y
-
-        def apply(y):           # (Delta + c) M^{-1} y, with M = Delta + cbar
-            y = y.reshape(shape)
-            return (y + variation * system.solve(y, 0.0)[0]).ravel()
-
+    for j in miss:
         # GMRES for the correction, from the residual of the Fourier answer
-        # in columns scaled to unit right-hand sides; it stops when the
-        # stack's residual is KRYLOV_RTOL/2, so each column's is at most that
         residuals = []
-        y, info = spla.gmres(spla.LinearOperator((n, n), matvec=apply, dtype=float),
-                             (-variation * phi[..., miss] / norms[miss]).ravel(),
-                             rtol=0.0, atol=KRYLOV_RTOL / 2, maxiter=1,
+        y, info = spla.gmres(operator, (-variation * phi[..., j]).ravel(), rtol=0.0,
+                             atol=KRYLOV_RTOL * norms[j], maxiter=1,
                              callback=residuals.append, callback_type="pr_norm")
-        iterations = len(residuals)
-        phi[..., miss] += system.solve(y.reshape(shape), 0.0)[0] * norms[miss]
-        left = _residual_squares(c, phi[..., miss], values[..., miss])
-        if info != 0 or not np.all(left <= bound[miss]):
-            worst = np.max(np.sqrt(left) / norms[miss])
+        iterations = max(iterations, len(residuals))
+        phi[..., j] += system.solve(y.reshape(grid.Nr, grid.Ns), 0.0)[0]
+        left = _residual_squares(c, phi[..., j, None], values[..., j, None])[0]
+        if info != 0 or not left <= bound[j]:
             raise NoConvergenceError(
-                f"GMRES left a relative residual of {worst:.2e} (stop "
-                f"{KRYLOV_RTOL:g}) after {iterations} iterations",
-                iterations=iterations)
+                f"GMRES left a relative residual of {np.sqrt(left) / norms[j]:.2e} "
+                f"(stop {KRYLOV_RTOL:g}) after {len(residuals)} iterations",
+                iterations=len(residuals))
     return phi.reshape(k.shape), iterations
 
 

@@ -294,6 +294,10 @@ def field_to_json(f: Field2D) -> str:
 
 
 def field_from_json(text: str) -> Field2D:
-    d = json.loads(text)
-    g = make_annulus(d["Ri"], d["Ro"], d["Nr"], d["Ns"])
-    return g.field(np.array(d["values"], dtype=float).reshape(g.Nr, g.Ns))
+    """The field of ``field_to_json``'s text; ValueError on a malformed one."""
+    try:
+        d = json.loads(text)
+        g = make_annulus(d["Ri"], d["Ro"], d["Nr"], d["Ns"])
+        return g.field(np.array(d["values"], dtype=float).reshape(g.Nr, g.Ns))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed field file: {exc!r}") from exc

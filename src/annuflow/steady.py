@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -76,16 +77,25 @@ class NewtonStep(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SteadyState:
-    """Converged steady bundle; omega = F(psi) node-wise by construction.
-    The Newton history is empty for a state read back from JSON."""
+    """Converged steady bundle: psi, its profile F and its circulation;
+    the vorticity F(psi) and the inner value are derived from psi.  The
+    Newton history is empty for a state read back from JSON."""
 
     F: Profile1D
     psi: Field2D
-    omega: Field2D
     gamma: float
-    inner_value: float
     newton_residual: float
     newton_history: tuple[NewtonStep, ...] = ()
+
+    @cached_property
+    def omega(self) -> Field2D:
+        """The vorticity F(psi), node-wise."""
+        return self.psi.grid.field(self.F(self.psi.values))
+
+    @property
+    def inner_value(self) -> float:
+        """psi on the inner circle, the mean of its row."""
+        return float(self.psi.values[0].mean())
 
     def solve_linearization(self, k):
         """phi with Delta(phi) - F'(psi)phi = k, k of shape (Nr, Ns) or
@@ -164,11 +174,7 @@ def solve_steady(F: Profile1D, gamma: float, psi0: Field2D | None = None,
     # clamp the outer trace exactly (solver keeps it at rounding level)
     vals = psi.values.copy()
     vals[-1, :] = 0.0
-    psi = grid.field(vals)
-    omega = grid.field(F(psi.values))
-    inner_value = float(psi.values[0, :].mean())
-    return SteadyState(F, psi, omega, float(gamma), inner_value, residual,
-                       tuple(history))
+    return SteadyState(F, grid.field(vals), float(gamma), residual, tuple(history))
 
 
 def ds(state: SteadyState, f) -> Field2D:
@@ -234,25 +240,27 @@ def state_to_json(state: SteadyState) -> str:
     return json.dumps({
         "Ri": g.Ri, "Ro": g.Ro, "Nr": g.Nr, "Ns": g.Ns,
         "gamma": state.gamma,
-        "inner_value": state.inner_value,
         "newton_residual": state.newton_residual,
         "profile_cbar": state.F.cbar,
         "profile_samples": state.F.values.tolist(),
         "profile_monotone": state.F.strictly_monotone,
         "psi": state.psi.values.ravel().tolist(),
-        "omega": state.omega.values.ravel().tolist(),
     })
 
 
 def state_from_json(text: str) -> SteadyState:
-    d = json.loads(text)
-    g = make_annulus(d["Ri"], d["Ro"], d["Nr"], d["Ns"])
-    F = Profile1D(d["profile_cbar"], np.array(d["profile_samples"]),
-                  strictly_monotone=d.get("profile_monotone", False))
-    psi = g.field(np.array(d["psi"]).reshape(g.Nr, g.Ns))
-    omega = g.field(np.array(d["omega"]).reshape(g.Nr, g.Ns))
-    return SteadyState(F, psi, omega, d["gamma"], d["inner_value"],
-                       d["newton_residual"])
+    """The state of ``state_to_json``'s text.  Older files also hold
+    "omega" and "inner_value", both derived from psi: they are ignored.
+    Raises ValueError on a malformed file."""
+    try:
+        d = json.loads(text)
+        g = make_annulus(d["Ri"], d["Ro"], d["Nr"], d["Ns"])
+        F = Profile1D(d["profile_cbar"], np.array(d["profile_samples"], dtype=float),
+                      strictly_monotone=d.get("profile_monotone", False))
+        psi = g.field(np.array(d["psi"], dtype=float).reshape(g.Nr, g.Ns))
+        return SteadyState(F, psi, float(d["gamma"]), float(d["newton_residual"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed state file: {exc!r}") from exc
 
 
 def default_cbar(psi0: Field2D):

@@ -360,9 +360,8 @@ def test_criterion_12_nondegeneracy(ref64):
     g32 = make_annulus(1.0, 2.0, 32, 64)
     lam1 = principal_eigenvalue(g32)
     F_deg = Profile1D.from_callable(lambda s: -lam1 * s, -2.0)
-    psi, inner = solve_poisson(g32.constant(0.0), GAMMA2)
-    degenerate = SteadyState(F_deg, psi, g32.field(F_deg(psi.values)),
-                             GAMMA2, inner, 0.0)
+    psi, _ = solve_poisson(g32.constant(0.0), GAMMA2)
+    degenerate = SteadyState(F_deg, psi, GAMMA2, 0.0)
     rep_deg = check_nd1(degenerate)
     ok = rep1.nondegenerate and rep2.nondegenerate and not rep_deg.nondegenerate
     _report(12, "non-degeneracy checks", ok,

@@ -113,6 +113,40 @@ def test_solve_missing_profile_file(tmp_path, capsys):
     assert payload["error"] == "profile-not-found"
 
 
+def _malformed_inputs(tmp_path, capsys):
+    """argv per case of a command whose input file is well-formed JSON or
+    CSV but not a state, field or curve."""
+    run(capsys, "solve", "--profile", "0.5*s-1", "--gamma", "-6.28",
+        "--grid", "16,32", "--out", str(tmp_path))
+    good = json.loads((tmp_path / "state.json").read_text())
+    files = {"no-psi": {k: v for k, v in good.items() if k != "psi"},
+             "nr-text": dict(good, Nr="x"), "list": [good], "good": good}
+    for name, content in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+    (tmp_path / "one-column.csv").write_text("0.0\n1.0\n2.0\n3.0\n")
+    state, out = (lambda name: str(tmp_path / f"{name}.json")), str(tmp_path / "out")
+    column = str(tmp_path / "one-column.csv")
+    return {
+        "state-without-psi": ["dist", "--state", state("no-psi"), "--out", out],
+        "state-nr-text": ["dist", "--state", state("nr-text"), "--out", out],
+        "state-list": ["dist", "--state", state("list"), "--out", out],
+        "nu-list": ["tangent", "--state", state("good"), "--nu", state("list"),
+                    "--out", out],
+        "target-one-column": ["invert", "--profile", "0.5*s-1", "--gamma", "-6.28",
+                              "--grid", "16,32", "--target", column, "--out", out],
+        "profile-one-column": ["solve", "--profile", column, "--gamma", "-6.28",
+                               "--grid", "16,32", "--out", out],
+    }
+
+
+@pytest.mark.parametrize("case", ["state-without-psi", "state-nr-text", "state-list",
+                                  "nu-list", "target-one-column", "profile-one-column"])
+def test_malformed_input_file_is_invalid_input(tmp_path, capsys, case):
+    code, payload = run(capsys, *_malformed_inputs(tmp_path, capsys)[case])
+    assert code == 2
+    assert payload["error"] == "invalid-input"
+
+
 def test_solve_bad_expression(tmp_path, capsys):
     code, payload = run(capsys, "solve", "--profile", "0.5*s)",
                         "--gamma", "-6.28", "--out", str(tmp_path))

@@ -68,12 +68,22 @@ def test_aprime_stable_under_rounding(which, grid64, bump_profile, omega_wavy):
     assert np.abs(scaled / base - 1).max() < 1e-10
 
 
-def test_chart_json(chart_r2):
-    import json
-    from annuflow.orbit import chart_to_json
-    d = json.loads(chart_to_json(chart_r2))
-    assert d["omega_min"] == 1.0 and d["omega_max"] == 4.0
-    assert np.asarray(d["r"]).shape == chart_r2.r.shape
+def test_chart_residual_is_relative_to_the_range(omega_wavy):
+    # the level miss scales with the field; at 1e5 times the wavy field it
+    # is about 3.5e-10, 3.5e-15 of the range
+    chart = level_chart(omega_wavy * 1e5)
+    assert chart.residual() < 1e-13 * (chart.omega_max - chart.omega_min)
+
+
+def test_chart_ignores_boundary_spread_below_the_fplus_bound(grid64, omega_wavy):
+    # the boundary rows lie on the circles; a spread of 1e-9 of the range,
+    # well within _boundary_levels' 1e-6, does not fail the level check
+    vals = omega_wavy.values.copy()
+    wiggle = 1e-9 * np.ptp(vals) * np.cos(3 * grid64.theta)
+    vals[0] += wiggle
+    vals[-1] -= wiggle
+    chart = level_chart(grid64.field(vals))
+    assert chart.residual() < 1e-13
 
 
 def test_chart_rejects_constant(grid64):

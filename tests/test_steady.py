@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -286,8 +288,7 @@ def test_non_radial_state_solves_without_factor(monkeypatch, grid32):
     raw = g.field_from(lambda r, t: r**2 + 0.05 * np.sin(np.pi * (r - 1)) * np.sin(t))
     psi = g.field(2.0 * (raw.values - 4.0) / 3.0)          # inside [-3, 0]
     F = profile(lambda s: np.exp(s) + 0.8 * s)
-    state = SteadyState(F, psi, g.field(F(psi.values)), GAMMA,
-                        float(psi.values[0].mean()), 0.0)
+    state = SteadyState(F, psi, GAMMA, 0.0)
     f = profile(lambda s: np.sin(s))
     phi = ds(state, f)
     assert calls == []
@@ -349,6 +350,25 @@ def test_state_json_roundtrip(state_affine):
     assert np.allclose(st2.psi.values, state_affine.psi.values, rtol=0, atol=0)
     assert np.allclose(st2.F.values, state_affine.F.values, rtol=0, atol=0)
     assert st2.gamma == state_affine.gamma
+    assert np.array_equal(st2.omega.values, state_affine.omega.values)
+    assert st2.inner_value == state_affine.inner_value
+
+
+def test_state_json_stores_psi_once(state_affine):
+    # the vorticity and the inner value are derived from psi, not stored
+    d = json.loads(state_to_json(state_affine))
+    assert "omega" not in d and "inner_value" not in d
+
+
+def test_state_json_ignores_stored_omega(state_affine):
+    # older files also hold "omega" and "inner_value"; a disagreeing copy
+    # does not override F(psi)
+    d = json.loads(state_to_json(state_affine))
+    d["omega"] = [0.0] * state_affine.psi.values.size
+    d["inner_value"] = 1.0
+    st2 = state_from_json(json.dumps(d))
+    assert np.array_equal(st2.omega.values, st2.F(st2.psi.values))
+    assert st2.inner_value == float(st2.psi.values[0].mean())
 
 
 def test_default_cbar(grid64):
