@@ -35,15 +35,16 @@ checked again, since GMRES assumes that the
 preconditioner solves exactly, which a cbar near an eigenvalue of -Delta
 breaks.  A solve that fails either test raises no-convergence.
 
-``check_nd1`` builds the one sparse LU left (``bordered_system``), for
-the transposed solves of its singular-value estimate; only its matrix
-orders the unknowns as one vector of length Nr*Ns + 1.  ``_factor``
-orders A^T + A by minimum degree and pivots statically on the diagonal,
-which the structurally symmetric stencil makes usable (of order 1/h^2
-inside, 1 on the tie rows); together they halve the fill of the
-default.  SuperLU still pivots off the diagonal where it is exactly zero
-(the circulation row), and an exactly singular matrix raises
-RuntimeError.  Nothing is cached at module level.
+When c does not vary in theta, an orthonormal real DFT in theta splits
+the bordered matrix into blocks whose singular values together are its
+own: the Nr x Nr tridiagonal block of each mode k >= 1 (the cos and sin
+parts share it), and for mode 0 that block bordered by the inner
+constant's column (-sqrt(Ns) in the inner tie row) and the circulation
+row (sqrt(Ns) times one theta column of its weights).  ``check_nd1``
+takes the smallest singular value from dense SVDs of those blocks, so a
+singular block gives sigma at rounding level, not an error, and the
+exact one-norm from the stencil; it refuses a c that varies in theta.
+Nothing is assembled, factorized or cached at module level.
 """
 
 from __future__ import annotations
@@ -51,14 +52,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
 from .errors import NoConvergenceError, SingularSystemError
 from .grid import AnnulusGrid, Field2D, circulation_row
 
-ND_THRESHOLD = 1e-6     # check_nd1/check_nd2: least sigma_min / operator norm
+ND_THRESHOLD = 1e-6     # least sigma_min / norm: the 1-norm in nd1, sigma_max in nd2
 KRYLOV_RTOL = 1e-10     # solve_ve: relative interior residual of each column
 
 
@@ -68,32 +68,19 @@ def _stencil(grid: AnnulusGrid):
     return 1.0 / grid.hr**2, 1.0 / (2 * grid.hr * r), 1.0 / (grid.htheta**2 * r**2)
 
 
-def _interior_laplacian(grid: AnnulusGrid, c):
-    """(rows, cols, vals) triples of the 5-point polar Laplacian plus c on
-    the interior rows (c: scalar or interior values, shape (Nr-2, Ns));
-    the angular neighbours wrap around theta."""
-    Nr, Ns = grid.Nr, grid.Ns
-    j = np.arange(1, Nr - 1)[:, None]
-    k = np.arange(Ns)
-    row = j * Ns + k
+def _mode_bands(grid: AnnulusGrid, shift):
+    """Tridiagonal blocks in r of Delta + shift(r), one for each theta mode
+    0..Ns/2, in ``solve_banded``'s (1, 1) layout, of shape (3, Ns/2 + 1, Nr);
+    the tie rows of both circles are identity rows."""
     c_rr, c_r, c_tt = _stencil(grid)
-    return [(row, row + Ns, c_rr + c_r), (row, row - Ns, c_rr - c_r),
-            (row, j * Ns + (k + 1) % Ns, c_tt), (row, j * Ns + (k - 1) % Ns, c_tt),
-            (row, row, -2 * c_rr - 2 * c_tt + c)]
-
-
-def _csc(entries, n):
-    """n x n CSC matrix from (rows, cols, vals) triples of broadcastable
-    shapes."""
-    rows, cols, vals = (np.concatenate([a.ravel() for a in part]) for part in
-                        zip(*(np.broadcast_arrays(*e) for e in entries)))
-    return sp.csc_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
-
-
-def _factor(A):
-    """Sparse LU of a bordered matrix with the ordering and pivoting
-    policy described in the module docstring."""
-    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+    modes = np.arange(grid.Ns // 2 + 1)[:, None]
+    bands = np.zeros((3, modes.size, grid.Nr))
+    bands[1] = 1.0
+    bands[0, :, 2:] = c_rr + c_r.T
+    bands[1, :, 1:-1] = (-2 * c_rr + shift
+                         - 4 * c_tt.T * np.sin(modes * grid.htheta / 2) ** 2)
+    bands[2, :, :-2] = c_rr - c_r.T
+    return bands
 
 
 def solve_poisson(omega: Field2D, gamma: float):
@@ -105,20 +92,6 @@ def solve_poisson(omega: Field2D, gamma: float):
     return grid.field(psi), float(psi[0].mean())
 
 
-@dataclass(frozen=True, eq=False)
-class BorderedSystem:
-    """Discrete Delta + c with the zero outer trace and the circulation
-    row, bordered by the unknown inner-boundary constant, and its sparse
-    LU.  It holds no reference to its grid."""
-
-    matrix: object            # csc
-    lu: object
-
-    @property
-    def n_unknowns(self):
-        return self.matrix.shape[0]
-
-
 class FourierSystem:
     """Direct solver of the bordered system of Delta + shift(r), shift a
     scalar or its values on the interior radii.  It holds no reference to
@@ -127,16 +100,8 @@ class FourierSystem:
 
     def __init__(self, grid: AnnulusGrid, shift=0.0):
         Nr, Ns = grid.Nr, grid.Ns
-        c_rr, c_r, c_tt = _stencil(grid)
-        modes = np.arange(Ns // 2 + 1)[:, None]
         # banded form of the unknowns m*Nr + j; identity tie rows decouple the modes
-        bands = np.zeros((3, modes.size, Nr))
-        bands[1] = 1.0
-        bands[0, :, 2:] = c_rr + c_r.T
-        bands[1, :, 1:-1] = (-2 * c_rr + shift
-                             - 4 * c_tt.T * np.sin(modes * grid.htheta / 2) ** 2)
-        bands[2, :, :-2] = c_rr - c_r.T
-        self.bands = bands.reshape(3, -1)
+        self.bands = _mode_bands(grid, shift).reshape(3, -1)
         self.shape = (Nr, Ns)
         # mode 0 of a unit inner constant: its tie rows sum to Ns in row 0
         self.unit_inner = solve_banded((1, 1), self.bands[:, :Nr],
@@ -164,27 +129,6 @@ class FourierSystem:
         phi = np.empty(values.shape)
         np.fft.irfft(modes, n=Ns, axis=1, out=phi)
         return phi, inner
-
-
-def _bordered_matrix(grid: AnnulusGrid, c: Field2D):
-    """Rows: Laplacian + c inside, identity on the outer circle, inner
-    trace minus the scalar unknown (last column), circulation last."""
-    Nr, Ns = grid.Nr, grid.Ns
-    n = Nr * Ns
-    outer = np.arange(n - Ns, n)
-    inner = np.arange(Ns)
-    crow = circulation_row(grid).ravel()
-    ccols = np.flatnonzero(crow)
-    return _csc(_interior_laplacian(grid, c.values[1:-1])
-                + [(outer, outer, 1.0),
-                   (inner, inner, 1.0),
-                   (inner, n, -1.0),
-                   (n, ccols, crow[ccols])], n + 1)
-
-
-def bordered_system(grid: AnnulusGrid, c: Field2D) -> BorderedSystem:
-    A = _bordered_matrix(grid, c)
-    return BorderedSystem(A, _factor(A))
 
 
 def _residual_squares(c: Field2D, phi, k):
@@ -267,28 +211,35 @@ def solve_ve(c: Field2D, k, circulation=0.0):
     return phi.reshape(k.shape), iterations
 
 
-def sigma_min_estimate(system: BorderedSystem):
-    """Smallest singular value by inverse power iteration on A^T A: at
-    most 20 steps, stopping at a relative change below 1e-8."""
-    lu = system.lu
-    n = system.n_unknowns
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=n)
-    x /= np.linalg.norm(x)
-    prev = np.inf
-    sigma = np.inf
-    for _ in range(20):
-        y = lu.solve(x)                 # A^{-1} x
-        z = lu.solve(y, trans="T")      # A^{-T} A^{-1} x
-        nz = np.linalg.norm(z)
-        if nz == 0 or not np.isfinite(nz):
-            return 0.0
-        sigma = 1.0 / np.sqrt(nz)
-        x = z / nz
-        if abs(sigma - prev) < 1e-8 * max(sigma, 1e-300):
-            break
-        prev = sigma
-    return float(sigma)
+def _singular_values(grid: AnnulusGrid, shift):
+    """Singular values, with multiplicity, of the bordered matrix of
+    Delta + shift(r), from its theta-mode blocks (module docstring)."""
+    Nr, Ns = grid.Nr, grid.Ns
+    bands = _mode_bands(grid, shift)
+    j = np.arange(Nr)
+    blocks = np.zeros((bands.shape[1], Nr, Nr))
+    blocks[:, j, j] = bands[1]
+    blocks[:, j[:-1], j[1:]] = bands[0, :, 1:]
+    blocks[:, j[1:], j[:-1]] = bands[2, :, :-1]
+    mode0 = np.block([[blocks[0], -np.sqrt(Ns) * np.eye(Nr, 1)],
+                      [np.sqrt(Ns) * circulation_row(grid)[:, :1].T, 0.0]])
+    parts = np.linalg.svd(blocks[1:], compute_uv=False)
+    # the cos and sin parts of a mode share its block; Ns is even, and the
+    # last mode, Ns/2, has no sin part
+    return np.concatenate([np.linalg.svd(mode0, compute_uv=False),
+                           parts.ravel(), parts[:-1].ravel()])
+
+
+def _one_norm(grid: AnnulusGrid, shift):
+    """1-norm of the bordered matrix of Delta + shift(r): its largest
+    absolute column sum, read from the stencil."""
+    c_rr, c_r, c_tt = _stencil(grid)
+    sums = np.abs(circulation_row(grid))
+    sums[[0, -1]] += 1.0                    # the tie rows
+    sums[1:-1] += np.abs(-2 * c_rr - 2 * c_tt + shift[:, None]) + 2 * c_tt
+    sums[:-2] += np.abs(c_rr - c_r)         # from the interior row above
+    sums[2:] += np.abs(c_rr + c_r)          # from the interior row below
+    return float(max(sums.max(), grid.Ns))  # the inner constant's column
 
 
 @dataclass(frozen=True)
@@ -302,11 +253,15 @@ class NdReport:
 def check_nd1(state) -> NdReport:
     """Invertibility margin of Delta - F'(psi) with the zero-circulation
     conditions at a steady state: smallest singular value of the bordered
-    matrix, relative to its one-norm estimate."""
+    matrix, relative to its one-norm.  The state must be radially
+    symmetric: raises ValueError when F'(psi) varies in theta on the
+    interior rows."""
     g = state.psi.grid
-    system = bordered_system(g, g.field(-state.F.d1(state.psi.values)))
-    sigma = sigma_min_estimate(system)
-    opnorm = float(spla.onenormest(system.matrix))
+    c = -state.F.d1(state.psi.values[1:-1])
+    if not np.all(c == c[:, :1]):
+        raise ValueError("F'(psi) varies in theta: not a radially symmetric state")
+    sigma = float(_singular_values(g, c[:, 0]).min())
+    opnorm = _one_norm(g, c[:, 0])
     return NdReport(sigma, opnorm, ND_THRESHOLD, sigma > ND_THRESHOLD * opnorm)
 
 

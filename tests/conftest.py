@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -34,3 +35,18 @@ def bump_profile():
         return 0.5 * s - 1.0 + 0.02 * (1 - u**2) ** 3
 
     return Profile1D.from_callable(bumped, -3.0, strictly_monotone=True)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Shapes of the matrices that scipy's sparse LU factorizes during the
+    test, from any caller."""
+    calls = []
+    splu = spla.splu
+
+    def counted(A, *args, **kwargs):
+        calls.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    return calls

@@ -1,22 +1,96 @@
 """Independent oracles used by the test suite.
 
 Each oracle deliberately avoids the code path it checks: the sparse LU
-of a bordered matrix checks the factor-free solves, the radial steady
-oracle is a 1D two-point BVP solve, the sublevel-area oracle is a
-per-cell linear-cut area count on a refined cell-centered grid, and the
-brute-force Hoelder norm enumerates all node pairs directly.
+of an assembled bordered matrix checks the factor-free solves and the
+mode-block singular values, the radial steady oracle is a 1D two-point
+BVP solve, the sublevel-area oracle is a per-cell linear-cut area count
+on a refined cell-centered grid, and the brute-force Hoelder norm
+enumerates all node pairs directly.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.integrate import solve_bvp
 from scipy.interpolate import RectBivariateSpline
 
-from annuflow.elliptic import bordered_system
+from annuflow.elliptic import _stencil
+from annuflow.grid import AnnulusGrid, Field2D, circulation_row
+
+
+def _interior_laplacian(grid: AnnulusGrid, c):
+    """(rows, cols, vals) triples of the 5-point polar Laplacian plus c on
+    the interior rows (c: scalar or interior values, shape (Nr-2, Ns));
+    the angular neighbours wrap around theta."""
+    Nr, Ns = grid.Nr, grid.Ns
+    j = np.arange(1, Nr - 1)[:, None]
+    k = np.arange(Ns)
+    row = j * Ns + k
+    c_rr, c_r, c_tt = _stencil(grid)
+    return [(row, row + Ns, c_rr + c_r), (row, row - Ns, c_rr - c_r),
+            (row, j * Ns + (k + 1) % Ns, c_tt), (row, j * Ns + (k - 1) % Ns, c_tt),
+            (row, row, -2 * c_rr - 2 * c_tt + c)]
+
+
+def _csc(entries, n):
+    """n x n CSC matrix from (rows, cols, vals) triples of broadcastable
+    shapes."""
+    rows, cols, vals = (np.concatenate([a.ravel() for a in part]) for part in
+                        zip(*(np.broadcast_arrays(*e) for e in entries)))
+    return sp.csc_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
+
+
+def factor(A):
+    """Sparse LU of a bordered matrix: a minimum-degree ordering of
+    A^T + A and static diagonal pivots, which the structurally symmetric
+    stencil makes usable (of order 1/h^2 inside, 1 on the tie rows);
+    together they halve the fill of the default.  SuperLU still pivots
+    off the diagonal where it is exactly zero (the circulation row), and
+    an exactly singular matrix raises RuntimeError."""
+    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+
+
+@dataclass(frozen=True, eq=False)
+class BorderedSystem:
+    """Discrete Delta + c with the zero outer trace and the circulation
+    row, bordered by the unknown inner-boundary constant, and its sparse
+    LU.  It holds no reference to its grid."""
+
+    matrix: object            # csc
+    lu: object
+
+    @property
+    def n_unknowns(self):
+        return self.matrix.shape[0]
+
+
+def bordered_matrix(grid: AnnulusGrid, c: Field2D):
+    """Rows: Laplacian + c inside, identity on the outer circle, inner
+    trace minus the scalar unknown (last column), circulation last; the
+    unknowns are the grid values in row-major order, then the inner
+    constant."""
+    Nr, Ns = grid.Nr, grid.Ns
+    n = Nr * Ns
+    outer = np.arange(n - Ns, n)
+    inner = np.arange(Ns)
+    crow = circulation_row(grid).ravel()
+    ccols = np.flatnonzero(crow)
+    return _csc(_interior_laplacian(grid, c.values[1:-1])
+                + [(outer, outer, 1.0),
+                   (inner, inner, 1.0),
+                   (inner, n, -1.0),
+                   (n, ccols, crow[ccols])], n + 1)
+
+
+def bordered_system(grid: AnnulusGrid, c: Field2D) -> BorderedSystem:
+    A = bordered_matrix(grid, c)
+    return BorderedSystem(A, factor(A))
 
 
 def factored_linearization(state):
-    """Sparse LU of a state's bordered Delta - F'(psi), built as check_nd1
-    builds it."""
+    """Sparse LU of a state's bordered Delta - F'(psi)."""
     g = state.psi.grid
     return bordered_system(g, g.field(-state.F.d1(state.psi.values)))
 

@@ -307,22 +307,13 @@ def test_check_suites_pass(tmp_path, capsys, suite):
     assert table.splitlines()[0] == "check,value,threshold,pass"
 
 
-def test_check_nd_factorizes_once(tmp_path, capsys, monkeypatch):
-    # check_nd1 needs the reference state's factor for transposed solves;
-    # check_nd2 assembles Id + K of the radial state by Fourier solves
-    from annuflow import elliptic
-    calls = []
-    factor = elliptic._factor
-
-    def counted(A):
-        calls.append(A.shape)
-        return factor(A)
-
-    monkeypatch.setattr(elliptic, "_factor", counted)
+def test_check_nd_factorizes_nothing(tmp_path, capsys, splu_calls):
+    # check_nd1 takes the singular values of the radial reference state's
+    # theta-mode blocks; check_nd2 assembles its Id + K by Fourier solves
     code, payload = run(capsys, "check", "--suite", "nd", "--grid", "32,64",
                         "--out", str(tmp_path))
     assert code == 0 and payload["ok"]
-    assert len(calls) == 1
+    assert splu_calls == []
 
 
 def test_check_deterministic(tmp_path, capsys):

@@ -10,16 +10,16 @@ import numpy as np
 import pytest
 
 import annuflow
-from annuflow.elliptic import (FourierSystem, NdReport, _bordered_matrix,
-                                _factor, _residual_squares, bordered_system,
-                                check_nd1, principal_eigenvalue, solve_poisson,
-                                solve_ve)
+from annuflow.elliptic import (FourierSystem, NdReport, _one_norm,
+                                _residual_squares, _singular_values, check_nd1,
+                                principal_eigenvalue, solve_poisson, solve_ve)
 from annuflow.errors import NoConvergenceError
 from annuflow.grid import (circulation, circulation_row, gradient, integrate,
                            laplacian, make_annulus)
 from annuflow.steady import Profile1D, SteadyState, solve_steady
 
-from oracles import bordered_rhs, factored_linearization
+from oracles import (bordered_matrix, bordered_rhs, bordered_system, factor,
+                     factored_linearization)
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +201,7 @@ def test_residual_squares_match_matrix(m):
     rng = np.random.default_rng(4)
     phi, k = rng.normal(size=(2, 24, 40, m))
     x = np.concatenate([phi.reshape(-1, m), np.zeros((1, m))])
-    res = (_bordered_matrix(grid, c) @ x)[:-1].reshape(phi.shape) - k
+    res = (bordered_matrix(grid, c) @ x)[:-1].reshape(phi.shape) - k
     ref = np.einsum("ijk,ijk->k", res[1:-1], res[1:-1])
     assert np.abs(_residual_squares(c, phi, k) - ref).max() <= 1e-12 * ref.max()
 
@@ -269,7 +269,7 @@ def test_principal_eigenvalue_against_dense():
     import scipy.linalg as la
 
     g = make_annulus(1.0, 2.0, 16, 16)
-    A = _bordered_matrix(g, g.constant(0.0)).toarray()
+    A = bordered_matrix(g, g.constant(0.0)).toarray()
     interior = np.arange(g.Ns, (g.Nr - 1) * g.Ns)
     E = np.zeros_like(A)
     E[interior, interior] = 1.0
@@ -280,23 +280,14 @@ def test_principal_eigenvalue_against_dense():
     assert principal_eigenvalue(g) == pytest.approx(dense, rel=1e-10)
 
 
-def test_poisson_and_eigenvalue_factorize_nothing(monkeypatch):
+def test_poisson_and_eigenvalue_factorize_nothing(splu_calls):
     # the Poisson problem and the principal eigenvalue both solve the c = 0
     # bordered system through a Fourier solver, which holds no factor
-    from annuflow import elliptic
-
-    calls = []
-
-    def counted(A):
-        calls.append(A.shape)
-        return _factor(A)
-
-    monkeypatch.setattr(elliptic, "_factor", counted)
     g = make_annulus(1.0, 2.0, 16, 32)
     solve_poisson(g.constant(1.0), -4 * np.pi)
     solve_poisson(g.constant(2.0), 1.0)
     principal_eigenvalue(g)
-    assert len(calls) == 0
+    assert splu_calls == []
 
 
 def test_dropped_grid_is_freed_without_gc():
@@ -355,7 +346,42 @@ def test_sigma_min_against_dense(grid32):
     F = Profile1D.from_callable(lambda s: 0.5 * s - 1.0, -2.0)
     state = _steady_bundle(grid32, F)
     sv = np.linalg.svd(factored_linearization(state).matrix.toarray(), compute_uv=False)
-    assert check_nd1(state).sigma_min == pytest.approx(sv[-1], rel=1e-3)
+    assert check_nd1(state).sigma_min == pytest.approx(sv[-1], rel=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (32, 64)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("eigen_fraction", [0.0, 0.5, 1.0])
+def test_mode_block_singular_values_match_dense(shape, eigen_fraction):
+    # every singular value of the assembled bordered matrix of Delta + c,
+    # with multiplicity, from the theta-mode blocks; c = lam1 is singular
+    g = make_annulus(1.0, 2.0, *shape)
+    c = eigen_fraction * principal_eigenvalue(g)
+    dense = np.linalg.svd(bordered_matrix(g, g.constant(c)).toarray(), compute_uv=False)
+    blocks = np.sort(_singular_values(g, np.full(g.Nr - 2, c)))[::-1]
+    assert np.abs(blocks - dense).max() <= 1e-10 * dense[0]
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (32, 64), (64, 128)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_one_norm_matches_matrix(shape):
+    # the largest absolute column sum, from the stencil and from the matrix,
+    # for a shift that varies in r and changes the sign of the diagonal
+    g = make_annulus(1.0, 2.0, *shape)
+    shift = 3.0 * np.sin(4 * g.r[1:-1]) / g.hr**2
+    c = g.field(np.broadcast_to(np.r_[0.0, shift, 0.0][:, None], shape).copy())
+    exact = abs(bordered_matrix(g, c)).sum(axis=0).max()
+    assert _one_norm(g, shift) == pytest.approx(exact, rel=1e-14)
+
+
+def test_nd1_refuses_theta_varying_state(grid32):
+    # the mode blocks hold only when F'(psi) is constant along theta; a
+    # wavy state is refused rather than answered from its theta-mean
+    g = grid32
+    raw = g.field_from(lambda r, t: r**2 + 0.05 * np.sin(np.pi * (r - 1)) * np.sin(t))
+    psi = g.field(2.0 * (raw.values - 4.0) / 3.0)          # inside [-3, 0]
+    F = Profile1D.from_callable(lambda s: np.exp(s) + 0.8 * s, -3.0)
+    with pytest.raises(ValueError, match="radially symmetric"):
+        check_nd1(SteadyState(F, psi, -2 * np.pi, 0.0))
 
 
 def test_factor_fill_bump_linearization(bump64):
@@ -379,8 +405,8 @@ def test_factor_multi_rhs_residual(grid64, bump64, which):
 
 
 def test_factor_exactly_singular_raises(grid32):
-    # bordered_system relies on splu raising for a singular matrix
-    A = _bordered_matrix(grid32, grid32.constant(-1.0)).tolil()
+    # the LU oracle relies on splu raising for a singular matrix
+    A = bordered_matrix(grid32, grid32.constant(-1.0)).tolil()
     A[-1, :] = 0.0                         # no circulation row
     with pytest.raises(RuntimeError):
-        _factor(A.tocsc())
+        factor(A.tocsc())

@@ -4,9 +4,9 @@ import weakref
 import numpy as np
 import pytest
 
-from annuflow import elliptic, moser
+from annuflow import moser
 from annuflow.curves import Curve1D, Monotone1D
-from annuflow.elliptic import _factor, solve_poisson
+from annuflow.elliptic import solve_poisson
 from annuflow.errors import (DivergedError, InnerSolveFailureError,
                              NoConvergenceError)
 from annuflow.grid import make_annulus
@@ -397,24 +397,17 @@ def test_id_plus_k_matches_k_apply(grid32):
 
 
 @pytest.mark.parametrize("grid", ["grid32", "grid_radial128"])
-def test_id_plus_k_fourier_matches_factor(monkeypatch, request, grid):
+def test_id_plus_k_fourier_matches_factor(splu_calls, request, grid):
     # the radial reference state's Id + K and ds are Fourier solves, which
     # factorize nothing, also at 128 radial nodes, where the Fourier
     # residual sits at 1.3e-12 of the right-hand side; the same assembly
     # through the LU of the bordered matrix is the reference
     _, state = t_map(fbar(), GAMMA, grid=request.getfixturevalue(grid),
                      cross_check=False)
-    calls = []
-
-    def counted(A):
-        calls.append(A.shape)
-        return _factor(A)
-
-    monkeypatch.setattr(elliptic, "_factor", counted)
     M = assemble_id_plus_k(state)
     f = Profile1D.from_callable(np.sin, CBAR)
     phi = ds(state, f)
-    assert calls == []
+    assert splu_calls == []
     system = factored_linearization(state)
     by_factor = StateWorkspace(state).assembled_id_plus_k(lambda E: lu_solve(system, E))
     K = by_factor - np.eye(129)
@@ -423,22 +416,15 @@ def test_id_plus_k_fourier_matches_factor(monkeypatch, request, grid):
     assert np.abs(phi.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_moser_on_radial_states_factorizes_nothing(monkeypatch, grid32):
+def test_moser_on_radial_states_factorizes_nothing(splu_calls, grid32):
     # every Moser state is radial, so every Id + K is a Fourier solve; the
     # trace records the conditioning of each one
     F0, Fstar = _bump_profile()
     gstar, _ = t_map(Fstar, GAMMA, grid=grid32, cross_check=False)
-    calls = []
-
-    def counted(A):
-        calls.append(A.shape)
-        return _factor(A)
-
-    monkeypatch.setattr(elliptic, "_factor", counted)
     _, _, trace = moser_solve(F0, GAMMA, gstar, cfg=MoserConfig(max_iter=3),
                               grid=grid32)
     assert len(trace.rows) == 3
-    assert calls == []
+    assert splu_calls == []
     ratios = [row[-1] for row in trace.rows]
     assert all(0.5 < r <= 1.0 for r in ratios)
 

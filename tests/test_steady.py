@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from annuflow.curves import Curve1D
-from annuflow.elliptic import (FourierSystem, _factor, bordered_system,
-                               principal_eigenvalue, solve_poisson, solve_ve)
+from annuflow.elliptic import (FourierSystem, principal_eigenvalue,
+                               solve_poisson, solve_ve)
 from annuflow.errors import (NoConvergenceError, NotMonotoneError,
                              RangeEscapeError, SingularSystemError)
 from annuflow.grid import circulation, make_annulus, poisson_bracket
@@ -14,7 +14,8 @@ from annuflow.steady import (
     solve_steady, state_from_json, state_to_json,
 )
 
-from oracles import factored_linearization, lu_solve, radial_linearized, radial_steady
+from oracles import (bordered_system, factored_linearization, lu_solve,
+                     radial_linearized, radial_steady)
 
 GAMMA = -2 * np.pi
 
@@ -125,28 +126,19 @@ def test_newton_quadratic_convergence(grid64):
     assert max(ratios) < 100.0
 
 
-def test_newton_factorizes_nothing(monkeypatch):
+def test_newton_factorizes_nothing(splu_calls):
     # the Poisson start and the preconditioner of every Newton step are
     # Fourier solves, which hold no factor: neither a cold start nor a warm
     # start on the same grid factorizes anything
-    from annuflow import elliptic
-
-    calls = []
-
-    def counted(A):
-        calls.append(A.shape)
-        return _factor(A)
-
-    monkeypatch.setattr(elliptic, "_factor", counted)
     g = make_annulus(1.0, 2.0, 32, 64)
     F = profile(lambda s: np.exp(s) + 0.8 * s)
     st = solve_steady(F, GAMMA, grid=g)
     assert len(st.newton_history) >= 2
-    assert len(calls) == 0
+    assert splu_calls == []
     F2 = F.with_values(F.values + 0.01 * np.sin(F.grid_x()))
     st2 = solve_steady(F2, GAMMA, psi0=st.psi)
     assert len(st2.newton_history) >= 1
-    assert len(calls) == 0
+    assert splu_calls == []
 
 
 @pytest.mark.parametrize("shape, tol", [((32, 64), 1e-14), ((64, 128), 1e-13)])
@@ -271,19 +263,10 @@ def test_ds_d2s_fourier_match_factor(state_affine):
     assert np.abs(phi12 - ref12).max() <= 1e-12 * np.abs(ref12).max()
 
 
-def test_non_radial_state_solves_without_factor(monkeypatch, grid32):
+def test_non_radial_state_solves_without_factor(splu_calls, grid32):
     # F' varies along the theta-dependent psi, so the Fourier solve of the
     # theta-mean misses its residual check and GMRES continues it: nothing
     # is factorized, and ds agrees with the LU of the bordered matrix
-    from annuflow import elliptic
-
-    calls = []
-
-    def counted(A):
-        calls.append(A.shape)
-        return _factor(A)
-
-    monkeypatch.setattr(elliptic, "_factor", counted)
     g = grid32
     raw = g.field_from(lambda r, t: r**2 + 0.05 * np.sin(np.pi * (r - 1)) * np.sin(t))
     psi = g.field(2.0 * (raw.values - 4.0) / 3.0)          # inside [-3, 0]
@@ -291,7 +274,7 @@ def test_non_radial_state_solves_without_factor(monkeypatch, grid32):
     state = SteadyState(F, psi, GAMMA, 0.0)
     f = profile(lambda s: np.sin(s))
     phi = ds(state, f)
-    assert calls == []
+    assert splu_calls == []
     _, iterations = solve_ve(g.field(-F.d1(psi.values)), f(psi.values))
     assert iterations >= 1
     ref = lu_solve(bordered_system(g, g.field(-F.d1(psi.values))), f(psi.values))
