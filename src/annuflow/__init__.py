@@ -9,12 +9,12 @@ import ctypes
 def _pin_mmap_threshold():
     """Fix glibc's mmap threshold at 1 MiB.  By default glibc raises the
     threshold each time a large mapped block is freed (up to 32 MiB), so
-    the multi-megabyte arrays of the LU and Id + K solves come to be
-    carved from the heap, whose freed blocks stay resident: the peak
-    resident size then depends on where the blocks land, and at 64x128
-    it moved by 25 MB from one process to the next.  With a fixed
-    threshold each such array is its own mapping, returned to the system
-    when freed.  Nothing is done on other C libraries."""
+    the multi-megabyte stacks of Id + K come to be carved from the heap,
+    whose freed blocks stay resident: on the invert-nd benchmark (64x128,
+    2-core machine) the peak resident size was 127 MB without the pin
+    and 121 MB with it.  With a fixed threshold each such array is its
+    own mapping, returned to the system when freed.  Nothing is done on
+    other C libraries."""
     try:
         libc = ctypes.CDLL(None)
     except (OSError, TypeError):        # no handle on the running process

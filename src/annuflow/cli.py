@@ -18,7 +18,7 @@ import numpy as np
 
 from . import moser, orbit, tame
 from .curves import Curve1D, Monotone1D, read_curve_csv, write_curve_csv
-from .elliptic import solve_poisson
+from .elliptic import ND_THRESHOLD, check_nd1, solve_poisson
 from .errors import AnnuflowError, DivergedError
 from .exprparse import ExpressionError, parse_expression
 from .grid import (circulation, field_from_json, field_to_json, gradient,
@@ -72,7 +72,7 @@ def _start_profile(args, grid):
     cbar = args.cbar if cbar is None else cbar
     if cbar is not None:
         return Profile1D.from_callable(fn, cbar), None
-    psi0, _ = solve_poisson(grid.constant(float(fn(0.0))), args.gamma)
+    psi0 = solve_poisson(grid.constant(float(fn(0.0))), args.gamma)
     return Profile1D.from_callable(fn, default_cbar(psi0)), psi0
 
 
@@ -306,16 +306,10 @@ def _suite_orbit(grid, rng):
 
 
 def _suite_nd(grid, rng):
-    from .elliptic import check_nd1
-    rows = []
     state = _reference_state(grid)
-    rep1 = check_nd1(state)
-    rows.append(("nd1_sigma_min", rep1.sigma_min, rep1.threshold * rep1.op_norm,
-                 rep1.nondegenerate))
-    rep2 = orbit.check_nd2(state)
-    rows.append(("nd2_sigma_min", rep2.sigma_min, rep2.threshold * rep2.op_norm,
-                 rep2.nondegenerate))
-    return rows
+    return [(name, rep.sigma_min, ND_THRESHOLD * rep.scale, rep.nondegenerate)
+            for name, rep in (("nd1_sigma_min", check_nd1(state)),
+                              ("nd2_sigma_min", orbit.check_nd2(state)))]
 
 
 _SUITES = {

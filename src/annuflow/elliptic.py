@@ -14,7 +14,8 @@ Buzbee, Golub and Nielson 1970): a real FFT in theta splits it into one
 tridiagonal system in r per mode, which the outer Dirichlet rows decouple
 into one stacked solve; the tie and circulation rows touch mode 0 only,
 where one extra homogeneous solve gives the inner constant.  It takes
-and returns grid arrays, with the circulation and the inner constant.
+grid arrays and a circulation and returns grid arrays, whose row 0 holds
+the inner constant in every column.
 
 For any c, the Fourier solve of Delta + cbar(r), cbar the theta-mean of
 c, is exact when c does not vary in theta, as on a radially symmetric
@@ -41,10 +42,10 @@ own: the Nr x Nr tridiagonal block of each mode k >= 1 (the cos and sin
 parts share it), and for mode 0 that block bordered by the inner
 constant's column (-sqrt(Ns) in the inner tie row) and the circulation
 row (sqrt(Ns) times one theta column of its weights).  ``check_nd1``
-takes the smallest singular value from dense SVDs of those blocks, so a
-singular block gives sigma at rounding level, not an error, and the
-exact one-norm from the stencil; it refuses a c that varies in theta.
-Nothing is assembled, factorized or cached at module level.
+takes the smallest singular value from their dense SVDs, so a singular
+block gives sigma at rounding level, not an error, and refuses a c that
+varies in theta; ``principal_eigenvalue`` solves the blocks of modes 0
+and 1.  Nothing is assembled, factorized or cached at module level.
 """
 
 from __future__ import annotations
@@ -53,12 +54,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_banded
+from scipy.linalg import eigvals, solve_banded
 
 from .errors import NoConvergenceError, SingularSystemError
 from .grid import AnnulusGrid, Field2D, circulation_row
 
-ND_THRESHOLD = 1e-6     # least sigma_min / norm: the 1-norm in nd1, sigma_max in nd2
+ND_THRESHOLD = 1e-6     # least sigma_min / scale (NdReport)
 KRYLOV_RTOL = 1e-10     # solve_ve: relative interior residual of each column
 
 
@@ -83,13 +84,12 @@ def _mode_bands(grid: AnnulusGrid, shift):
     return bands
 
 
-def solve_poisson(omega: Field2D, gamma: float):
+def solve_poisson(omega: Field2D, gamma: float) -> Field2D:
     """Stream function of a vorticity field with prescribed circulation:
-    the c = 0 solve of ``solve_ve`` with circulation gamma.  Returns psi
-    and its inner value, the mean of row 0, which the tie rows fix."""
+    the c = 0 solve of ``solve_ve`` with circulation gamma.  The tie rows
+    put its inner value in every column of row 0."""
     grid = omega.grid
-    psi, _ = solve_ve(grid.constant(0.0), omega.values, gamma)
-    return grid.field(psi), float(psi[0].mean())
+    return grid.field(solve_ve(grid.constant(0.0), omega.values, gamma)[0])
 
 
 class FourierSystem:
@@ -98,7 +98,7 @@ class FourierSystem:
     its grid.  Raises singular-system when the circulation row cannot fix
     the inner constant."""
 
-    def __init__(self, grid: AnnulusGrid, shift=0.0):
+    def __init__(self, grid: AnnulusGrid, shift):
         Nr, Ns = grid.Nr, grid.Ns
         # banded form of the unknowns m*Nr + j; identity tie rows decouple the modes
         self.bands = _mode_bands(grid, shift).reshape(3, -1)
@@ -113,8 +113,8 @@ class FourierSystem:
             raise SingularSystemError("the circulation row leaves the inner constant free")
 
     def solve(self, values, circulation):
-        """(phi, inner) for interior values of shape (Nr, Ns) or (Nr, Ns, m),
-        the m columns solved at once, and a circulation, a scalar or one per
+        """phi for interior values of shape (Nr, Ns) or (Nr, Ns, m), the m
+        columns solved at once, and a circulation, a scalar or one per
         column; the boundary rows of values are not read."""
         Nr, Ns = self.shape
         stack = values.shape[2:]
@@ -128,7 +128,7 @@ class FourierSystem:
         modes[:, 0] += np.multiply.outer(self.unit_inner, inner)
         phi = np.empty(values.shape)
         np.fft.irfft(modes, n=Ns, axis=1, out=phi)
-        return phi, inner
+        return phi
 
 
 def _residual_squares(c: Field2D, phi, k):
@@ -174,7 +174,7 @@ def solve_ve(c: Field2D, k, circulation=0.0):
     values = k.reshape(grid.Nr, grid.Ns, -1)
     try:
         system = FourierSystem(grid, cbar[1:-1, 0])
-        phi, _ = system.solve(values, circulation)
+        phi = system.solve(values, circulation)
     except (SingularSystemError, np.linalg.LinAlgError) as exc:
         raise NoConvergenceError(f"GMRES has no preconditioner: {exc}") from exc
     c_rr, _, c_tt = _stencil(grid)      # the circulation's weight (module docstring)
@@ -190,7 +190,7 @@ def solve_ve(c: Field2D, k, circulation=0.0):
 
     def apply(y):               # (Delta + c) M^{-1} y, with M = Delta + cbar
         y = y.reshape(grid.Nr, grid.Ns)
-        return (y + variation * system.solve(y, 0.0)[0]).ravel()
+        return (y + variation * system.solve(y, 0.0)).ravel()
 
     operator = spla.LinearOperator((n, n), matvec=apply, dtype=float)
     iterations = 0
@@ -201,7 +201,7 @@ def solve_ve(c: Field2D, k, circulation=0.0):
                              atol=KRYLOV_RTOL * norms[j], maxiter=1,
                              callback=residuals.append, callback_type="pr_norm")
         iterations = max(iterations, len(residuals))
-        phi[..., j] += system.solve(y.reshape(grid.Nr, grid.Ns), 0.0)[0]
+        phi[..., j] += system.solve(y.reshape(grid.Nr, grid.Ns), 0.0)
         left = _residual_squares(c, phi[..., j, None], values[..., j, None])[0]
         if info != 0 or not left <= bound[j]:
             raise NoConvergenceError(
@@ -211,9 +211,10 @@ def solve_ve(c: Field2D, k, circulation=0.0):
     return phi.reshape(k.shape), iterations
 
 
-def _singular_values(grid: AnnulusGrid, shift):
-    """Singular values, with multiplicity, of the bordered matrix of
-    Delta + shift(r), from its theta-mode blocks (module docstring)."""
+def _mode_blocks(grid: AnnulusGrid, shift):
+    """The theta-mode blocks of the bordered matrix of Delta + shift(r)
+    (module docstring): the bordered mode-0 block, of shape
+    (Nr + 1, Nr + 1), and the Nr x Nr blocks of modes 1..Ns/2."""
     Nr, Ns = grid.Nr, grid.Ns
     bands = _mode_bands(grid, shift)
     j = np.arange(Nr)
@@ -223,64 +224,61 @@ def _singular_values(grid: AnnulusGrid, shift):
     blocks[:, j[1:], j[:-1]] = bands[2, :, :-1]
     mode0 = np.block([[blocks[0], -np.sqrt(Ns) * np.eye(Nr, 1)],
                       [np.sqrt(Ns) * circulation_row(grid)[:, :1].T, 0.0]])
-    parts = np.linalg.svd(blocks[1:], compute_uv=False)
+    return mode0, blocks[1:]
+
+
+def _singular_values(grid: AnnulusGrid, shift):
+    """Singular values, with multiplicity, of the bordered matrix of
+    Delta + shift(r), from its theta-mode blocks (module docstring)."""
+    mode0, blocks = _mode_blocks(grid, shift)
+    parts = np.linalg.svd(blocks, compute_uv=False)
     # the cos and sin parts of a mode share its block; Ns is even, and the
     # last mode, Ns/2, has no sin part
     return np.concatenate([np.linalg.svd(mode0, compute_uv=False),
                            parts.ravel(), parts[:-1].ravel()])
 
 
-def _one_norm(grid: AnnulusGrid, shift):
-    """1-norm of the bordered matrix of Delta + shift(r): its largest
-    absolute column sum, read from the stencil."""
-    c_rr, c_r, c_tt = _stencil(grid)
-    sums = np.abs(circulation_row(grid))
-    sums[[0, -1]] += 1.0                    # the tie rows
-    sums[1:-1] += np.abs(-2 * c_rr - 2 * c_tt + shift[:, None]) + 2 * c_tt
-    sums[:-2] += np.abs(c_rr - c_r)         # from the interior row above
-    sums[2:] += np.abs(c_rr + c_r)          # from the interior row below
-    return float(max(sums.max(), grid.Ns))  # the inner constant's column
-
-
 @dataclass(frozen=True)
 class NdReport:
+    """Smallest singular value of an operator, against a scale."""
     sigma_min: float
-    op_norm: float
-    threshold: float
-    nondegenerate: bool
+    scale: float
+
+    @property
+    def nondegenerate(self) -> bool:
+        return self.sigma_min > ND_THRESHOLD * self.scale
 
 
 def check_nd1(state) -> NdReport:
     """Invertibility margin of Delta - F'(psi) with the zero-circulation
     conditions at a steady state: smallest singular value of the bordered
-    matrix, relative to its one-norm.  The state must be radially
-    symmetric: raises ValueError when F'(psi) varies in theta on the
-    interior rows."""
+    matrix, against that of Delta's bordered mode-0 block (a scale that
+    falls with the grid step as sigma does).  The state must be radially
+    symmetric: raises ValueError when F'(psi) varies in theta inside."""
     g = state.psi.grid
     c = -state.F.d1(state.psi.values[1:-1])
     if not np.all(c == c[:, :1]):
         raise ValueError("F'(psi) varies in theta: not a radially symmetric state")
     sigma = float(_singular_values(g, c[:, 0]).min())
-    opnorm = _one_norm(g, c[:, 0])
-    return NdReport(sigma, opnorm, ND_THRESHOLD, sigma > ND_THRESHOLD * opnorm)
+    scale = float(np.linalg.svd(_mode_blocks(g, 0.0)[0], compute_uv=False)[-1])
+    return NdReport(sigma, scale)
 
 
 def principal_eigenvalue(grid: AnnulusGrid):
     """Smallest lam > 0 making Delta + lam singular under the
-    zero-circulation conditions.
-
-    With A the bordered matrix of Delta and E the identity on the interior
-    rows, A x = -lam E x; ARPACK finds the largest eigenvalues nu = 1/lam
-    of x -> A^{-1}(-E x) from one Fourier solve of A, on grid arrays (the
-    tie rows fix the inner constant)."""
-    system = FourierSystem(grid)
-    n = grid.Nr * grid.Ns
-    op = spla.LinearOperator((n, n), matvec=lambda x: system.solve(
-        -np.reshape(x, system.shape), 0.0)[0].ravel(), dtype=float)
-    v0 = np.random.default_rng(7).normal(size=n)
-    nu = spla.eigs(op, k=6, which="LM", v0=v0, return_eigenvectors=False)
-    real = nu[np.abs(nu.imag) < 1e-8 * np.abs(nu)].real
-    pos = real[real > 0]
-    if pos.size == 0:
-        raise SingularSystemError("no positive eigenvalue found")
-    return float(1.0 / pos.max())
+    zero-circulation conditions, A x = -lam E x with A the bordered matrix
+    of Delta and E the identity on the interior rows.  Mode 0 gives the
+    finite generalized eigenvalues of its bordered block.  In a mode
+    k >= 1 the tie rows are identity rows without mass, so x is 0 there
+    and lam is an eigenvalue of minus the interior block.  Those blocks
+    differ only in their diagonal term -4 c_tt sin^2(pi k / Ns), which
+    grows with k up to Ns/2, and share the off-diagonals c_rr +- c_r,
+    whose products are positive since c_rr > |c_r| where r > hr/2 and
+    every interior radius is at least Ri + hr.  So one diagonal
+    similarity makes them all symmetric, and by Weyl's inequality no
+    mode k > 1 has an eigenvalue below mode 1's."""
+    mode0, blocks = _mode_blocks(grid, 0.0)
+    mass = np.diag(np.r_[0.0, np.full(grid.Nr - 2, -1.0), 0.0, 0.0])
+    lam = np.concatenate([eigvals(mode0, mass), eigvals(-blocks[0, 1:-1, 1:-1])])
+    lam = lam[np.isfinite(lam) & (np.abs(lam.imag) < 1e-8 * np.abs(lam))].real
+    return float(lam[lam > 0].min())

@@ -28,9 +28,9 @@ class AnnulusGrid:
     Ns: int
     r: np.ndarray = field(repr=False)
     theta: np.ndarray = field(repr=False)
-    hr: float = 0.0
-    htheta: float = 0.0
-    area_weights: np.ndarray = field(default=None, repr=False)
+    hr: float
+    htheta: float
+    area_weights: np.ndarray = field(repr=False)
 
     @property
     def area(self):

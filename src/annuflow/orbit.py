@@ -21,7 +21,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import BSpline, CubicSpline, RectBivariateSpline
 
 from .curves import Curve1D, Monotone1D
-from .elliptic import ND_THRESHOLD, NdReport, solve_poisson
+from .elliptic import NdReport, solve_poisson
 from .errors import (AreaMismatchError, CriticalPointError, NotInFplusError,
                      NotTangentError, NonpositiveFprimeError, TrajectoryExitError)
 from .grid import Field2D, divergence, gradient, integrate, poisson_bracket
@@ -478,7 +478,7 @@ def second_variation(state, alpha: Field2D) -> float:
             f"F' must be positive on range(psi); min {fprime.min():.3e}")
     g = state.psi.grid
     nu = poisson_bracket(state.omega, alpha)
-    phi, _ = solve_poisson(nu, 0.0)
+    phi = solve_poisson(nu, 0.0)
     gr, gt = gradient(phi)
     return integrate(gr * gr + gt * gt) + integrate(nu * nu / g.field(fprime))
 
@@ -486,10 +486,9 @@ def second_variation(state, alpha: Field2D) -> float:
 def check_nd2(state):
     """Transversality of the steady-state family to the orbit foliation:
     smallest singular value of the assembled identity-plus-compact
-    collocation matrix."""
+    collocation matrix, against its greatest."""
     from . import moser
 
     moser.assemble_id_plus_k(state)
     sv = moser.workspace(state).singular_values
-    sigma, opnorm = float(sv[-1]), float(sv[0])
-    return NdReport(sigma, opnorm, ND_THRESHOLD, sigma > ND_THRESHOLD * opnorm)
+    return NdReport(float(sv[-1]), float(sv[0]))

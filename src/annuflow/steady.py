@@ -122,7 +122,7 @@ def solve_steady(F: Profile1D, gamma: float, psi0: Field2D | None = None,
         if grid is None:
             raise ValueError("pass psi0 or grid")
         omega0 = grid.constant(F(0.0))
-        psi, _ = solve_poisson(omega0, gamma)
+        psi = solve_poisson(omega0, gamma)
     else:
         psi = psi0
         grid = psi0.grid
@@ -202,13 +202,12 @@ def energy(state_or_omega, gamma=None) -> float:
     if isinstance(state_or_omega, SteadyState):
         psi, omega = state_or_omega.psi, state_or_omega.omega
         gamma = state_or_omega.gamma
-        inner_value = state_or_omega.inner_value
     else:
         if gamma is None:
             raise ValueError("gamma required when passing a vorticity field")
-        psi, inner_value = solve_poisson(state_or_omega, gamma)
+        psi = solve_poisson(state_or_omega, gamma)
         omega = state_or_omega
-    e_grad, e_vort = _energy_forms(psi, omega, gamma, inner_value)
+    e_grad, e_vort = _energy_forms(psi, omega, gamma)
     h2 = psi.grid.h**2
     scale = max(abs(e_grad), abs(e_vort), 1.0)
     if abs(e_grad - e_vort) > 200.0 * h2 * scale:
@@ -219,16 +218,16 @@ def energy(state_or_omega, gamma=None) -> float:
     return e_grad
 
 
-def _energy_forms(psi, omega, gamma, inner_value):
+def _energy_forms(psi, omega, gamma):
     gr, gt = gradient(psi)
     e_grad = 0.5 * integrate(gr * gr + gt * gt)
-    e_vort = -0.5 * integrate(omega * psi) + 0.5 * gamma * inner_value
+    e_vort = -0.5 * integrate(omega * psi) + 0.5 * gamma * float(psi.values[0].mean())
     return e_grad, e_vort
 
 
 def energy_pair(state: SteadyState):
     """Both energy formulas (gradient form, vorticity form)."""
-    return _energy_forms(state.psi, state.omega, state.gamma, state.inner_value)
+    return _energy_forms(state.psi, state.omega, state.gamma)
 
 
 # ---------------------------------------------------------------------------

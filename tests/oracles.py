@@ -2,21 +2,23 @@
 
 Each oracle deliberately avoids the code path it checks: the sparse LU
 of an assembled bordered matrix checks the factor-free solves and the
-mode-block singular values, the radial steady oracle is a 1D two-point
-BVP solve, the sublevel-area oracle is a per-cell linear-cut area count
-on a refined cell-centered grid, and the brute-force Hoelder norm
-enumerates all node pairs directly.
+mode-block singular values, the eigenvalues of every theta-mode block
+check the principal eigenvalue's reduction to modes 0 and 1, the radial
+steady oracle is a 1D two-point BVP solve, the sublevel-area oracle is
+a per-cell linear-cut area count on a refined cell-centered grid, and
+the brute-force Hoelder norm enumerates all node pairs directly.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_bvp
 from scipy.interpolate import RectBivariateSpline
 
-from annuflow.elliptic import _stencil
+from annuflow.elliptic import _mode_blocks, _stencil
 from annuflow.grid import AnnulusGrid, Field2D, circulation_row
 
 
@@ -113,6 +115,20 @@ def lu_solve(system, k):
     """phi with A phi = k under the zero-circulation conditions, by the LU
     of a bordered system; k of shape (Nr, Ns) or (Nr, Ns, m)."""
     return system.lu.solve(bordered_rhs(system.n_unknowns, k, 0.0))[:-1].reshape(k.shape)
+
+
+def all_mode_eigenvalue(grid: AnnulusGrid):
+    """Least positive lam with A x = -lam E x, A the bordered matrix of
+    Delta and E the identity on the interior rows: the dense generalized
+    eigenvalues of every theta-mode block, tie rows included."""
+    Nr = grid.Nr
+    mode0, blocks = _mode_blocks(grid, 0.0)
+    mass = np.diag(np.r_[0.0, np.full(Nr - 2, -1.0), 0.0, 0.0])
+    lam = np.concatenate([la.eigvals(mode0, mass)]
+                         + [la.eigvals(b, mass[:Nr, :Nr]) for b in blocks])
+    lam = lam[np.isfinite(lam)]
+    real = lam[np.abs(lam.imag) < 1e-8 * np.abs(lam)].real
+    return real[real > 0].min()
 
 
 def radial_steady(F, gamma, Ri=1.0, Ro=2.0, n=4001):

@@ -163,7 +163,7 @@ def test_newton_krylov_iterations():
     def fn(s):
         return 0.5 * s - 0.95 + 0.01 * s * s
 
-    psi0, _ = solve_poisson(g.constant(fn(0.0)), -4 * np.pi)
+    psi0 = solve_poisson(g.constant(fn(0.0)), -4 * np.pi)
     F = profile(fn, cbar=default_cbar(psi0))
     st = solve_steady(F, -4 * np.pi, psi0=psi0)
     assert len(st.newton_history) >= 2
@@ -194,12 +194,12 @@ def test_singular_shift_returns_nothing_non_finite():
     b = np.random.default_rng(2).normal(size=(g.Nr, g.Ns))
     for shift in (lam, np.nextafter(lam, 0.0), np.nextafter(lam, 4.0)):
         try:
-            phi, inner = FourierSystem(g, shift).solve(b, 0.0)
+            phi = FourierSystem(g, shift).solve(b, 0.0)
         except SingularSystemError:
             continue
-        assert np.all(np.isfinite(phi)) and np.isfinite(inner)
-    psi, inner = solve_poisson(g.constant(1.0), GAMMA)
-    assert np.all(np.isfinite(psi.values)) and np.isfinite(inner)
+        assert np.all(np.isfinite(phi))
+    psi = solve_poisson(g.constant(1.0), GAMMA)
+    assert np.all(np.isfinite(psi.values))
 
 
 def test_range_escape():
@@ -355,7 +355,7 @@ def test_state_json_ignores_stored_omega(state_affine):
 
 
 def test_default_cbar(grid64):
-    c = default_cbar(solve_poisson(grid64.constant(-1.0), GAMMA)[0])
+    c = default_cbar(solve_poisson(grid64.constant(-1.0), GAMMA))
     st = solve_steady(profile(lambda s: 0.5 * s - 1.0, cbar=c), GAMMA, grid=grid64)
     assert c < 0
     assert c < st.psi.values.min()
