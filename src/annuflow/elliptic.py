@@ -19,10 +19,10 @@ the inner constant in every column.
 
 For any c, the Fourier solve of Delta + cbar(r), cbar the theta-mean of
 c, is exact when c does not vary in theta, as on a radially symmetric
-state.  ``solve_ve`` is the one solver of Delta + c, Poisson included,
-for one right-hand side or a stack: it solves every column with that
-Fourier system and checks each column's interior residual against
-``KRYLOV_RTOL`` times the norm of its interior values and its
+state.  ``solve_ve`` is the one solver of Delta + c on the grid, Poisson
+included, for one right-hand side or a stack: it solves every column
+with that Fourier system and checks each column's interior residual
+against ``KRYLOV_RTOL`` times the norm of its interior values and its
 circulation (the tie and circulation rows hold by construction).  The
 circulation counts with the weight of the largest stencil diagonal over
 the circulation row's 2-norm: that row's scale is arbitrary, and without
@@ -36,6 +36,15 @@ checked again, since GMRES assumes that the
 preconditioner solves exactly, which a cbar near an eigenvalue of -Delta
 breaks.  A solve that fails either test raises no-convergence.
 
+When c and the right-hand sides do not vary in theta, neither does phi,
+and ``solve_ve``'s answer is its mode-0 part alone: its modes k >= 1 and
+the variation GMRES would correct are zero.  ``solve_radial`` takes such
+data along r, a stack of columns at once, by one stacked tridiagonal
+solve with the mode-0 band of ``FourierSystem``, less the multiple of
+its unit inner response that zeroes the circulation, and checks each
+column's residual as ``solve_ve`` does.  ``radial_psi`` is the test of a
+radially symmetric state that its callers share.
+
 When c does not vary in theta, an orthonormal real DFT in theta splits
 the bordered matrix into blocks whose singular values together are its
 own: the Nr x Nr tridiagonal block of each mode k >= 1 (the cos and sin
@@ -43,9 +52,10 @@ parts share it), and for mode 0 that block bordered by the inner
 constant's column (-sqrt(Ns) in the inner tie row) and the circulation
 row (sqrt(Ns) times one theta column of its weights).  ``check_nd1``
 takes the smallest singular value from their dense SVDs, so a singular
-block gives sigma at rounding level, not an error, and refuses a c that
-varies in theta; ``principal_eigenvalue`` solves the blocks of modes 0
-and 1.  Nothing is assembled, factorized or cached at module level.
+block gives sigma at rounding level, not an error, and refuses a state
+that varies in theta; ``principal_eigenvalue`` solves the blocks of
+modes 0 and 1, and ``_mode_blocks`` builds only the modes its caller
+reads.  Nothing is assembled, factorized or cached at module level.
 """
 
 from __future__ import annotations
@@ -69,12 +79,12 @@ def _stencil(grid: AnnulusGrid):
     return 1.0 / grid.hr**2, 1.0 / (2 * grid.hr * r), 1.0 / (grid.htheta**2 * r**2)
 
 
-def _mode_bands(grid: AnnulusGrid, shift):
+def _mode_bands(grid: AnnulusGrid, shift, n_modes):
     """Tridiagonal blocks in r of Delta + shift(r), one for each theta mode
-    0..Ns/2, in ``solve_banded``'s (1, 1) layout, of shape (3, Ns/2 + 1, Nr);
-    the tie rows of both circles are identity rows."""
+    0..n_modes - 1, in ``solve_banded``'s (1, 1) layout, of shape
+    (3, n_modes, Nr); the tie rows of both circles are identity rows."""
     c_rr, c_r, c_tt = _stencil(grid)
-    modes = np.arange(grid.Ns // 2 + 1)[:, None]
+    modes = np.arange(n_modes)[:, None]
     bands = np.zeros((3, modes.size, grid.Nr))
     bands[1] = 1.0
     bands[0, :, 2:] = c_rr + c_r.T
@@ -101,7 +111,7 @@ class FourierSystem:
     def __init__(self, grid: AnnulusGrid, shift):
         Nr, Ns = grid.Nr, grid.Ns
         # banded form of the unknowns m*Nr + j; identity tie rows decouple the modes
-        self.bands = _mode_bands(grid, shift).reshape(3, -1)
+        self.bands = _mode_bands(grid, shift, Ns // 2 + 1).reshape(3, -1)
         self.shape = (Nr, Ns)
         # mode 0 of a unit inner constant: its tie rows sum to Ns in row 0
         self.unit_inner = solve_banded((1, 1), self.bands[:, :Nr],
@@ -211,12 +221,53 @@ def solve_ve(c: Field2D, k, circulation=0.0):
     return phi.reshape(k.shape), iterations
 
 
-def _mode_blocks(grid: AnnulusGrid, shift):
+def radial_psi(psi: Field2D):
+    """psi along r, for a stream function that does not vary in theta;
+    raises ValueError otherwise: the mode-0 paths hold only for a
+    radially symmetric state."""
+    values = psi.values
+    if not np.all(values == values[:, :1]):
+        raise ValueError("psi varies in theta: not a radially symmetric state")
+    return values[:, 0]
+
+
+def solve_radial(grid: AnnulusGrid, c, k):
+    """Solve (Delta + c)phi = k with zero circulation for c, k and phi
+    that do not vary in theta, given along r: c of shape (Nr,) and k of
+    shape (Nr, m), the m columns at once (module docstring).  Raises
+    no-convergence when a column's interior residual misses
+    ``KRYLOV_RTOL`` times the norm of its interior values."""
+    Nr = grid.Nr
+    try:
+        system = FourierSystem(grid, c[1:-1])
+    except (SingularSystemError, np.linalg.LinAlgError) as exc:
+        raise NoConvergenceError(f"no mode-0 solve: {exc}") from exc
+    band = system.bands[:, :Nr]
+    rhs = k.copy()
+    rhs[[0, -1]] = 0.0                          # the tie rows of both circles
+    phi = solve_banded((1, 1), band, rhs, overwrite_b=True)
+    phi -= np.multiply.outer(system.unit_inner,
+                             system.circulation @ phi / system.unit_circulation)
+    res = (band[0, 2:, None] * phi[2:] + band[1, 1:-1, None] * phi[1:-1]
+           + band[2, :-2, None] * phi[:-2] - k[1:-1])
+    residuals = np.linalg.norm(res, axis=0)
+    norms = np.linalg.norm(k[1:-1], axis=0)
+    miss = np.flatnonzero(~(residuals <= KRYLOV_RTOL * norms))  # a NaN misses too
+    if miss.size:
+        j = miss[0]
+        raise NoConvergenceError(
+            f"the mode-0 solve left a residual of {residuals[j]:.2e}, above "
+            f"{KRYLOV_RTOL:g} times its column's norm {norms[j]:.2e}")
+    return phi
+
+
+def _mode_blocks(grid: AnnulusGrid, shift, n_modes):
     """The theta-mode blocks of the bordered matrix of Delta + shift(r)
-    (module docstring): the bordered mode-0 block, of shape
-    (Nr + 1, Nr + 1), and the Nr x Nr blocks of modes 1..Ns/2."""
+    (module docstring) of modes 0..n_modes - 1: the bordered mode-0 block,
+    of shape (Nr + 1, Nr + 1), and the Nr x Nr blocks of modes
+    1..n_modes - 1."""
     Nr, Ns = grid.Nr, grid.Ns
-    bands = _mode_bands(grid, shift)
+    bands = _mode_bands(grid, shift, n_modes)
     j = np.arange(Nr)
     blocks = np.zeros((bands.shape[1], Nr, Nr))
     blocks[:, j, j] = bands[1]
@@ -230,7 +281,7 @@ def _mode_blocks(grid: AnnulusGrid, shift):
 def _singular_values(grid: AnnulusGrid, shift):
     """Singular values, with multiplicity, of the bordered matrix of
     Delta + shift(r), from its theta-mode blocks (module docstring)."""
-    mode0, blocks = _mode_blocks(grid, shift)
+    mode0, blocks = _mode_blocks(grid, shift, grid.Ns // 2 + 1)
     parts = np.linalg.svd(blocks, compute_uv=False)
     # the cos and sin parts of a mode share its block; Ns is even, and the
     # last mode, Ns/2, has no sin part
@@ -254,13 +305,11 @@ def check_nd1(state) -> NdReport:
     conditions at a steady state: smallest singular value of the bordered
     matrix, against that of Delta's bordered mode-0 block (a scale that
     falls with the grid step as sigma does).  The state must be radially
-    symmetric: raises ValueError when F'(psi) varies in theta inside."""
+    symmetric (``radial_psi``)."""
     g = state.psi.grid
-    c = -state.F.d1(state.psi.values[1:-1])
-    if not np.all(c == c[:, :1]):
-        raise ValueError("F'(psi) varies in theta: not a radially symmetric state")
-    sigma = float(_singular_values(g, c[:, 0]).min())
-    scale = float(np.linalg.svd(_mode_blocks(g, 0.0)[0], compute_uv=False)[-1])
+    c = -state.F.d1(radial_psi(state.psi)[1:-1])
+    sigma = float(_singular_values(g, c).min())
+    scale = float(np.linalg.svd(_mode_blocks(g, 0.0, 1)[0], compute_uv=False)[-1])
     return NdReport(sigma, scale)
 
 
@@ -277,7 +326,7 @@ def principal_eigenvalue(grid: AnnulusGrid):
     every interior radius is at least Ri + hr.  So one diagonal
     similarity makes them all symmetric, and by Weyl's inequality no
     mode k > 1 has an eigenvalue below mode 1's."""
-    mode0, blocks = _mode_blocks(grid, 0.0)
+    mode0, blocks = _mode_blocks(grid, 0.0, 2)
     mass = np.diag(np.r_[0.0, np.full(grid.Nr - 2, -1.0), 0.0, 0.0])
     lam = np.concatenate([eigvals(mode0, mass), eigvals(-blocks[0, 1:-1, 1:-1])])
     lam = lam[np.isfinite(lam) & (np.abs(lam.imag) < 1e-8 * np.abs(lam))].real

@@ -14,12 +14,20 @@ The iteration is the smoothed Newton scheme
 whose parameters must satisfy the convergence constraints checked by
 MoserConfig.validate().
 
-Every per-state object lives on its steady state: ``dt``, ``k_apply``
-(through ``steady.ds``) and ``Id + K`` solve through
-``SteadyState.solve_linearization``, and ``workspace(state)`` stores the
-stream chart (which owns the distribution and the area grid) and the
-assembled Id + K on the state.  The workspace holds no reference back to
-its state, so both are freed with the state.
+Every per-state object lives on its steady state: ``dt`` and
+``k_apply`` solve through ``SteadyState.solve_linearization`` (by
+``steady.ds``), and ``workspace(state)`` stores the stream chart (which
+owns the distribution and the area grid) and the assembled Id + K on the
+state.  The workspace holds no reference back to its state, so both are
+freed with the state.
+
+Id + K is assembled for radially symmetric states only.  Every state of
+the iteration is one: Newton starts from the Poisson solution of a
+constant vorticity, and each Fourier solve keeps theta-constant data in
+theta-mode 0.  On such a state the VB compositions, the linearized solves
+and the loop integrals stay constant in theta, so each factor of the
+product is taken along r, and none holds a grid-sized stack of N_MU
+columns.  A state whose psi varies in theta raises ValueError there.
 """
 
 from __future__ import annotations
@@ -30,10 +38,11 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .curves import Curve1D, Monotone1D
+from .elliptic import radial_psi, solve_radial
 from .errors import (AnnuflowError, DivergedError, InnerSolveFailureError,
                      NotMonotoneError, SingularIdPlusKError)
 from .orbit import (N_MU, LevelChart, dist_chart, j_over_grad,
-                    j_over_grad_matrix, level_chart)
+                    j_over_grad_radial, level_chart)
 from .steady import Profile1D, SteadyState, ds, solve_steady
 from .tame import smooth
 
@@ -140,20 +149,21 @@ class StateWorkspace:
         transport of phi."""
         return self.transport(j_over_grad(self.chart, phi).values)
 
-    def assembled_id_plus_k(self, solve):
-        """Id + K = Id + D S J A^-1 E on the mu grid: E composes the
-        cardinal splines of the mu grid with VB at the psi nodes, A^-1 is
-        one multi-RHS ``solve`` with the state's linearization, J the
-        travel-time loop integral and D S the transport to the mu grid."""
+    def assembled_id_plus_k(self):
+        """Id + K = Id + D S J A^-1 E on the mu grid, assembled in r alone
+        for a radially symmetric state (``radial_psi``; ValueError
+        otherwise): E composes the cardinal splines of the mu grid with VB
+        along psi's radial column, A^-1 is one mode-0 solve of the
+        linearization Delta - F'(psi) for all N_MU columns, J the
+        travel-time loop integral of theta-constant fields and D S the
+        transport to the mu grid."""
         if self._id_plus_k is None:
+            psi = radial_psi(self.psi)
             cardinal = CubicSpline(self.chart.area_grid.mu, np.eye(N_MU))
             E = _vb_compose(cardinal, cardinal.derivative(),
-                            self.chart.distribution[0], self.chart.omega_min,
-                            self.psi.values)
-            phi = solve(E)
-            del E           # freed before J is built: both are large
-            J = j_over_grad_matrix(self.chart)
-            K = self.transport(J @ phi.reshape(J.shape[1], N_MU))
+                            self.chart.distribution[0], self.chart.omega_min, psi)
+            phi = solve_radial(self.psi.grid, -self.F.d1(psi), E)
+            K = self.transport(j_over_grad_radial(self.chart) @ phi)
             self._id_plus_k = np.eye(N_MU) + K
             self.singular_values = np.linalg.svd(self._id_plus_k, compute_uv=False)
         return self._id_plus_k
@@ -250,14 +260,14 @@ def k_apply(state: SteadyState, gcurve: Curve1D) -> Curve1D:
 
 
 def assemble_id_plus_k(state: SteadyState):
-    return workspace(state).assembled_id_plus_k(state.solve_linearization)
+    return workspace(state).assembled_id_plus_k()
 
 
 def vm(state: SteadyState, h: Curve1D) -> Curve1D:
     """Solve (Id + K(F)) g = h by dense collocation on the area grid;
     raises singular-Id+K when sigma_min/sigma_max < 1e-8."""
     ws = workspace(state)
-    M = ws.assembled_id_plus_k(state.solve_linearization)
+    M = ws.assembled_id_plus_k()
     sv = ws.singular_values
     if sv[-1] < 1e-8 * sv[0]:
         raise SingularIdPlusKError(

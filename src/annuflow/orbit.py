@@ -265,33 +265,23 @@ def j_over_grad(chart: LevelChart, u: Field2D) -> Curve1D:
     return Curve1D(chart.omega_min, chart.omega_max, _loop_sum(chart, vals))
 
 
-def j_over_grad_matrix(chart: LevelChart):
-    """j_over_grad as an (Nt, Nr*Ns) matrix acting on raveled grid values.
+def j_over_grad_radial(chart: LevelChart):
+    """j_over_grad of the fields that do not vary in theta, as an (Nt, Nr)
+    matrix acting on their values along r.
 
-    FieldSpline's interpolant of u is B_r(r) C B_t(theta)^T with the
-    coefficients C = R^-1 U_pad T^-T, where R and T are the collocation
-    matrices of its own knots on the grid and on the padded theta grid.
-    So each chart node contributes the outer product of a row of
-    B_r R^-1 and a row of B_t T^-1, its theta padding folded back onto
-    the grid columns, weighted by arc_weight / |grad w| * ds."""
+    FieldSpline interpolates such a field u by B_r(r) R^-1 u, with R the
+    collocation matrix of its r knots on the grid: its theta interpolant
+    is the constant itself, on any chart.  So level i's row is the sum
+    over its nodes of B_r(r_node) R^-1, weighted by
+    arc_weight / |grad w| * ds."""
     g = chart.grid
-    Nt, Ns = chart.t.size, g.Ns
-    theta_ext, cols = _theta_padding(g)
-    spl = FieldSpline(g.constant(0.0))
-    tr, tt = spl._spl.get_knots()
+    tr = FieldSpline(g.constant(0.0))._spl.get_knots()[0]
     r_inv = np.linalg.inv(BSpline.design_matrix(g.r, tr, 3).toarray())
-    t_inv = np.linalg.inv(BSpline.design_matrix(theta_ext, tt, 3).toarray())
-    t_fold = t_inv @ np.eye(g.Ns)[cols]
-    r, theta = spl._wrap(chart.r.ravel(), chart.theta.ravel())
-    br = BSpline.design_matrix(r, tr, 3).tocoo()
-    bt = BSpline.design_matrix(theta, tt, 3).tocsr()
-    # row (i, a) of G: the sum over the nodes of level i of w B_r[a] B_t
+    br = BSpline.design_matrix(np.clip(chart.r.ravel(), g.Ri, g.Ro), tr, 3).tocoo()
     w = (chart.arc_weight / chart.grad_norm).ravel() * chart.ds
-    rows = br.row // Ns * g.Nr + br.col
-    G = sp.csr_matrix((br.data * w[br.row], (rows, br.row)),
-                      shape=(Nt * g.Nr, r.size)) @ bt
-    J = r_inv.T @ (G @ t_fold).reshape(Nt, g.Nr, Ns)
-    return J.reshape(Nt, g.Nr * Ns)
+    G = sp.coo_matrix((br.data * w[br.row], (br.row // g.Ns, br.col)),
+                      shape=(chart.t.size, g.Nr)).toarray()     # sums duplicates
+    return G @ r_inv
 
 
 def dist_chart(omega: Field2D) -> LevelChart:

@@ -2,7 +2,9 @@
 
 Each oracle deliberately avoids the code path it checks: the sparse LU
 of an assembled bordered matrix checks the factor-free solves and the
-mode-block singular values, the eigenvalues of every theta-mode block
+mode-block singular values, Id + K assembled on every grid node (E at
+each psi node, that LU, and the loop integral of any field) checks its
+assembly in r alone, the eigenvalues of every theta-mode block
 check the principal eigenvalue's reduction to modes 0 and 1, the radial
 steady oracle is a 1D two-point BVP solve, the sublevel-area oracle is
 a per-cell linear-cut area count on a refined cell-centered grid, and
@@ -16,10 +18,12 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_bvp
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import BSpline, CubicSpline, RectBivariateSpline
 
 from annuflow.elliptic import _mode_blocks, _stencil
 from annuflow.grid import AnnulusGrid, Field2D, circulation_row
+from annuflow.moser import _vb_compose, workspace
+from annuflow.orbit import N_MU, FieldSpline, _theta_padding
 
 
 def _interior_laplacian(grid: AnnulusGrid, c):
@@ -117,12 +121,55 @@ def lu_solve(system, k):
     return system.lu.solve(bordered_rhs(system.n_unknowns, k, 0.0))[:-1].reshape(k.shape)
 
 
+def j_over_grad_matrix(chart):
+    """j_over_grad as an (Nt, Nr*Ns) matrix acting on raveled grid values.
+
+    FieldSpline's interpolant of u is B_r(r) C B_t(theta)^T with the
+    coefficients C = R^-1 U_pad T^-T, where R and T are the collocation
+    matrices of its own knots on the grid and on the padded theta grid.
+    So each chart node contributes the outer product of a row of
+    B_r R^-1 and a row of B_t T^-1, its theta padding folded back onto
+    the grid columns, weighted by arc_weight / |grad w| * ds."""
+    g = chart.grid
+    Nt, Ns = chart.t.size, g.Ns
+    theta_ext, cols = _theta_padding(g)
+    spl = FieldSpline(g.constant(0.0))
+    tr, tt = spl._spl.get_knots()
+    r_inv = np.linalg.inv(BSpline.design_matrix(g.r, tr, 3).toarray())
+    t_inv = np.linalg.inv(BSpline.design_matrix(theta_ext, tt, 3).toarray())
+    t_fold = t_inv @ np.eye(g.Ns)[cols]
+    r, theta = spl._wrap(chart.r.ravel(), chart.theta.ravel())
+    br = BSpline.design_matrix(r, tr, 3).tocoo()
+    bt = BSpline.design_matrix(theta, tt, 3).tocsr()
+    # row (i, a) of G: the sum over the nodes of level i of w B_r[a] B_t
+    w = (chart.arc_weight / chart.grad_norm).ravel() * chart.ds
+    rows = br.row // Ns * g.Nr + br.col
+    G = sp.csr_matrix((br.data * w[br.row], (rows, br.row)),
+                      shape=(Nt * g.Nr, r.size)) @ bt
+    J = r_inv.T @ (G @ t_fold).reshape(Nt, g.Nr, Ns)
+    return J.reshape(Nt, g.Nr * Ns)
+
+
+def grid_id_plus_k(state):
+    """Id + D S J A^-1 E of a state on every grid node: E composes the
+    cardinal splines of the mu grid with VB at each psi node, A^-1 is the
+    LU of the bordered linearization on all N_MU columns, and J the
+    loop-integral matrix of any field; D S is the workspace's transport."""
+    ws = workspace(state)
+    cardinal = CubicSpline(ws.chart.area_grid.mu, np.eye(N_MU))
+    E = _vb_compose(cardinal, cardinal.derivative(), ws.chart.distribution[0],
+                    ws.chart.omega_min, state.psi.values)
+    phi = lu_solve(factored_linearization(state), E)
+    J = j_over_grad_matrix(ws.chart)
+    return np.eye(N_MU) + ws.transport(J @ phi.reshape(J.shape[1], N_MU))
+
+
 def all_mode_eigenvalue(grid: AnnulusGrid):
     """Least positive lam with A x = -lam E x, A the bordered matrix of
     Delta and E the identity on the interior rows: the dense generalized
     eigenvalues of every theta-mode block, tie rows included."""
     Nr = grid.Nr
-    mode0, blocks = _mode_blocks(grid, 0.0)
+    mode0, blocks = _mode_blocks(grid, 0.0, grid.Ns // 2 + 1)
     mass = np.diag(np.r_[0.0, np.full(Nr - 2, -1.0), 0.0, 0.0])
     lam = np.concatenate([la.eigvals(mode0, mass)]
                          + [la.eigvals(b, mass[:Nr, :Nr]) for b in blocks])

@@ -11,16 +11,17 @@ import pytest
 
 import annuflow
 from annuflow.cli import _reference_state
-from annuflow.elliptic import (FourierSystem, NdReport, _residual_squares,
-                               _singular_values, check_nd1, principal_eigenvalue,
-                               solve_poisson, solve_ve)
+from annuflow.elliptic import (FourierSystem, NdReport, _mode_blocks,
+                               _residual_squares, _singular_values, check_nd1,
+                               principal_eigenvalue, radial_psi, solve_poisson,
+                               solve_radial, solve_ve)
 from annuflow.errors import NoConvergenceError
 from annuflow.grid import (circulation, circulation_row, gradient, integrate,
                            laplacian, make_annulus)
 from annuflow.steady import Profile1D, SteadyState, solve_steady
 
 from oracles import (all_mode_eigenvalue, bordered_matrix, bordered_rhs,
-                     bordered_system, factor, factored_linearization)
+                     bordered_system, factor, factored_linearization, lu_solve)
 
 
 @pytest.fixture(scope="module")
@@ -399,6 +400,40 @@ def test_nd1_refuses_theta_varying_state(grid32):
     F = Profile1D.from_callable(lambda s: np.exp(s) + 0.8 * s, -3.0)
     with pytest.raises(ValueError, match="radially symmetric"):
         check_nd1(SteadyState(F, psi, -2 * np.pi, 0.0))
+
+
+def test_radial_solve_matches_lu(bump64):
+    # the mode-0 solve of theta-constant columns against the LU of the
+    # bordered linearization on the same columns spread over theta
+    g = bump64.psi.grid
+    c = -bump64.F.d1(radial_psi(bump64.psi))
+    k = np.random.default_rng(5).normal(size=(g.Nr, 7))
+    phi = solve_radial(g, c, k)
+    ref = lu_solve(factored_linearization(bump64),
+                   np.repeat(k[:, None, :], g.Ns, axis=1))
+    assert np.abs(phi[:, None, :] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_radial_solve_residual_is_checked(monkeypatch, grid32):
+    # a column whose residual misses the check is reported as
+    # no-convergence, not returned; no rounding meets a stop of 1e-30
+    from annuflow import elliptic
+
+    k = np.random.default_rng(6).normal(size=(grid32.Nr, 3))
+    solve_radial(grid32, np.full(grid32.Nr, -1.0), k)
+    monkeypatch.setattr(elliptic, "KRYLOV_RTOL", 1e-30)
+    with pytest.raises(NoConvergenceError, match="mode-0 solve"):
+        solve_radial(grid32, np.full(grid32.Nr, -1.0), k)
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 5])
+def test_mode_blocks_of_the_first_modes(grid32, n_modes):
+    # the blocks of the first modes alone are those of all modes, bit for bit
+    shift = np.linspace(-2.0, 1.0, grid32.Nr - 2)
+    mode0, blocks = _mode_blocks(grid32, shift, n_modes)
+    all0, every = _mode_blocks(grid32, shift, grid32.Ns // 2 + 1)
+    assert np.array_equal(mode0, all0)
+    assert np.array_equal(blocks, every[:n_modes - 1])
 
 
 def test_factor_fill_bump_linearization(bump64):

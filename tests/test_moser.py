@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,13 +12,15 @@ from annuflow.errors import (DivergedError, InnerSolveFailureError,
                              NoConvergenceError)
 from annuflow.grid import make_annulus
 from annuflow.moser import (
-    MoserConfig, StateWorkspace, assemble_id_plus_k, config_from_text,
+    MoserConfig, assemble_id_plus_k, config_from_text,
     config_to_text, dt, k_apply, moser_solve, right_inverse, t_map,
     uniqueness_probe, vb, vm, workspace,
 )
-from annuflow.steady import Profile1D, ds, solve_steady
+from annuflow.orbit import check_nd2
+from annuflow.steady import Profile1D, SteadyState, ds, solve_steady
 
-from oracles import factored_linearization, lu_solve, radial_linearized, radial_steady
+from oracles import (factored_linearization, grid_id_plus_k, lu_solve,
+                     radial_linearized, radial_steady)
 
 GAMMA = -4 * np.pi
 CBAR = -3.0
@@ -398,22 +401,50 @@ def test_id_plus_k_matches_k_apply(grid32):
 
 @pytest.mark.parametrize("grid", ["grid32", "grid_radial128"])
 def test_id_plus_k_fourier_matches_factor(splu_calls, request, grid):
-    # the radial reference state's Id + K and ds are Fourier solves, which
-    # factorize nothing, also at 128 radial nodes, where the Fourier
-    # residual sits at 1.3e-12 of the right-hand side; the same assembly
-    # through the LU of the bordered matrix is the reference
+    # Id + K assembled in r alone, and ds by a Fourier solve, factorize
+    # nothing; the reference assembles Id + K on every grid node: E at each
+    # psi node, the LU of the bordered matrix, and the loop-integral matrix
+    # of any field
     _, state = t_map(fbar(), GAMMA, grid=request.getfixturevalue(grid),
                      cross_check=False)
     M = assemble_id_plus_k(state)
     f = Profile1D.from_callable(np.sin, CBAR)
     phi = ds(state, f)
     assert splu_calls == []
-    system = factored_linearization(state)
-    by_factor = StateWorkspace(state).assembled_id_plus_k(lambda E: lu_solve(system, E))
-    K = by_factor - np.eye(129)
-    assert np.abs(M - by_factor).max() <= 1e-12 * np.abs(K).max()
-    ref = lu_solve(system, f(state.psi.values))
+    reference = grid_id_plus_k(state)
+    K = reference - np.eye(129)
+    assert np.abs(M - reference).max() <= 1e-12 * np.abs(K).max()
+    ref = lu_solve(factored_linearization(state), f(state.psi.values))
     assert np.abs(phi.values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_id_plus_k_refuses_theta_varying_state(grid32):
+    # Id + K is assembled along r, so a state whose psi varies in theta is
+    # refused, by the assembly and by check_nd2, as check_nd1 refuses it
+    g = grid32
+    raw = g.field_from(lambda r, t: r**2 + 0.05 * np.sin(np.pi * (r - 1)) * np.sin(t))
+    psi = g.field(2.0 * (raw.values - 4.0) / 3.0)          # inside [-3, 0]
+    F = Profile1D.from_callable(lambda s: np.exp(s) + 0.8 * s, CBAR)
+    state = SteadyState(F, psi, GAMMA, 0.0)
+    with pytest.raises(ValueError, match="radially symmetric"):
+        assemble_id_plus_k(state)
+    with pytest.raises(ValueError, match="radially symmetric"):
+        check_nd2(state)
+
+
+def test_id_plus_k_memory(bump_profile):
+    # assembled in r alone, Id + K holds no grid-sized stack of its 129
+    # columns (before: 175 MB at 128x256)
+    grid = make_annulus(1.0, 2.0, 128, 256)
+    state = solve_steady(bump_profile, GAMMA, grid=grid)
+    workspace(state)
+    tracemalloc.start()
+    try:
+        assemble_id_plus_k(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
 
 
 def test_moser_on_radial_states_factorizes_nothing(splu_calls, grid32):
