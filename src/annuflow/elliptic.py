@@ -11,9 +11,10 @@ the nondegeneracy checks solve with zero circulation.
 When c depends on r alone, ``FourierSystem`` solves the system, for one
 right-hand side or a stack, with no matrix and no factor (Hockney 1965;
 Buzbee, Golub and Nielson 1970): a real FFT in theta splits it into one
-tridiagonal system in r per mode, which the outer Dirichlet rows decouple
-into one stacked solve; the tie and circulation rows touch mode 0 only,
-where one extra homogeneous solve gives the inner constant.  It takes
+tridiagonal system in r per mode.  The tie and circulation rows touch
+mode 0 only, which ``RadialSystem`` solves, with one extra homogeneous
+solve for the inner constant; the outer Dirichlet rows decouple the
+modes k >= 1 into one stacked solve.  It takes
 grid arrays and a circulation and returns grid arrays, whose row 0 holds
 the inner constant in every column.
 
@@ -39,11 +40,11 @@ breaks.  A solve that fails either test raises no-convergence.
 When c and the right-hand sides do not vary in theta, neither does phi,
 and ``solve_ve``'s answer is its mode-0 part alone: its modes k >= 1 and
 the variation GMRES would correct are zero.  ``solve_radial`` takes such
-data along r, a stack of columns at once, by one stacked tridiagonal
-solve with the mode-0 band of ``FourierSystem``, less the multiple of
-its unit inner response that zeroes the circulation, and checks each
+data along r, a stack of columns at once, by the ``RadialSystem`` of
+``FourierSystem``'s mode 0 with zero circulation, and checks each
 column's residual as ``solve_ve`` does.  ``radial_psi`` is the test of a
-radially symmetric state that its callers share.
+radially symmetric state that its callers share; it reads a
+theta-variation of rounding size (``RADIAL_RTOL``) as none.
 
 When c does not vary in theta, an orthonormal real DFT in theta splits
 the bordered matrix into blocks whose singular values together are its
@@ -71,6 +72,7 @@ from .grid import AnnulusGrid, Field2D, circulation_row
 
 ND_THRESHOLD = 1e-6     # least sigma_min / scale (NdReport)
 KRYLOV_RTOL = 1e-10     # solve_ve: relative interior residual of each column
+RADIAL_RTOL = 1e-12     # radial_psi: theta-variation of psi taken as rounding
 
 
 def _stencil(grid: AnnulusGrid):
@@ -79,12 +81,12 @@ def _stencil(grid: AnnulusGrid):
     return 1.0 / grid.hr**2, 1.0 / (2 * grid.hr * r), 1.0 / (grid.htheta**2 * r**2)
 
 
-def _mode_bands(grid: AnnulusGrid, shift, n_modes):
-    """Tridiagonal blocks in r of Delta + shift(r), one for each theta mode
-    0..n_modes - 1, in ``solve_banded``'s (1, 1) layout, of shape
-    (3, n_modes, Nr); the tie rows of both circles are identity rows."""
+def _mode_bands(grid: AnnulusGrid, shift, modes):
+    """Tridiagonal blocks in r of Delta + shift(r), one for each of the
+    given theta modes, in ``solve_banded``'s (1, 1) layout, of shape
+    (3, len(modes), Nr); the tie rows of both circles are identity rows."""
     c_rr, c_r, c_tt = _stencil(grid)
-    modes = np.arange(n_modes)[:, None]
+    modes = np.asarray(modes)[:, None]
     bands = np.zeros((3, modes.size, grid.Nr))
     bands[1] = 1.0
     bands[0, :, 2:] = c_rr + c_r.T
@@ -102,19 +104,19 @@ def solve_poisson(omega: Field2D, gamma: float) -> Field2D:
     return grid.field(solve_ve(grid.constant(0.0), omega.values, gamma)[0])
 
 
-class FourierSystem:
-    """Direct solver of the bordered system of Delta + shift(r), shift a
-    scalar or its values on the interior radii.  It holds no reference to
-    its grid.  Raises singular-system when the circulation row cannot fix
-    the inner constant."""
+class RadialSystem:
+    """Mode 0 of the bordered system of Delta + shift(r), shift a scalar
+    or its values on the interior radii: the system of data that do not
+    vary in theta.  It holds its tridiagonal band in r and its response
+    to a unit inner constant, and no reference to its grid.  Raises
+    singular-system when the circulation row cannot fix the inner
+    constant."""
 
     def __init__(self, grid: AnnulusGrid, shift):
         Nr, Ns = grid.Nr, grid.Ns
-        # banded form of the unknowns m*Nr + j; identity tie rows decouple the modes
-        self.bands = _mode_bands(grid, shift, Ns // 2 + 1).reshape(3, -1)
-        self.shape = (Nr, Ns)
+        self.band = _mode_bands(grid, shift, [0])[:, 0]
         # mode 0 of a unit inner constant: its tie rows sum to Ns in row 0
-        self.unit_inner = solve_banded((1, 1), self.bands[:, :Nr],
+        self.unit_inner = solve_banded((1, 1), self.band,
                                        np.r_[float(Ns), np.zeros(Nr - 1)])
         # weights of one theta column, applied to mode 0 (the column sums)
         self.circulation = circulation_row(grid)[:, 0]
@@ -122,20 +124,50 @@ class FourierSystem:
         if self.unit_circulation == 0.0:
             raise SingularSystemError("the circulation row leaves the inner constant free")
 
+    def solve(self, k, circulation):
+        """Mode 0 of phi, for mode 0 of the interior values, real and of
+        shape (Nr,) or (Nr, m), and a circulation, a scalar or one per
+        column: one tridiagonal solve of the m columns, plus the multiple
+        of ``unit_inner`` that gives the circulation.  Both are in the
+        scale of ``rfft``'s mode 0, the theta sums; a zero circulation
+        holds in any scale.  The boundary rows of k are not read."""
+        rhs = np.array(k, float)
+        rhs[[0, -1]] = 0.0                      # the tie rows of both circles
+        phi = solve_banded((1, 1), self.band, rhs, overwrite_b=True)
+        inner = (circulation - self.circulation @ phi) / self.unit_circulation
+        phi += np.multiply.outer(self.unit_inner, inner)
+        return phi
+
+
+class FourierSystem:
+    """Direct solver of the bordered system of Delta + shift(r), shift a
+    scalar or its values on the interior radii: its ``RadialSystem`` for
+    mode 0 and the bands of the modes k >= 1.  It holds no reference to
+    its grid.  Raises singular-system as ``RadialSystem`` does."""
+
+    def __init__(self, grid: AnnulusGrid, shift):
+        Nr, Ns = grid.Nr, grid.Ns
+        self.mode0 = RadialSystem(grid, shift)
+        # banded form of the unknowns (k - 1)*Nr + j; identity tie rows decouple the modes
+        self.bands = _mode_bands(grid, shift, np.arange(1, Ns // 2 + 1)).reshape(3, -1)
+        self.shape = (Nr, Ns)
+
     def solve(self, values, circulation):
         """phi for interior values of shape (Nr, Ns) or (Nr, Ns, m), the m
         columns solved at once, and a circulation, a scalar or one per
         column; the boundary rows of values are not read."""
         Nr, Ns = self.shape
         stack = values.shape[2:]
-        # Fortran order lays the modes out as the unknowns m*Nr + j: solved in place
+        # Fortran order lays the modes k >= 1 out as the unknowns (k - 1)*Nr + j
         modes = np.empty((Nr, Ns // 2 + 1) + stack, complex, order="F")
         np.fft.rfft(values, axis=1, out=modes)
-        modes[[0, -1]] = 0.0                    # the tie rows of both circles
-        modes = solve_banded((1, 1), self.bands, modes.reshape((-1,) + stack, order="F"),
-                             overwrite_b=True).reshape(modes.shape, order="F")
-        inner = (circulation - self.circulation @ modes[:, 0].real) / self.unit_circulation
-        modes[:, 0] += np.multiply.outer(self.unit_inner, inner)
+        modes[:, 0] = self.mode0.solve(modes[:, 0].real, circulation)
+        higher = modes[:, 1:]
+        higher[[0, -1]] = 0.0                   # the tie rows of both circles
+        # solved in place for one column; a stack is copied
+        modes[:, 1:] = solve_banded(
+            (1, 1), self.bands, higher.reshape((-1,) + stack, order="F"),
+            overwrite_b=True).reshape(higher.shape, order="F")
         phi = np.empty(values.shape)
         np.fft.irfft(modes, n=Ns, axis=1, out=phi)
         return phi
@@ -222,32 +254,33 @@ def solve_ve(c: Field2D, k, circulation=0.0):
 
 
 def radial_psi(psi: Field2D):
-    """psi along r, for a stream function that does not vary in theta;
-    raises ValueError otherwise: the mode-0 paths hold only for a
+    """psi along r, its first theta column, for a stream function whose
+    theta-variation is rounding: at most ``RADIAL_RTOL`` times max|psi|.
+    The Fourier solve leaves a few ulp of it when Ns has a factor 5 or 7,
+    whose FFT steps do not cancel a constant row exactly.  Raises
+    ValueError for a larger variation: the mode-0 paths hold only for a
     radially symmetric state."""
     values = psi.values
-    if not np.all(values == values[:, :1]):
-        raise ValueError("psi varies in theta: not a radially symmetric state")
+    variation = np.abs(values - values[:, :1]).max()
+    if not variation <= RADIAL_RTOL * np.abs(values).max():
+        raise ValueError(f"psi varies in theta by {variation:.2e}: "
+                         "not a radially symmetric state")
     return values[:, 0]
 
 
 def solve_radial(grid: AnnulusGrid, c, k):
     """Solve (Delta + c)phi = k with zero circulation for c, k and phi
     that do not vary in theta, given along r: c of shape (Nr,) and k of
-    shape (Nr, m), the m columns at once (module docstring).  Raises
-    no-convergence when a column's interior residual misses
-    ``KRYLOV_RTOL`` times the norm of its interior values."""
-    Nr = grid.Nr
+    shape (Nr, m), the m columns at once, by ``RadialSystem.solve``
+    (module docstring).  Raises no-convergence when a column's interior
+    residual misses ``KRYLOV_RTOL`` times the norm of its interior
+    values."""
     try:
-        system = FourierSystem(grid, c[1:-1])
+        system = RadialSystem(grid, c[1:-1])
     except (SingularSystemError, np.linalg.LinAlgError) as exc:
         raise NoConvergenceError(f"no mode-0 solve: {exc}") from exc
-    band = system.bands[:, :Nr]
-    rhs = k.copy()
-    rhs[[0, -1]] = 0.0                          # the tie rows of both circles
-    phi = solve_banded((1, 1), band, rhs, overwrite_b=True)
-    phi -= np.multiply.outer(system.unit_inner,
-                             system.circulation @ phi / system.unit_circulation)
+    phi = system.solve(k, 0.0)
+    band = system.band
     res = (band[0, 2:, None] * phi[2:] + band[1, 1:-1, None] * phi[1:-1]
            + band[2, :-2, None] * phi[:-2] - k[1:-1])
     residuals = np.linalg.norm(res, axis=0)
@@ -267,7 +300,7 @@ def _mode_blocks(grid: AnnulusGrid, shift, n_modes):
     of shape (Nr + 1, Nr + 1), and the Nr x Nr blocks of modes
     1..n_modes - 1."""
     Nr, Ns = grid.Nr, grid.Ns
-    bands = _mode_bands(grid, shift, n_modes)
+    bands = _mode_bands(grid, shift, np.arange(n_modes))
     j = np.arange(Nr)
     blocks = np.zeros((bands.shape[1], Nr, Nr))
     blocks[:, j, j] = bands[1]

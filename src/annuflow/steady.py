@@ -98,8 +98,8 @@ class SteadyState:
         return float(self.psi.values[0].mean())
 
     def solve_linearization(self, k):
-        """phi with Delta(phi) - F'(psi)phi = k, k of shape (Nr, Ns) or
-        (Nr, Ns, m), under the zero-circulation conditions."""
+        """phi with Delta(phi) - F'(psi)phi = k, k of shape (Nr, Ns),
+        under the zero-circulation conditions."""
         return solve_ve(self.psi.grid.field(-self.F.d1(self.psi.values)), k)[0]
 
 

@@ -28,6 +28,13 @@ def grid_radial128():
 
 
 @pytest.fixture(scope="session")
+def grid16x70():
+    # Ns with factors 5 and 7: the FFT leaves a radial psi varying in theta
+    # by rounding (1.4e-17 for the linear profile)
+    return make_annulus(1.0, 2.0, 16, 70)
+
+
+@pytest.fixture(scope="session")
 def bump_profile():
     # the target profile of the reference inversion (acceptance criterion 10)
     def bumped(s):

@@ -290,6 +290,31 @@ def test_invert_max_iter_exit3(tmp_path, capsys):
     assert np.array_equal(samples, state["profile_samples"])
 
 
+@pytest.mark.parametrize("grid", ["16,40", "16,56", "16,70"])
+def test_radial_paths_when_ns_has_factors_5_and_7(tmp_path, capsys, grid):
+    # the FFT steps of a factor 5 or 7 of Ns leave rounding-level theta
+    # variation in a radial psi (1e-17 at 16x70); check_nd1, check_nd2 and
+    # the Id + K of each Moser step read it as radial
+    from annuflow.grid import make_annulus
+    from annuflow.moser import t_map
+    from annuflow.steady import Profile1D
+
+    code, payload = run(capsys, "check", "--suite", "nd", "--grid", grid,
+                        "--out", str(tmp_path / "nd"))
+    assert code == 0 and payload["ok"]
+    g = make_annulus(1.0, 2.0, *(int(n) for n in grid.split(",")))
+    F = Profile1D.from_callable(lambda s: 0.5 * s - 0.9, -3.0,
+                                strictly_monotone=True)
+    curve, _ = t_map(F, -4 * np.pi, grid=g, cross_check=False)
+    write_curve_csv(tmp_path / "target.csv", curve.grid_x(), curve.values)
+    code, payload = run(capsys, "invert", "--profile", "0.5*s-1",
+                        "--gamma", str(-4 * np.pi), "--grid", grid,
+                        "--target", str(tmp_path / "target.csv"),
+                        "--cbar", "-3.0", "--out", str(tmp_path / "inv"))
+    assert code == 0
+    assert payload["iterations"] > 1 and payload["residual"] < 1e-6
+
+
 def test_check_unknown_suite(tmp_path, capsys):
     code, payload = run(capsys, "check", "--suite", "bogus",
                         "--out", str(tmp_path))

@@ -402,6 +402,19 @@ def test_nd1_refuses_theta_varying_state(grid32):
         check_nd1(SteadyState(F, psi, -2 * np.pi, 0.0))
 
 
+def test_radial_psi_reads_rounding_as_radial(grid32):
+    # a theta-variation of a few ulp of max|psi|, as the FFT steps of a
+    # factor 5 or 7 of Ns leave, is rounding; one of 1e-9 is not
+    g = grid32
+    psi = g.field_from(lambda r, t: (r - 1.0) * (r - 2.0) + 0.0 * t).values
+    ulps = np.random.default_rng(4).integers(-8, 9, size=psi.shape)
+    noisy = psi + ulps * np.spacing(np.abs(psi).max())
+    assert np.array_equal(radial_psi(g.field(noisy)), noisy[:, 0])
+    wavy = psi + 1e-9 * np.abs(psi).max() * np.sin(g.theta)
+    with pytest.raises(ValueError, match="radially symmetric"):
+        radial_psi(g.field(wavy))
+
+
 def test_radial_solve_matches_lu(bump64):
     # the mode-0 solve of theta-constant columns against the LU of the
     # bordered linearization on the same columns spread over theta

@@ -399,7 +399,7 @@ def test_id_plus_k_matches_k_apply(grid32):
     assert np.abs(K - cols).max() <= 1e-10 * np.abs(K).max()
 
 
-@pytest.mark.parametrize("grid", ["grid32", "grid_radial128"])
+@pytest.mark.parametrize("grid", ["grid32", "grid_radial128", "grid16x70"])
 def test_id_plus_k_fourier_matches_factor(splu_calls, request, grid):
     # Id + K assembled in r alone, and ds by a Fourier solve, factorize
     # nothing; the reference assembles Id + K on every grid node: E at each
