@@ -44,7 +44,8 @@ data along r, a stack of columns at once, by the ``RadialSystem`` of
 ``FourierSystem``'s mode 0 with zero circulation, and checks each
 column's residual as ``solve_ve`` does.  ``radial_psi`` is the test of a
 radially symmetric state that its callers share; it reads a
-theta-variation of rounding size (``RADIAL_RTOL``) as none.
+theta-variation of rounding size (``RADIAL_RTOL``) as none, by the
+predicate ``theta_constant`` that ``orbit.level_chart`` shares.
 
 When c does not vary in theta, an orthonormal real DFT in theta splits
 the bordered matrix into blocks whose singular values together are its
@@ -253,17 +254,26 @@ def solve_ve(c: Field2D, k, circulation=0.0):
     return phi.reshape(k.shape), iterations
 
 
+def _theta_variation(values):
+    return np.abs(values - values[:, :1]).max()
+
+
+def theta_constant(values, scale):
+    """Whether grid values vary in theta by rounding alone: by at most
+    ``RADIAL_RTOL`` times ``scale``."""
+    return bool(_theta_variation(values) <= RADIAL_RTOL * scale)
+
+
 def radial_psi(psi: Field2D):
     """psi along r, its first theta column, for a stream function whose
-    theta-variation is rounding: at most ``RADIAL_RTOL`` times max|psi|.
-    The Fourier solve leaves a few ulp of it when Ns has a factor 5 or 7,
-    whose FFT steps do not cancel a constant row exactly.  Raises
-    ValueError for a larger variation: the mode-0 paths hold only for a
-    radially symmetric state."""
+    theta-variation is rounding (``theta_constant`` with max|psi| as the
+    scale).  The Fourier solve leaves a few ulp of it when Ns has a
+    factor 5 or 7, whose FFT steps do not cancel a constant row exactly.
+    Raises ValueError for a larger variation: the mode-0 paths hold only
+    for a radially symmetric state."""
     values = psi.values
-    variation = np.abs(values - values[:, :1]).max()
-    if not variation <= RADIAL_RTOL * np.abs(values).max():
-        raise ValueError(f"psi varies in theta by {variation:.2e}: "
+    if not theta_constant(values, np.abs(values).max()):
+        raise ValueError(f"psi varies in theta by {_theta_variation(values):.2e}: "
                          "not a radially symmetric state")
     return values[:, 0]
 

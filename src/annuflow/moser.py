@@ -72,6 +72,8 @@ class MoserConfig:
                              f"got {gap:.4g}")
         if self.A <= 1.0:
             raise ValueError("need A > 1")
+        if self.max_iter < 1:
+            raise ValueError(f"need max_iter >= 1, got {self.max_iter}")
         return self
 
     def schedule(self, n):

@@ -5,8 +5,10 @@ and the tangency calculus of co-adjoint orbits.
 
 The chart z(t,s) follows the gradient flow dz/dt = range * grad(w)/|grad w|^2
 from seeds on the inner circle, so w(z(t,s)) = min w + t*(max w - min w) and
-the s-curves are the level sets.  All level-set quantities are periodic
-trapezoid sums over s, with field values interpolated bicubically.
+the s-curves are the level sets.  A field constant in theta integrates one
+seed, whose trajectory the rotations turn onto the others.  All level-set
+quantities are periodic trapezoid sums over s, with field values
+interpolated bicubically.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import BSpline, CubicSpline, RectBivariateSpline
 
 from .curves import Curve1D, Monotone1D
-from .elliptic import NdReport, solve_poisson
+from .elliptic import NdReport, solve_poisson, theta_constant
 from .errors import (AreaMismatchError, CriticalPointError, NotInFplusError,
                      NotTangentError, NonpositiveFprimeError, TrajectoryExitError)
 from .grid import Field2D, divergence, gradient, integrate, poisson_bracket
@@ -165,7 +167,15 @@ def _boundary_levels(omega: Field2D):
 def level_chart(omega: Field2D, Nt=None) -> LevelChart:
     """Integrate the gradient-curve chart of a boundary-constant field
     with no critical points (inner value below outer value), then project
-    its interior nodes onto their levels along the gradient."""
+    its interior nodes onto their levels along the gradient.
+
+    A field constant in theta (``elliptic.theta_constant`` with the range
+    as the scale) has trajectories that are rotations of one another, so
+    only the seed at theta[0] is integrated and projected, and the chart
+    is that column turned onto every seed.  RK45's RMS error norm for one
+    seed equals that of all Ns seeds up to rounding, so the step control
+    is unchanged.  The level residual is still checked on every interior
+    node."""
     g = omega.grid
     Nt = g.Nr if Nt is None else int(Nt)
     wmin, wmax = _boundary_levels(omega)
@@ -180,10 +190,13 @@ def level_chart(omega: Field2D, Nt=None) -> LevelChart:
 
     spl = FieldSpline(omega)
     Ns = g.Ns
+    radial = theta_constant(omega.values, rng)
+    seeds = g.theta[:1] if radial else g.theta
+    n = seeds.size
 
     def rhs(_t, y):
-        r = y[:Ns]
-        th = y[Ns:]
+        r = y[:n]
+        th = y[n:]
         wr, wt = spl.grad(r, th)
         gradsq = wr**2 + (wt / r) ** 2
         if gradsq.min() < floor**2:
@@ -191,14 +204,14 @@ def level_chart(omega: Field2D, Nt=None) -> LevelChart:
                 f"|grad| fell below {floor:.3e} along a trajectory")
         return np.concatenate([rng * wr / gradsq, rng * wt / (r**2 * gradsq)])
 
-    y0 = np.concatenate([np.full(Ns, g.Ri), g.theta.astype(float)])
+    y0 = np.concatenate([np.full(n, g.Ri), seeds.astype(float)])
     t_eval = np.linspace(0.0, 1.0, Nt)
     sol = solve_ivp(rhs, (0.0, 1.0), y0, t_eval=t_eval, rtol=CHART_RTOL,
                     atol=CHART_ATOL, max_step=0.1, dense_output=False)
     if not sol.success:
         raise CriticalPointError(f"chart integration failed: {sol.message}")
-    r = sol.y[:Ns, :].T.copy()              # (Nt, Ns)
-    theta = sol.y[Ns:, :].T.copy()
+    r = sol.y[:n, :].T.copy()               # (Nt, n)
+    theta = sol.y[n:, :].T.copy()
     overshoot = max(float((g.Ri - r).max()), float((r - g.Ro).max()))
     if overshoot > g.hr:
         raise TrajectoryExitError(f"chart left the annulus by {overshoot:.3e}")
@@ -222,6 +235,10 @@ def level_chart(omega: Field2D, Nt=None) -> LevelChart:
 
     wr, wt = spl.grad(r, theta)
     gn = np.sqrt(wr**2 + (wt / r) ** 2)
+    if radial:
+        r = np.repeat(r, Ns, axis=1)
+        theta = theta + (g.theta - seeds[0])
+        gn = np.repeat(gn, Ns, axis=1)
 
     ds = 1.0 / Ns
     dr_ds = (np.roll(r, -1, axis=1) - np.roll(r, 1, axis=1)) / (2 * ds)
@@ -273,9 +290,10 @@ def j_over_grad_radial(chart: LevelChart):
     collocation matrix of its r knots on the grid: its theta interpolant
     is the constant itself, on any chart.  So level i's row is the sum
     over its nodes of B_r(r_node) R^-1, weighted by
-    arc_weight / |grad w| * ds."""
+    arc_weight / |grad w| * ds.  The r knots depend on the grid alone,
+    so they are the chart spline's."""
     g = chart.grid
-    tr = FieldSpline(g.constant(0.0))._spl.get_knots()[0]
+    tr = chart.spline._spl.get_knots()[0]
     r_inv = np.linalg.inv(BSpline.design_matrix(g.r, tr, 3).toarray())
     br = BSpline.design_matrix(np.clip(chart.r.ravel(), g.Ri, g.Ro), tr, 3).tocoo()
     w = (chart.arc_weight / chart.grad_norm).ravel() * chart.ds

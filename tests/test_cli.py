@@ -290,6 +290,22 @@ def test_invert_max_iter_exit3(tmp_path, capsys):
     assert np.array_equal(samples, state["profile_samples"])
 
 
+def test_invert_max_iter_zero_is_invalid_input(tmp_path, capsys, ainv32):
+    # a config of no iteration is refused like any other invalid config
+    mu, ainv = ainv32
+    write_curve_csv(tmp_path / "target.csv", mu, ainv)
+    (tmp_path / "cfg.txt").write_text("max_iter=0\n")
+    code, payload = run(capsys, "invert", "--profile", "0.5*s-1",
+                        "--gamma", str(-4 * np.pi), "--grid", "32,64",
+                        "--target", str(tmp_path / "target.csv"),
+                        "--config", str(tmp_path / "cfg.txt"),
+                        "--out", str(tmp_path / "inv"))
+    assert code == 2
+    assert payload["error"] == "invalid-input"
+    assert "max_iter" in payload["message"]
+    assert not (tmp_path / "inv").exists()
+
+
 @pytest.mark.parametrize("grid", ["16,40", "16,56", "16,70"])
 def test_radial_paths_when_ns_has_factors_5_and_7(tmp_path, capsys, grid):
     # the FFT steps of a factor 5 or 7 of Ns leave rounding-level theta

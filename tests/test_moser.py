@@ -51,6 +51,20 @@ def test_config_constraints():
         MoserConfig(j=4).validate()
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_config_rejects_max_iter_below_one(max_iter, monkeypatch):
+    # a run of no iteration has no trace row to report on: refused by
+    # validate(), which moser_solve calls before any steady solve
+    cfg = MoserConfig(max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter"):
+        cfg.validate()
+    monkeypatch.setattr(moser, "solve_steady", lambda *a, **k: pytest.fail("solved"))
+    F0 = Profile1D.from_callable(lambda s: 0.5 * s - 1.0, -3.0)
+    target = Monotone1D(0.0, 3 * np.pi, np.linspace(-1.0, -0.5, 129))
+    with pytest.raises(ValueError, match="max_iter"):
+        moser_solve(F0, GAMMA, target, cfg=cfg)
+
+
 def test_config_roundtrip():
     cfg = MoserConfig(A=3.0, kappa=1.4, max_iter=12)
     cfg2 = config_from_text(config_to_text(cfg))

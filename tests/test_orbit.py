@@ -5,6 +5,7 @@ from annuflow.curves import Monotone1D
 from annuflow.errors import (CriticalPointError, NotInFplusError,
                              NotTangentError)
 from annuflow.grid import integrate, gradient, poisson_bracket
+from annuflow import orbit
 from annuflow.orbit import (
     dist_fn, dq, d2q, is_tangent, j_functional, j_over_grad,
     j_over_grad_radial, level_chart, project_tangent, pushforward, reconstruct_alpha, second_variation,
@@ -84,6 +85,70 @@ def test_chart_ignores_boundary_spread_below_the_fplus_bound(grid64, omega_wavy)
     vals[-1] -= wiggle
     chart = level_chart(grid64.field(vals))
     assert chart.residual() < 1e-13
+
+
+@pytest.fixture(scope="module")
+def bump_fields(grid64, grid16x70, bump_profile):
+    """The bump state's psi and omega, each with the row count of the chart
+    that reads it (the Moser workspace's and dist_chart's), at 64x128,
+    where psi is constant in theta bit for bit, and at 16x70, where it
+    varies by FFT rounding."""
+    out = {}
+    for name, g in (("64x128", grid64), ("16x70", grid16x70)):
+        state = solve_steady(bump_profile, GAMMA4, grid=g)
+        out[name, "psi"] = state.psi, max(2 * g.Nr, 128)
+        out[name, "omega"] = state.omega, max(g.Nr, 64)
+    return out
+
+
+@pytest.fixture
+def seed_counts(monkeypatch):
+    """The state-vector size of every chart integration in the test."""
+    sizes, real = [], orbit.solve_ivp
+
+    def recorded(fun, t_span, y0, *args, **kwargs):
+        sizes.append(np.size(y0))
+        return real(fun, t_span, y0, *args, **kwargs)
+
+    monkeypatch.setattr(orbit, "solve_ivp", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("grid", ["64x128", "16x70"])
+@pytest.mark.parametrize("which", ["psi", "omega"])
+def test_theta_constant_chart_integrates_one_seed(seed_counts, bump_fields,
+                                                  grid, which):
+    field, Nt = bump_fields[grid, which]
+    if grid == "16x70":
+        assert np.abs(field.values - field.values[:, :1]).max() > 0
+    chart = level_chart(field, Nt=Nt)
+    assert seed_counts == [2]
+    assert chart.r.shape == chart.theta.shape == chart.arc_weight.shape \
+        == (Nt, field.grid.Ns)
+
+
+def test_theta_varying_chart_integrates_every_seed(seed_counts, grid64, omega_wavy):
+    # a theta-variation of 1e-9 of the range passes for rounding against
+    # max|values| (1e5) but not against the range (3)
+    g = grid64
+    offset = g.field_from(lambda r, t: 1e5 + r**2
+                          + 3e-9 * np.sin(np.pi * (r - 1)) * np.sin(t))
+    for field in (omega_wavy, offset):
+        level_chart(field)
+    assert seed_counts == [2 * g.Ns] * 2
+
+
+@pytest.mark.parametrize("grid", ["64x128", "16x70"])
+@pytest.mark.parametrize("which", ["psi", "omega"])
+def test_one_seed_chart_matches_every_seed_chart(monkeypatch, bump_fields,
+                                                 grid, which):
+    field, Nt = bump_fields[grid, which]
+    one = level_chart(field, Nt=Nt)
+    monkeypatch.setattr(orbit, "theta_constant", lambda values, scale: False)
+    every = level_chart(field, Nt=Nt)
+    for name in ("r", "theta", "grad_norm", "arc_weight", "travel_time"):
+        ours, ref = getattr(one, name), getattr(every, name)
+        assert np.abs(ours - ref).max() <= 1e-11 * np.abs(ref).max(), name
 
 
 def test_chart_rejects_constant(grid64):
