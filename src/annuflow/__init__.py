@@ -32,7 +32,7 @@ from .grid import (AnnulusGrid, Field2D, circulation, divergence, gradient,
                    holder_norm, integrate, laplacian, make_annulus,
                    poisson_bracket)
 from .curves import Curve1D, Monotone1D, read_curve_csv, write_curve_csv
-from .elliptic import NdReport, check_nd1, solve_poisson, solve_ve
+from .elliptic import NdReport, check_nd1, solve_poisson
 from .steady import (Profile1D, SteadyState, d2s, ds, energy, solve_steady,
                      state_from_json, state_to_json)
 from .orbit import (LevelChart, check_nd2, dist_fn, dq, d2q, j_functional,

@@ -8,44 +8,39 @@ constraint row, so the system is square.  Its c = 0 member is the Poisson
 problem Delta(psi) = omega with circulation gamma; profile derivatives and
 the nondegeneracy checks solve with zero circulation.
 
-When c depends on r alone, ``FourierSystem`` solves the system, for one
-right-hand side or a stack, with no matrix and no factor (Hockney 1965;
-Buzbee, Golub and Nielson 1970): a real FFT in theta splits it into one
-tridiagonal system in r per mode.  The tie and circulation rows touch
-mode 0 only, which ``RadialSystem`` solves, with one extra homogeneous
-solve for the inner constant; the outer Dirichlet rows decouple the
-modes k >= 1 into one stacked solve.  It takes
-grid arrays and a circulation and returns grid arrays, whose row 0 holds
-the inner constant in every column.
+When c depends on r alone, ``FourierSystem`` solves the system with no
+matrix and no factor (Hockney 1965; Buzbee, Golub and Nielson 1970): a
+real FFT in theta splits it into one tridiagonal system in r per mode.
+The tie and circulation rows touch mode 0 only, which ``RadialSystem``
+solves, with one extra homogeneous solve for the inner constant; the
+outer Dirichlet rows decouple the modes k >= 1 into one stacked solve.
+It takes interior values on the grid and a circulation and returns grid
+values, whose row 0 holds the inner constant in every column.
+``solve_poisson`` is its c = 0 solve, for a vorticity that may vary in
+theta.
 
-For any c, the Fourier solve of Delta + cbar(r), cbar the theta-mean of
-c, is exact when c does not vary in theta, as on a radially symmetric
-state.  ``solve_ve`` is the one solver of Delta + c on the grid, Poisson
-included, for one right-hand side or a stack: it solves every column
-with that Fourier system and checks each column's interior residual
-against ``KRYLOV_RTOL`` times the norm of its interior values and its
-circulation (the tie and circulation rows hold by construction).  The
-circulation counts with the weight of the largest stencil diagonal over
-the circulation row's 2-norm: that row's scale is arbitrary, and without
-the weight the rounding of a harmonic psi misses the check at 128x256
-when Ri = 0.2, Ro = 1.  Each column that misses continues by its own
-GMRES, right-preconditioned with the same system, started from the
-Fourier answer and stopped at that column's bound, which then takes no
-iteration on a radially symmetric state and 2-6 on others.  GMRES stops
-within one restart cycle (20 iterations); every column it returns is
-checked again, since GMRES assumes that the
-preconditioner solves exactly, which a cbar near an eigenvalue of -Delta
-breaks.  A solve that fails either test raises no-convergence.
+When c and the right-hand side do not vary in theta, neither does phi,
+and its modes k >= 1 are zero.  ``solve_radial`` takes such data along
+r, a stack of columns at once, by ``RadialSystem`` alone.  Every other
+solve of the package is one: the steady states are radially symmetric
+(``steady``), so Newton steps, profile derivatives and Id + K solve
+Delta - F'(psi) along r.  That loses nothing the package can chart:
+a steady flow in a circular annulus with no stagnation point is circular
+(Hamel and Nadirashvili, J. Eur. Math. Soc. 2023), and
+``orbit.level_chart`` refuses a field with a critical point.
 
-When c and the right-hand sides do not vary in theta, neither does phi,
-and ``solve_ve``'s answer is its mode-0 part alone: its modes k >= 1 and
-the variation GMRES would correct are zero.  ``solve_radial`` takes such
-data along r, a stack of columns at once, by the ``RadialSystem`` of
-``FourierSystem``'s mode 0 with zero circulation, and checks each
-column's residual as ``solve_ve`` does.  ``radial_psi`` is the test of a
-radially symmetric state that its callers share; it reads a
-theta-variation of rounding size (``RADIAL_RTOL``) as none, by the
-predicate ``theta_constant`` that ``orbit.level_chart`` shares.
+Both solves check the interior residual of each column against
+``SOLVE_RTOL`` times the norm of its data, its interior values and its
+circulation (the tie and circulation rows hold by construction), and a
+miss raises no-convergence.  The circulation counts with the weight of
+the largest stencil diagonal over the circulation row's 2-norm: that
+row's scale is arbitrary, and without the weight the rounding of a
+harmonic psi misses the check at 128x256 when Ri = 0.2, Ro = 1.  A
+column along r is checked as the field it spreads to over theta.
+``radial_psi`` is the test of a radially symmetric state that its
+callers share; it reads a theta-variation of rounding size
+(``RADIAL_RTOL``) as none, by the predicate ``theta_constant`` that
+``orbit.level_chart`` shares.
 
 When c does not vary in theta, an orthonormal real DFT in theta splits
 the bordered matrix into blocks whose singular values together are its
@@ -65,14 +60,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
+# not used here: perfbench/tracer.py hooks ``elliptic.spla`` by name to
+# trace sparse LU calls, and its traced runs fail without it
+import scipy.sparse.linalg as spla  # noqa: F401
 from scipy.linalg import eigvals, solve_banded
 
 from .errors import NoConvergenceError, SingularSystemError
-from .grid import AnnulusGrid, Field2D, circulation_row
+from .grid import AnnulusGrid, Field2D, circulation_row, laplacian
 
 ND_THRESHOLD = 1e-6     # least sigma_min / scale (NdReport)
-KRYLOV_RTOL = 1e-10     # solve_ve: relative interior residual of each column
+SOLVE_RTOL = 1e-10      # relative interior residual of a solve's column
 RADIAL_RTOL = 1e-12     # radial_psi: theta-variation of psi taken as rounding
 
 
@@ -97,21 +94,13 @@ def _mode_bands(grid: AnnulusGrid, shift, modes):
     return bands
 
 
-def solve_poisson(omega: Field2D, gamma: float) -> Field2D:
-    """Stream function of a vorticity field with prescribed circulation:
-    the c = 0 solve of ``solve_ve`` with circulation gamma.  The tie rows
-    put its inner value in every column of row 0."""
-    grid = omega.grid
-    return grid.field(solve_ve(grid.constant(0.0), omega.values, gamma)[0])
-
-
 class RadialSystem:
     """Mode 0 of the bordered system of Delta + shift(r), shift a scalar
     or its values on the interior radii: the system of data that do not
-    vary in theta.  It holds its tridiagonal band in r and its response
-    to a unit inner constant, and no reference to its grid.  Raises
-    singular-system when the circulation row cannot fix the inner
-    constant."""
+    vary in theta.  It holds its tridiagonal band in r, its response to
+    a unit inner constant and the circulation's weight in the residual
+    check, and no reference to its grid.  Raises singular-system when the
+    circulation row cannot fix the inner constant."""
 
     def __init__(self, grid: AnnulusGrid, shift):
         Nr, Ns = grid.Nr, grid.Ns
@@ -124,6 +113,10 @@ class RadialSystem:
         self.unit_circulation = self.circulation @ self.unit_inner
         if self.unit_circulation == 0.0:
             raise SingularSystemError("the circulation row leaves the inner constant free")
+        # the largest stencil diagonal over the circulation row's 2-norm,
+        # which is sqrt(Ns) times that of one theta column
+        c_rr, _, c_tt = _stencil(grid)
+        self.weight = 2 * (c_rr + c_tt.max()) / (np.sqrt(Ns) * np.linalg.norm(self.circulation))
 
     def solve(self, k, circulation):
         """Mode 0 of phi, for mode 0 of the interior values, real and of
@@ -138,6 +131,20 @@ class RadialSystem:
         inner = (circulation - self.circulation @ phi) / self.unit_circulation
         phi += np.multiply.outer(self.unit_inner, inner)
         return phi
+
+    def check(self, what, residual, norm, circulation):
+        """Raise no-convergence when the interior residual of a solve on
+        the grid, a 2-norm for each column, misses ``SOLVE_RTOL`` times the
+        norm of its data: its interior values, of 2-norm ``norm``, and its
+        circulation, with ``weight`` (module docstring)."""
+        residual, norm = np.broadcast_arrays(np.atleast_1d(residual),
+                                             np.hypot(norm, self.weight * circulation))
+        miss = np.flatnonzero(~(residual <= SOLVE_RTOL * norm))  # a NaN misses too
+        if miss.size:
+            j = miss[0]
+            raise NoConvergenceError(
+                f"{what} left a residual of {residual[j]:.2e}, above "
+                f"{SOLVE_RTOL:g} times the norm {norm[j]:.2e} of its data")
 
 
 class FourierSystem:
@@ -154,104 +161,33 @@ class FourierSystem:
         self.shape = (Nr, Ns)
 
     def solve(self, values, circulation):
-        """phi for interior values of shape (Nr, Ns) or (Nr, Ns, m), the m
-        columns solved at once, and a circulation, a scalar or one per
-        column; the boundary rows of values are not read."""
+        """phi for interior values of shape (Nr, Ns) and a circulation; the
+        boundary rows of values are not read."""
         Nr, Ns = self.shape
-        stack = values.shape[2:]
         # Fortran order lays the modes k >= 1 out as the unknowns (k - 1)*Nr + j
-        modes = np.empty((Nr, Ns // 2 + 1) + stack, complex, order="F")
+        modes = np.empty((Nr, Ns // 2 + 1), complex, order="F")
         np.fft.rfft(values, axis=1, out=modes)
         modes[:, 0] = self.mode0.solve(modes[:, 0].real, circulation)
         higher = modes[:, 1:]
         higher[[0, -1]] = 0.0                   # the tie rows of both circles
-        # solved in place for one column; a stack is copied
-        modes[:, 1:] = solve_banded(
-            (1, 1), self.bands, higher.reshape((-1,) + stack, order="F"),
-            overwrite_b=True).reshape(higher.shape, order="F")
-        phi = np.empty(values.shape)
-        np.fft.irfft(modes, n=Ns, axis=1, out=phi)
-        return phi
+        modes[:, 1:] = solve_banded((1, 1), self.bands, higher.ravel(order="F"),
+                                    overwrite_b=True).reshape(higher.shape, order="F")
+        return np.fft.irfft(modes, n=Ns, axis=1)
 
 
-def _residual_squares(c: Field2D, phi, k):
-    """Squared 2-norm of each column of (Delta + c)phi - k on the interior
-    rows, phi and k of shape (Nr, Ns, m): from the stencil with no
-    matrix, a block of about 256 KB of radial rows at a time."""
-    grid = c.grid
-    c_rr, c_r, c_tt = _stencil(grid)
-    c_r, c_tt = c_r[..., None], c_tt[..., None]
-    diag = c.values[1:-1, :, None] - 2 * c_rr - 2 * c_tt
-    rows = max(1, (1 << 15) // phi[0].size)
-    squares = np.zeros(phi.shape[2])
-    for lo in range(1, grid.Nr - 1, rows):
-        hi = min(lo + rows, grid.Nr - 1)
-        mid, up, down = phi[lo:hi], phi[lo + 1:hi + 1], phi[lo - 1:hi - 1]
-        i = slice(lo - 1, hi - 1)           # the same rows of the interior arrays
-        res = diag[i] * mid - k[lo:hi]
-        part = up + down
-        part *= c_rr
-        res += part
-        np.subtract(up, down, out=part)
-        part *= c_r[i]
-        res += part
-        # the angular neighbours, wrapping around theta
-        np.add(mid[:, 2:], mid[:, :-2], out=part[:, 1:-1])
-        np.add(mid[:, 1], mid[:, -1], out=part[:, 0])
-        np.add(mid[:, 0], mid[:, -2], out=part[:, -1])
-        part *= c_tt[i]
-        res += part
-        squares += np.einsum("ijk,ijk->k", res, res)
-    return squares
-
-
-def solve_ve(c: Field2D, k, circulation=0.0):
-    """Solve (Delta + c)phi = k with the given circulation, k of shape
-    (Nr, Ns) or (Nr, Ns, m), the m columns at once: the Fourier solve of
-    Delta + cbar(r), continued by GMRES for each column whose residual
-    misses (see the module docstring).  Returns (phi, the largest number
-    of GMRES iterations of a column); raises no-convergence when GMRES or
-    the check of its true residuals fails."""
-    grid = c.grid
-    cbar = c.values.mean(axis=1, keepdims=True)
-    values = k.reshape(grid.Nr, grid.Ns, -1)
-    try:
-        system = FourierSystem(grid, cbar[1:-1, 0])
-        phi = system.solve(values, circulation)
-    except (SingularSystemError, np.linalg.LinAlgError) as exc:
-        raise NoConvergenceError(f"GMRES has no preconditioner: {exc}") from exc
-    c_rr, _, c_tt = _stencil(grid)      # the circulation's weight (module docstring)
-    weight = 2 * (c_rr + c_tt.max()) / np.linalg.norm(circulation_row(grid))
-    norms = np.sqrt(np.einsum("ijk,ijk->k", values[1:-1], values[1:-1])
-                    + np.square(weight * circulation))
-    bound = (KRYLOV_RTOL * norms) ** 2
-    squares = _residual_squares(c, phi, values)
-    miss = np.flatnonzero(~(squares <= bound))          # a NaN residual misses too
-    n = grid.Nr * grid.Ns
-    variation = c.values - cbar
-    variation[[0, -1]] = 0.0                    # the tie rows hold for any y
-
-    def apply(y):               # (Delta + c) M^{-1} y, with M = Delta + cbar
-        y = y.reshape(grid.Nr, grid.Ns)
-        return (y + variation * system.solve(y, 0.0)).ravel()
-
-    operator = spla.LinearOperator((n, n), matvec=apply, dtype=float)
-    iterations = 0
-    for j in miss:
-        # GMRES for the correction, from the residual of the Fourier answer
-        residuals = []
-        y, info = spla.gmres(operator, (-variation * phi[..., j]).ravel(), rtol=0.0,
-                             atol=KRYLOV_RTOL * norms[j], maxiter=1,
-                             callback=residuals.append, callback_type="pr_norm")
-        iterations = max(iterations, len(residuals))
-        phi[..., j] += system.solve(y.reshape(grid.Nr, grid.Ns), 0.0)
-        left = _residual_squares(c, phi[..., j, None], values[..., j, None])[0]
-        if info != 0 or not left <= bound[j]:
-            raise NoConvergenceError(
-                f"GMRES left a relative residual of {np.sqrt(left) / norms[j]:.2e} "
-                f"(stop {KRYLOV_RTOL:g}) after {len(residuals)} iterations",
-                iterations=len(residuals))
-    return phi.reshape(k.shape), iterations
+def solve_poisson(omega: Field2D, gamma: float) -> Field2D:
+    """Stream function of a vorticity field with prescribed circulation:
+    the c = 0 Fourier solve, whose tie rows put its inner value in every
+    column of row 0.  Raises no-convergence when its residual, taken with
+    ``grid.laplacian``, misses the check (module docstring)."""
+    grid = omega.grid
+    system = FourierSystem(grid, 0.0)
+    psi = grid.field(system.solve(omega.values, gamma))
+    interior = omega.values[1:-1]
+    system.mode0.check("the Poisson solve",
+                       np.linalg.norm(laplacian(psi).values[1:-1] - interior),
+                       np.linalg.norm(interior), gamma)
+    return psi
 
 
 def _theta_variation(values):
@@ -267,10 +203,12 @@ def theta_constant(values, scale):
 def radial_psi(psi: Field2D):
     """psi along r, its first theta column, for a stream function whose
     theta-variation is rounding (``theta_constant`` with max|psi| as the
-    scale).  The Fourier solve leaves a few ulp of it when Ns has a
-    factor 5 or 7, whose FFT steps do not cancel a constant row exactly.
-    Raises ValueError for a larger variation: the mode-0 paths hold only
-    for a radially symmetric state."""
+    scale).  The states of ``steady`` are constant in theta bit for bit,
+    but ``solve_poisson`` leaves a few ulp of variation when Ns has a
+    factor 5 or 7, whose FFT steps do not cancel a constant row exactly,
+    and so do state files written before the states were.  Raises
+    ValueError for a larger variation: the mode-0 paths hold only for a
+    radially symmetric state."""
     values = psi.values
     if not theta_constant(values, np.abs(values).max()):
         raise ValueError(f"psi varies in theta by {_theta_variation(values):.2e}: "
@@ -278,29 +216,25 @@ def radial_psi(psi: Field2D):
     return values[:, 0]
 
 
-def solve_radial(grid: AnnulusGrid, c, k):
-    """Solve (Delta + c)phi = k with zero circulation for c, k and phi
-    that do not vary in theta, given along r: c of shape (Nr,) and k of
-    shape (Nr, m), the m columns at once, by ``RadialSystem.solve``
-    (module docstring).  Raises no-convergence when a column's interior
-    residual misses ``KRYLOV_RTOL`` times the norm of its interior
-    values."""
+def solve_radial(grid: AnnulusGrid, c, k, circulation):
+    """Solve (Delta + c)phi = k with the given circulation for c, k and
+    phi that do not vary in theta, given along r: c of shape (Nr,) and k
+    of shape (Nr,) or (Nr, m), the m columns at once, the circulation a
+    scalar or one per column, by ``RadialSystem.solve`` (module
+    docstring).  Raises no-convergence when the mode-0 system is singular
+    or a column misses its residual check."""
     try:
         system = RadialSystem(grid, c[1:-1])
     except (SingularSystemError, np.linalg.LinAlgError) as exc:
         raise NoConvergenceError(f"no mode-0 solve: {exc}") from exc
-    phi = system.solve(k, 0.0)
+    # a theta-constant field's circulation is Ns times its column's
+    phi = system.solve(k, circulation / grid.Ns)
     band = system.band
-    res = (band[0, 2:, None] * phi[2:] + band[1, 1:-1, None] * phi[1:-1]
-           + band[2, :-2, None] * phi[:-2] - k[1:-1])
-    residuals = np.linalg.norm(res, axis=0)
-    norms = np.linalg.norm(k[1:-1], axis=0)
-    miss = np.flatnonzero(~(residuals <= KRYLOV_RTOL * norms))  # a NaN misses too
-    if miss.size:
-        j = miss[0]
-        raise NoConvergenceError(
-            f"the mode-0 solve left a residual of {residuals[j]:.2e}, above "
-            f"{KRYLOV_RTOL:g} times its column's norm {norms[j]:.2e}")
+    res = (band[0, 2:] * phi[2:].T + band[1, 1:-1] * phi[1:-1].T
+           + band[2, :-2] * phi[:-2].T - k[1:-1].T)
+    spread = np.sqrt(grid.Ns)       # a theta-constant field's 2-norm over its column's
+    system.check("the mode-0 solve", spread * np.linalg.norm(res, axis=-1),
+                 spread * np.linalg.norm(k[1:-1], axis=0), circulation)
     return phi
 
 

@@ -171,6 +171,13 @@ def laplacian(f: Field2D) -> Field2D:
     return Field2D(g, out)
 
 
+def laplacian_radial(grid: AnnulusGrid, values):
+    """The Laplacian of a field that does not vary in theta, given along r:
+    one column of ``laplacian`` of the field spread over theta, bit for
+    bit (its angular term is exactly zero)."""
+    return _d2_r(values, grid.hr) + _d_r(values, grid.hr) / grid.r
+
+
 def divergence(vr: Field2D, vtheta: Field2D) -> Field2D:
     """div V = (1/r) d(r Vr)/dr + (1/r) dVtheta/dtheta."""
     g = vr.grid

@@ -15,19 +15,19 @@ whose parameters must satisfy the convergence constraints checked by
 MoserConfig.validate().
 
 Every per-state object lives on its steady state: ``dt`` and
-``k_apply`` solve through ``SteadyState.solve_linearization`` (by
+``k_apply`` solve along r through ``SteadyState.solve_linearization`` (by
 ``steady.ds``), and ``workspace(state)`` stores the stream chart (which
 owns the distribution and the area grid) and the assembled Id + K on the
 state.  The workspace holds no reference back to its state, so both are
 freed with the state.
 
 Id + K is assembled for radially symmetric states only.  Every state of
-the iteration is one: Newton starts from the Poisson solution of a
-constant vorticity, and each Fourier solve keeps theta-constant data in
-theta-mode 0.  On such a state the VB compositions, the linearized solves
-and the loop integrals stay constant in theta, so each factor of the
-product is taken along r, and none holds a grid-sized stack of N_MU
-columns.  A state whose psi varies in theta raises ValueError there.
+the iteration is one: ``steady.solve_steady`` runs Newton on psi's column
+along r and spreads it over theta.  On such a state the VB compositions,
+the linearized solves and the loop integrals stay constant in theta, so
+each factor of the product is taken along r, and none holds a grid-sized
+stack of N_MU columns.  A state whose psi varies in theta raises
+ValueError there.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ class StateWorkspace:
             cardinal = CubicSpline(self.chart.area_grid.mu, np.eye(N_MU))
             E = _vb_compose(cardinal, cardinal.derivative(),
                             self.chart.distribution[0], self.chart.omega_min, psi)
-            phi = solve_radial(self.psi.grid, -self.F.d1(psi), E)
+            phi = solve_radial(self.psi.grid, -self.F.d1(psi), E, 0.0)
             K = self.transport(j_over_grad_radial(self.chart) @ phi)
             self._id_plus_k = np.eye(N_MU) + K
             self.singular_values = np.linalg.svd(self._id_plus_k, compute_uv=False)

@@ -2,17 +2,21 @@
 constant inner trace, prescribed circulation, plus its first and second
 derivatives with respect to the profile F.
 
-Newton linearization: the correction phi solves
+Every state is radially symmetric: Newton starts from the stream function
+of the constant vorticity F(0), and a step from a radial iterate, whose
+F'(psi) is radial too, stays in theta-mode 0.  So Newton runs on psi's
+column along r, and each correction phi solves
 Delta(phi) - F'(psi)phi = F(psi) - Delta(psi) with zero outer trace and
-constant inner trace, by ``elliptic.solve_ve``, so Newton assembles and
-factorizes nothing; on a radially symmetric state a step takes no GMRES
-iteration.  Rounding the update psi + phi moves the circulation by
-up to about 1e-13, the same in every column of a radial state; the next
+constant inner trace by one mode-0 solve, ``elliptic.solve_radial``.  The
+converged column is spread over theta once, so a state is constant in
+theta bit for bit.  A start psi0 that varies in theta by more than
+rounding (``elliptic.radial_psi``) raises ValueError.  Rounding the
+update psi + phi moves the circulation by up to about 1e-13; the next
 step takes it out again, so the iterates keep the circulation of the
 start.  Full steps with residual-halving damping (at most 5 halvings per
 step).  A state records one ``NewtonStep`` per step.  Every derivative
-of a state solves through ``SteadyState.solve_linearization``, which is
-``elliptic.solve_ve`` with zero circulation, so no state holds a factor.
+of a state solves along r through ``SteadyState.solve_linearization``,
+``solve_radial`` with zero circulation, and is spread over theta once.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import Curve1D
-from .elliptic import solve_poisson, solve_ve
+from .elliptic import radial_psi, solve_poisson, solve_radial
 from .errors import NoConvergenceError, NotMonotoneError, RangeEscapeError
-from .grid import Field2D, circulation, gradient, integrate, laplacian, make_annulus
+from .grid import (AnnulusGrid, Field2D, circulation_row, gradient, integrate,
+                   laplacian_radial, make_annulus)
 
 TOL_NEWTON = 1e-9
 MAX_NEWTON = 50
@@ -72,7 +77,6 @@ class NewtonStep(NamedTuple):
 
     residual: float             # interior residual of the iterate it corrects
     step: float                 # damping step length: 1, 1/2, ..., 1/32
-    krylov_iterations: int      # GMRES iterations of its linear solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,73 +102,81 @@ class SteadyState:
         return float(self.psi.values[0].mean())
 
     def solve_linearization(self, k):
-        """phi with Delta(phi) - F'(psi)phi = k, k of shape (Nr, Ns),
-        under the zero-circulation conditions."""
-        return solve_ve(self.psi.grid.field(-self.F.d1(self.psi.values)), k)[0]
+        """phi along r with Delta(phi) - F'(psi)phi = k, k along r, under
+        the zero-circulation conditions: one mode-0 solve.  Raises
+        ValueError when psi varies in theta (``radial_psi``)."""
+        return solve_radial(self.psi.grid, -self.F.d1(radial_psi(self.psi)), k, 0.0)
 
 
-def _interior_residual(psi: Field2D, F: Profile1D):
-    """F(psi) - Delta(psi), the Newton right-hand side, and the max of its
-    absolute interior values, the residual."""
-    res = F(psi.values) - laplacian(psi).values
-    return res, float(np.abs(res[1:-1, :]).max())
+def _spread(grid: AnnulusGrid, column):
+    """The field that is ``column`` in every theta column."""
+    return grid.field(np.repeat(column[:, None], grid.Ns, axis=1))
+
+
+def _interior_residual(grid: AnnulusGrid, psi, F: Profile1D):
+    """F(psi) - Delta(psi) along r, the Newton right-hand side, and the max
+    of its absolute interior values, the residual."""
+    res = F(psi) - laplacian_radial(grid, psi)
+    return res, float(np.abs(res[1:-1]).max())
 
 
 def solve_steady(F: Profile1D, gamma: float, psi0: Field2D | None = None,
                  grid=None, tol=TOL_NEWTON) -> SteadyState:
-    """Newton iteration for the steady state on a prescribed orbit class.
+    """Newton iteration for the steady state on a prescribed orbit class,
+    on psi's column along r (module docstring).
 
-    psi0 defaults to the stream function of the constant vorticity F(0).
-    Raises range-escape if an iterate leaves the profile interval, and
-    no-convergence after MAX_NEWTON steps or when damping fails.
+    psi0 defaults to the stream function of the constant vorticity F(0);
+    a psi0 that varies in theta raises ValueError.  Raises range-escape if
+    an iterate leaves the profile interval, and no-convergence after
+    MAX_NEWTON steps or when damping fails.
     """
     if psi0 is None:
         if grid is None:
             raise ValueError("pass psi0 or grid")
-        omega0 = grid.constant(F(0.0))
-        psi = solve_poisson(omega0, gamma)
+        psi = solve_radial(grid, np.zeros(grid.Nr), np.full(grid.Nr, F(0.0)), gamma)
     else:
-        psi = psi0
         grid = psi0.grid
+        psi = radial_psi(psi0)
+    # the circulation of a theta-constant field, from its column
+    weights = grid.Ns * circulation_row(grid)[:, 0]
 
     # Profiles live on [cbar, 0]; iterates may poke slightly above 0 (the
     # spline extrapolates there), bounded by a fixed fraction of |cbar|.
     upper_margin = 0.15 * abs(F.cbar)
 
     def check_range(p):
-        lo, hi = p.values.min(), p.values.max()
+        lo, hi = p.min(), p.max()
         if lo <= F.cbar or hi > upper_margin:
             raise RangeEscapeError(
                 f"iterate range [{lo:.4g}, {hi:.4g}] escapes ({F.cbar:.4g}, "
                 f"{upper_margin:.4g}]", lo=lo, hi=hi)
 
     check_range(psi)
-    rhs, residual = _interior_residual(psi, F)
+    rhs, residual = _interior_residual(grid, psi, F)
     history = []
     drift = 0.0
     for _ in range(MAX_NEWTON):
         if residual < tol:
             break
-        c = grid.field(-F.d1(psi.values))
-        phi, iterations = solve_ve(c, rhs, -drift)
+        phi = solve_radial(grid, -F.d1(psi), rhs, -drift)
         step = 1.0
         for _ in range(6):
-            cand = grid.field(psi.values + step * phi)
-            cand_rhs, cand_res = _interior_residual(cand, F)
+            cand = psi + step * phi
+            cand_rhs, cand_res = _interior_residual(grid, cand, F)
             if cand_res < residual:
                 break
             step *= 0.5
         else:
             # rounding of Delta(psi): eps * |psi| * the stencil's absolute sum
-            floor = (4 * np.finfo(float).eps * np.abs(psi.values).max()
+            floor = (4 * np.finfo(float).eps * np.abs(psi).max()
                      * (grid.hr**-2 + (grid.Ri * grid.htheta)**-2))
             raise NoConvergenceError(
                 "damping failed to reduce the residual" if residual > floor else
                 f"tolerance {tol:.1e} is below the rounding floor {floor:.1e} of "
                 f"the interior residual, reached at {residual:.2e}",
                 residual=residual, floor=floor)
-        history.append(NewtonStep(residual, step, iterations))
-        drift += circulation(cand - psi)
+        history.append(NewtonStep(residual, step))
+        drift += weights @ (cand - psi)
         psi = cand
         check_range(psi)
         rhs, residual = cand_rhs, cand_res
@@ -172,28 +184,28 @@ def solve_steady(F: Profile1D, gamma: float, psi0: Field2D | None = None,
         raise NoConvergenceError(f"no convergence after {MAX_NEWTON} iterations",
                                  residual=residual)
     # clamp the outer trace exactly (solver keeps it at rounding level)
-    vals = psi.values.copy()
-    vals[-1, :] = 0.0
-    return SteadyState(F, grid.field(vals), float(gamma), residual, tuple(history))
+    psi = _spread(grid, psi)
+    psi.values[-1] = 0.0
+    return SteadyState(F, psi, float(gamma), residual, tuple(history))
 
 
 def ds(state: SteadyState, f) -> Field2D:
     """First derivative of the steady state in a profile direction f:
-    solves Delta(phi) - F'(psi)phi = f(psi) with zero-circulation data.
-    Directions are Curve1D (callable, with d1)."""
-    return state.psi.grid.field(state.solve_linearization(f(state.psi.values)))
+    solves Delta(phi) - F'(psi)phi = f(psi) with zero-circulation data,
+    along r.  Directions are Curve1D (callable, with d1)."""
+    phi = state.solve_linearization(f(radial_psi(state.psi)))
+    return _spread(state.psi.grid, phi)
 
 
 def d2s(state: SteadyState, f1, f2) -> Field2D:
     """Second derivative: solves the linearized equation with source
-    F''(psi) phi1 phi2 + f2'(psi) phi1 + f1'(psi) phi2."""
-    g = state.psi.grid
-    psi = state.psi.values
-    phi1 = ds(state, f1).values
-    phi2 = ds(state, f2).values
+    F''(psi) phi1 phi2 + f2'(psi) phi1 + f1'(psi) phi2, along r."""
+    psi = radial_psi(state.psi)
+    phi1 = state.solve_linearization(f1(psi))
+    phi2 = state.solve_linearization(f2(psi))
     src = (state.F.d2(psi) * phi1 * phi2
            + f2.d1(psi) * phi1 + f1.d1(psi) * phi2)
-    return g.field(state.solve_linearization(src))
+    return _spread(state.psi.grid, state.solve_linearization(src))
 
 
 def energy(state_or_omega, gamma=None) -> float:

@@ -29,8 +29,8 @@ def grid_radial128():
 
 @pytest.fixture(scope="session")
 def grid16x70():
-    # Ns with factors 5 and 7: the FFT leaves a radial psi varying in theta
-    # by rounding (1.4e-17 for the linear profile)
+    # Ns with factors 5 and 7: the FFT leaves a radial Poisson solution
+    # varying in theta by rounding (1.4e-17 for a constant vorticity)
     return make_annulus(1.0, 2.0, 16, 70)
 
 

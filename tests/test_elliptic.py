@@ -3,7 +3,6 @@ import gc
 import os
 import subprocess
 import sys
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,9 +11,8 @@ import pytest
 import annuflow
 from annuflow.cli import _reference_state
 from annuflow.elliptic import (FourierSystem, NdReport, _mode_blocks,
-                               _residual_squares, _singular_values, check_nd1,
-                               principal_eigenvalue, radial_psi, solve_poisson,
-                               solve_radial, solve_ve)
+                               _singular_values, check_nd1, principal_eigenvalue,
+                               radial_psi, solve_poisson, solve_radial)
 from annuflow.errors import NoConvergenceError
 from annuflow.grid import (circulation, circulation_row, gradient, integrate,
                            laplacian, make_annulus)
@@ -38,14 +36,13 @@ def test_poisson_harmonic_log(grid64):
 
 
 def test_poisson_residual_is_checked(monkeypatch):
-    # Poisson is the c = 0 solve of solve_ve, so a residual that misses the
-    # check is reported as no-convergence, not returned
+    # a residual that misses the check is reported as no-convergence, not
+    # returned; no rounding meets a stop of 1e-30
     from annuflow import elliptic
 
-    monkeypatch.setattr(elliptic, "_residual_squares",
-                        lambda c, phi, k: np.full(phi.shape[2], np.nan))
     g = make_annulus(1.0, 2.0, 16, 32)
-    with pytest.raises(NoConvergenceError):
+    monkeypatch.setattr(elliptic, "SOLVE_RTOL", 1e-30)
+    with pytest.raises(NoConvergenceError, match="Poisson solve"):
         solve_poisson(g.constant(1.0), -4 * np.pi)
 
 
@@ -55,7 +52,7 @@ def test_poisson_residual_is_checked(monkeypatch):
                          ids=["small-inner", "thin", "256x512"])
 def test_poisson_harmonic_passes_its_check(radii, shape):
     # the rounding of a harmonic psi leaves 2e-10 to 4e-10 of the
-    # circulation alone here, above KRYLOV_RTOL; weighted by the stencil's
+    # circulation alone here, above SOLVE_RTOL; weighted by the stencil's
     # scale over the circulation row's, the check accepts it
     g = make_annulus(*radii, *shape)
     psi = solve_poisson(g.constant(0.0), -4 * np.pi)
@@ -110,66 +107,33 @@ def test_energy_identity_poisson(grid64):
         assert abs(e1 - e2) < 100 * grid64.h**2 * max(1.0, abs(e1))
 
 
-def ve(c, k):
-    """solve_ve of a Field2D right-hand side, as a Field2D."""
-    return c.grid.field(solve_ve(c, k.values)[0])
-
-
 def test_ve_radial_closed_form(grid64):
-    phi = ve(grid64.constant(0.0), grid64.constant(4.0))
-    exact = grid64.field_from(lambda r, t: r**2 - 2 * np.log(r) - 4 + 2 * np.log(2))
-    assert np.abs(phi.values - exact.values).max() < 20 * grid64.hr**2
-    assert phi.values[0, 0] == pytest.approx(-3 + 2 * np.log(2), abs=20 * grid64.hr**2)
-
-
-def test_ve_zero_rhs(grid64):
-    c = grid64.field_from(lambda r, t: -1.0 - 0.3 * np.sin(t))
-    phi = ve(c, grid64.constant(0.0))
-    assert np.abs(phi.values).max() < 1e-12
+    # (Delta + 0)phi = 4 along r, zero circulation: r^2 - 2 log r + const
+    g = grid64
+    phi = solve_radial(g, np.zeros(g.Nr), np.full(g.Nr, 4.0), 0.0)
+    exact = g.r**2 - 2 * np.log(g.r) - 4 + 2 * np.log(2)
+    assert np.abs(phi - exact).max() < 20 * g.hr**2
+    assert phi[0] == pytest.approx(-3 + 2 * np.log(2), abs=20 * g.hr**2)
 
 
 def test_ve_residual_random(grid64):
     rng = np.random.default_rng(2)
     k = grid64.field(rng.normal(size=(64, 128)))
-    c = grid64.constant(-1.0)
-    phi = ve(c, k)
-    res = (laplacian(phi).values + c.values * phi.values - k.values)[1:-1, :]
+    phi = grid64.field(FourierSystem(grid64, -1.0).solve(k.values, 0.0))
+    res = (laplacian(phi).values - phi.values - k.values)[1:-1, :]
     assert np.abs(res).max() < 1e-8 * np.abs(k.values).max()
     assert abs(circulation(phi)) < 1e-9
     assert np.abs(phi.values[-1, :]).max() < 1e-12
 
 
 def test_ve_linearity(grid64):
-    c = grid64.field_from(lambda r, t: -r)
+    system = FourierSystem(grid64, -grid64.r[1:-1])
     k1 = grid64.field_from(lambda r, t: np.sin(r))
     k2 = grid64.field_from(lambda r, t: np.cos(2 * t))
     a, b = 1.7, -0.4
-    lhs = ve(c, a * k1 + b * k2)
-    rhs = a * ve(c, k1).values + b * ve(c, k2).values
-    assert np.abs(lhs.values - rhs).max() < 1e-10
-
-
-def test_ve_maximum_principle(grid64):
-    # c <= 0 and k >= 0 (not identically 0) force phi <= 0 inside
-    c = grid64.field_from(lambda r, t: -(1 + 0.5 * np.sin(t) ** 2))
-    k = grid64.field_from(lambda r, t: (r - 1) * (2 - r) + 0.1)
-    phi = ve(c, k)
-    assert phi.values[1:-1, :].max() < 1e-12
-
-
-def test_ve_non_radial_stack_memory(grid32):
-    # each column that misses its check continues by its own GMRES, so the
-    # Krylov basis holds one column, not the stack (before: 28x k.nbytes)
-    c = grid32.field_from(lambda r, t: -1.0 - 0.3 * np.sin(t) * (r - 1))
-    k = np.random.default_rng(3).normal(size=(32, 64, 64))
-    tracemalloc.start()
-    try:
-        phi, iterations = solve_ve(c, k)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert iterations >= 1
-    assert peak <= 8 * k.nbytes
+    lhs = system.solve((a * k1 + b * k2).values, 0.0)
+    rhs = a * system.solve(k1.values, 0.0) + b * system.solve(k2.values, 0.0)
+    assert np.abs(lhs - rhs).max() < 1e-10
 
 
 @pytest.mark.parametrize("shape", [(16, 32), (24, 40)])
@@ -193,20 +157,6 @@ def test_bordered_matrix_rows(shape):
     last = A[n].toarray().ravel()
     assert np.array_equal(last[:n], circulation_row(grid).ravel())
     assert last[n] == 0.0
-
-
-@pytest.mark.parametrize("m", [1, 129])
-def test_residual_squares_match_matrix(m):
-    # the blocked stencil residual against the assembled bordered matrix,
-    # on rows split into several blocks when m = 129
-    grid = make_annulus(1.0, 2.0, 24, 40)
-    c = grid.field_from(lambda r, t: -1.0 + 0.3 * r * np.cos(t))
-    rng = np.random.default_rng(4)
-    phi, k = rng.normal(size=(2, 24, 40, m))
-    x = np.concatenate([phi.reshape(-1, m), np.zeros((1, m))])
-    res = (bordered_matrix(grid, c) @ x)[:-1].reshape(phi.shape) - k
-    ref = np.einsum("ijk,ijk->k", res[1:-1], res[1:-1])
-    assert np.abs(_residual_squares(c, phi, k) - ref).max() <= 1e-12 * ref.max()
 
 
 @pytest.mark.parametrize("shape", [(32, 64), (64, 128), (128, 256)],
@@ -421,7 +371,7 @@ def test_radial_solve_matches_lu(bump64):
     g = bump64.psi.grid
     c = -bump64.F.d1(radial_psi(bump64.psi))
     k = np.random.default_rng(5).normal(size=(g.Nr, 7))
-    phi = solve_radial(g, c, k)
+    phi = solve_radial(g, c, k, 0.0)
     ref = lu_solve(factored_linearization(bump64),
                    np.repeat(k[:, None, :], g.Ns, axis=1))
     assert np.abs(phi[:, None, :] - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -433,10 +383,25 @@ def test_radial_solve_residual_is_checked(monkeypatch, grid32):
     from annuflow import elliptic
 
     k = np.random.default_rng(6).normal(size=(grid32.Nr, 3))
-    solve_radial(grid32, np.full(grid32.Nr, -1.0), k)
-    monkeypatch.setattr(elliptic, "KRYLOV_RTOL", 1e-30)
+    solve_radial(grid32, np.full(grid32.Nr, -1.0), k, 0.0)
+    monkeypatch.setattr(elliptic, "SOLVE_RTOL", 1e-30)
     with pytest.raises(NoConvergenceError, match="mode-0 solve"):
-        solve_radial(grid32, np.full(grid32.Nr, -1.0), k)
+        solve_radial(grid32, np.full(grid32.Nr, -1.0), k, 0.0)
+
+
+@pytest.mark.parametrize("shape", [(32, 64), (128, 256)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_radial_solve_with_circulation_matches_fourier(shape):
+    # a column solved with the circulation of its field is the Fourier
+    # solve of the data spread over theta, whose circulation it has
+    g = make_annulus(1.0, 2.0, *shape)
+    shift = -0.5 - 0.1 * (g.r - 1)
+    k = np.sin(3 * g.r)
+    phi = solve_radial(g, shift, k, -4 * np.pi)
+    ref = FourierSystem(g, shift[1:-1]).solve(np.repeat(k[:, None], g.Ns, axis=1),
+                                              -4 * np.pi)
+    assert np.abs(phi[:, None] - ref).max() <= 1e-12 * np.abs(ref).max()
+    spread = g.field(np.repeat(phi[:, None], g.Ns, axis=1))
+    assert circulation(spread) == pytest.approx(-4 * np.pi, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 5])

@@ -4,7 +4,8 @@ import pytest
 from annuflow.errors import InvalidGeometryError
 from annuflow.grid import (
     circulation, field_from_json, field_to_json, gradient,
-    holder_norm, integrate, laplacian, make_annulus, poisson_bracket,
+    holder_norm, integrate, laplacian, laplacian_radial, make_annulus,
+    poisson_bracket,
 )
 from annuflow.curves import Curve1D
 
@@ -63,6 +64,16 @@ def test_laplacian_r_squared(grid64):
 def test_laplacian_log_harmonic(grid64):
     f = grid64.field_from(lambda r, t: np.log(r))
     assert np.abs(laplacian(f).values[1:-1, :]).max() < 10 * grid64.hr**2
+
+
+@pytest.mark.parametrize("Ns", [70, 128])
+def test_laplacian_radial_is_a_column_of_laplacian(Ns):
+    # Newton's residual is taken along r: it must equal the 2D Laplacian
+    # of the spread field bit for bit
+    g = make_annulus(1.0, 2.0, 33, Ns)
+    column = np.exp(g.r) * np.sin(3 * g.r)
+    full = laplacian(g.field(np.repeat(column[:, None], Ns, axis=1))).values
+    assert np.array_equal(full, np.repeat(laplacian_radial(g, column)[:, None], Ns, axis=1))
 
 
 def test_laplacian_mixed_mode(grid64):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from annuflow.curves import Curve1D
-from annuflow.elliptic import (FourierSystem, principal_eigenvalue,
-                               solve_poisson, solve_ve)
+from annuflow.elliptic import FourierSystem, principal_eigenvalue, solve_poisson
 from annuflow.errors import (NoConvergenceError, NotMonotoneError,
                              RangeEscapeError, SingularSystemError)
 from annuflow.grid import circulation, make_annulus, poisson_bracket
@@ -14,8 +13,8 @@ from annuflow.steady import (
     solve_steady, state_from_json, state_to_json,
 )
 
-from oracles import (bordered_system, factored_linearization, lu_solve,
-                     radial_linearized, radial_steady)
+from oracles import (factored_linearization, lu_solve, radial_linearized,
+                     radial_steady)
 
 GAMMA = -2 * np.pi
 
@@ -117,8 +116,6 @@ def test_newton_quadratic_convergence(grid64):
     history = st.newton_history
     assert len(history) >= 3
     assert all(h.step == 1.0 for h in history)
-    # a radial state: every step is the Fourier solve alone
-    assert all(h.krylov_iterations == 0 for h in history)
     # residual ratio r_{k+1}/r_k^2 bounded over the convergent stretch
     residuals = [h.residual for h in history] + [st.newton_residual]
     ratios = [residuals[i + 1] / residuals[i] ** 2
@@ -127,9 +124,9 @@ def test_newton_quadratic_convergence(grid64):
 
 
 def test_newton_factorizes_nothing(splu_calls):
-    # the Poisson start and the preconditioner of every Newton step are
-    # Fourier solves, which hold no factor: neither a cold start nor a warm
-    # start on the same grid factorizes anything
+    # the Poisson start and every Newton step are mode-0 solves along r,
+    # which hold no factor: neither a cold start nor a warm start on the
+    # same grid factorizes anything
     g = make_annulus(1.0, 2.0, 32, 64)
     F = profile(lambda s: np.exp(s) + 0.8 * s)
     st = solve_steady(F, GAMMA, grid=g)
@@ -155,33 +152,14 @@ def test_tolerance_below_rounding_floor_is_named(shape, tol):
     assert tol < info["residual"] <= info["floor"]
 
 
-def test_newton_krylov_iterations():
-    # on a radial state the Fourier solve of Delta + cbar(r) is exact and
-    # GMRES takes no iteration; a shift that varies in theta costs a few
-    g = make_annulus(1.0, 2.0, 64, 128)
-
-    def fn(s):
-        return 0.5 * s - 0.95 + 0.01 * s * s
-
-    psi0 = solve_poisson(g.constant(fn(0.0)), -4 * np.pi)
-    F = profile(fn, cbar=default_cbar(psi0))
-    st = solve_steady(F, -4 * np.pi, psi0=psi0)
-    assert len(st.newton_history) >= 2
-    assert all(h.krylov_iterations == 0 for h in st.newton_history)
-    c = g.field_from(lambda r, t: -0.5 - 0.1 * np.sin(t) * np.sin(np.pi * (r - 1))
-                     - 0.1 * (r - 1))
-    k = g.field_from(lambda r, t: r**2 + r * np.cos(3 * t))
-    _, iterations = solve_ve(c, k.values)
-    assert 2 <= iterations <= 6
-
-
-def test_krylov_failure_is_no_convergence():
-    # F' = -lam_1 makes Delta - F'(psi) singular: GMRES cannot reach its
-    # stop within one restart cycle, and that is reported as no-convergence
+def test_singular_step_is_no_convergence():
+    # F' = -lam_1 makes Delta - F'(psi) singular, and lam_1 is a mode-0
+    # eigenvalue (3.2177 against 10.21 for mode 1 here): the radial Newton
+    # step meets a singular system, reported as no-convergence
     g = make_annulus(1.0, 2.0, 32, 64)
     lam = principal_eigenvalue(g)
     F = profile(lambda s: -lam * s - 1.0)
-    with pytest.raises(NoConvergenceError, match="GMRES"):
+    with pytest.raises(NoConvergenceError, match="mode-0 solve"):
         solve_steady(F, GAMMA, grid=g)
 
 
@@ -245,7 +223,7 @@ def test_ds_first_order_richardson(grid64):
 
 
 def test_ds_d2s_fourier_match_factor(state_affine):
-    # the radial state solves by Fourier; the factor path is the reference
+    # the radial state solves along r; the factor path is the reference
     st = state_affine
     g, psi = st.psi.grid, st.psi.values
     f1 = profile(lambda s: np.sin(s))
@@ -263,23 +241,41 @@ def test_ds_d2s_fourier_match_factor(state_affine):
     assert np.abs(phi12 - ref12).max() <= 1e-12 * np.abs(ref12).max()
 
 
-def test_non_radial_state_solves_without_factor(splu_calls, grid32):
-    # F' varies along the theta-dependent psi, so the Fourier solve of the
-    # theta-mean misses its residual check and GMRES continues it: nothing
-    # is factorized, and ds agrees with the LU of the bordered matrix
-    g = grid32
-    raw = g.field_from(lambda r, t: r**2 + 0.05 * np.sin(np.pi * (r - 1)) * np.sin(t))
-    psi = g.field(2.0 * (raw.values - 4.0) / 3.0)          # inside [-3, 0]
-    F = profile(lambda s: np.exp(s) + 0.8 * s)
-    state = SteadyState(F, psi, GAMMA, 0.0)
+def _wavy_state(grid):
+    """A hand-built state whose psi varies in theta, inside [-3, 0]."""
+    raw = grid.field_from(lambda r, t: r**2 + 0.05 * np.sin(np.pi * (r - 1)) * np.sin(t))
+    psi = grid.field(2.0 * (raw.values - 4.0) / 3.0)
+    return SteadyState(profile(lambda s: np.exp(s) + 0.8 * s), psi, GAMMA, 0.0)
+
+
+def test_ds_d2s_refuse_theta_varying_state(grid32):
+    # the derivatives solve along r, so a state whose psi varies in theta
+    # is refused rather than answered from its first column
+    state = _wavy_state(grid32)
     f = profile(lambda s: np.sin(s))
-    phi = ds(state, f)
-    assert splu_calls == []
-    _, iterations = solve_ve(g.field(-F.d1(psi.values)), f(psi.values))
-    assert iterations >= 1
-    ref = lu_solve(bordered_system(g, g.field(-F.d1(psi.values))), f(psi.values))
-    # measured: 6.2e-14 relative at 32x64 (3 GMRES iterations)
-    assert np.abs(phi.values - ref).max() <= 1e-12 * np.abs(ref).max()
+    with pytest.raises(ValueError, match="radially symmetric"):
+        ds(state, f)
+    with pytest.raises(ValueError, match="radially symmetric"):
+        d2s(state, f, f)
+
+
+def test_newton_refuses_theta_varying_start(grid32):
+    state = _wavy_state(grid32)
+    with pytest.raises(ValueError, match="radially symmetric"):
+        solve_steady(state.F, GAMMA, psi0=state.psi)
+
+
+@pytest.mark.parametrize("Ns", [40, 56, 70])
+def test_state_is_theta_constant_when_ns_has_factors_5_and_7(Ns):
+    # Newton runs on psi's column and spreads it once, so no FFT rounding
+    # is left in theta (the 2D Fourier Newton left 6.9e-17, 5.6e-17 and
+    # 5.6e-17 here), also from a Poisson start that carries some
+    g = make_annulus(1.0, 2.0, 16, Ns)
+    F = profile(lambda s: 0.5 * s - 0.95 + 0.01 * s * s)
+    cold = solve_steady(F, GAMMA, grid=g)
+    assert np.ptp(cold.psi.values, axis=1).max() == 0.0
+    warm = solve_steady(F, GAMMA, psi0=solve_poisson(g.constant(F(0.0)), GAMMA))
+    assert np.ptp(warm.psi.values, axis=1).max() == 0.0
 
 
 def test_d2s_zero(state_affine):
