@@ -12,12 +12,12 @@ def _pin_mmap_threshold():
     later multi-megabyte arrays are carved from the heap, whose freed
     blocks stay resident, and the peak resident size depends on the order
     of allocations.  With a fixed threshold each such array is its own
-    mapping, returned to the system when freed.  Since Id + K holds no
-    grid-sized stack, the pin saves little: on the invert-nd benchmark
-    (64x128, 2-core machine, 2 BLAS threads, seed 3, 5 s runs) the peak
-    was 95.0-95.3 MB with it and 95.7-96.3 MB without, and on
-    solve-dist-sweep it moved by at most 0.2 MB.  Nothing is done on
-    other C libraries."""
+    mapping, returned to the system when freed.  The pin saves little but
+    steadily: on the invert-nd benchmark (64x128, 2-core machine, 2 BLAS
+    threads, 7 alternating pairs of 8 s runs) the peak was 92.8-93.4 MB
+    with it and 93.4-93.8 MB without, higher without in every pair; on
+    solve-dist-sweep the two differed by at most 0.3 MB either way.
+    Nothing is done on other C libraries."""
     try:
         libc = ctypes.CDLL(None)
     except (OSError, TypeError):        # no handle on the running process

@@ -18,13 +18,13 @@ import numpy as np
 
 from . import moser, orbit, tame
 from .curves import Curve1D, Monotone1D, read_curve_csv, write_curve_csv
-from .elliptic import ND_THRESHOLD, check_nd1, solve_poisson
+from .elliptic import ND_THRESHOLD, check_nd1
 from .errors import AnnuflowError, DivergedError
 from .exprparse import ExpressionError, parse_expression
 from .grid import (circulation, field_from_json, field_to_json, gradient,
                    integrate, make_annulus, poisson_bracket)
 from .steady import (TOL_NEWTON, Profile1D, default_cbar, energy_pair,
-                     solve_steady, state_from_json, state_to_json)
+                     poisson_start, solve_steady, state_from_json, state_to_json)
 
 
 class CliError(Exception):
@@ -66,13 +66,13 @@ def _load_profile(arg):
 
 def _start_profile(args, grid):
     """The --profile on [cbar, 0] and a Newton start psi0 or None.  Without
-    --cbar, an expression's cbar comes from the constant-vorticity start of
-    solve_steady (steady.default_cbar), which is then psi0."""
+    --cbar, an expression's cbar is steady.default_cbar of solve_steady's
+    start, steady.poisson_start of F(0), which is then psi0."""
     fn, cbar = _load_profile(args.profile)
     cbar = args.cbar if cbar is None else cbar
     if cbar is not None:
         return Profile1D.from_callable(fn, cbar), None
-    psi0 = solve_poisson(grid.constant(float(fn(0.0))), args.gamma)
+    psi0 = poisson_start(grid, float(fn(0.0)), args.gamma)
     return Profile1D.from_callable(fn, default_cbar(psi0)), psi0
 
 

@@ -203,10 +203,10 @@ def theta_constant(values, scale):
 def radial_psi(psi: Field2D):
     """psi along r, its first theta column, for a stream function whose
     theta-variation is rounding (``theta_constant`` with max|psi| as the
-    scale).  The states of ``steady`` are constant in theta bit for bit,
-    but ``solve_poisson`` leaves a few ulp of variation when Ns has a
-    factor 5 or 7, whose FFT steps do not cancel a constant row exactly,
-    and so do state files written before the states were.  Raises
+    scale).  The states of ``steady`` and its start are constant in theta
+    bit for bit, but a caller's own psi0 from ``solve_poisson`` carries a
+    few ulp of variation when Ns has a factor 5 or 7, whose FFT steps do
+    not cancel a constant row exactly, and so do older state files.  Raises
     ValueError for a larger variation: the mode-0 paths hold only for a
     radially symmetric state."""
     values = psi.values

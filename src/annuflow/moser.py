@@ -298,7 +298,7 @@ def _repair_monotone(samples, h_s, floor_slope):
 
 
 def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
-                cfg: MoserConfig = MoserConfig(), grid=None):
+                cfg: MoserConfig = MoserConfig(), *, grid):
     """Invert the orbit label map: find F with T(F) = g_target near F0.
 
     Returns (profile, its steady state, trace).  The residual trace records

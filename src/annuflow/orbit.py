@@ -8,7 +8,8 @@ from seeds on the inner circle, so w(z(t,s)) = min w + t*(max w - min w) and
 the s-curves are the level sets.  A field constant in theta integrates one
 seed, whose trajectory the rotations turn onto the others.  All level-set
 quantities are periodic trapezoid sums over s, with field values
-interpolated bicubically.
+interpolated bicubically; on the circle levels of such a chart, the loop
+integral of a theta-constant field is its value times the travel time.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.interpolate import BSpline, CubicSpline, RectBivariateSpline
+from scipy.interpolate import CubicSpline, RectBivariateSpline, make_interp_spline
 
 from .curves import Curve1D, Monotone1D
 from .elliptic import NdReport, solve_poisson, theta_constant
@@ -284,22 +284,16 @@ def j_over_grad(chart: LevelChart, u: Field2D) -> Curve1D:
 
 def j_over_grad_radial(chart: LevelChart):
     """j_over_grad of the fields that do not vary in theta, as an (Nt, Nr)
-    matrix acting on their values along r.
+    matrix acting on their values along r, for a chart whose levels are
+    circles (ValueError otherwise): the chart of a theta-constant field.
 
-    FieldSpline interpolates such a field u by B_r(r) R^-1 u, with R the
-    collocation matrix of its r knots on the grid: its theta interpolant
-    is the constant itself, on any chart.  So level i's row is the sum
-    over its nodes of B_r(r_node) R^-1, weighted by
-    arc_weight / |grad w| * ds.  The r knots depend on the grid alone,
-    so they are the chart spline's."""
-    g = chart.grid
-    tr = chart.spline._spl.get_knots()[0]
-    r_inv = np.linalg.inv(BSpline.design_matrix(g.r, tr, 3).toarray())
-    br = BSpline.design_matrix(np.clip(chart.r.ravel(), g.Ri, g.Ro), tr, 3).tocoo()
-    w = (chart.arc_weight / chart.grad_norm).ravel() * chart.ds
-    G = sp.coo_matrix((br.data * w[br.row], (br.row // g.Ns, br.col)),
-                      shape=(chart.t.size, g.Nr)).toarray()     # sums duplicates
-    return G @ r_inv
+    FieldSpline interpolates such a field by its not-a-knot cubic along r,
+    constant in theta, so on a circle the loop integral of u/|grad w| is
+    u there times the travel time."""
+    if np.ptp(chart.r, axis=1).any():
+        raise ValueError("the chart's levels are not circles")
+    cardinal = make_interp_spline(chart.grid.r, np.eye(chart.grid.Nr), k=3)
+    return chart.travel_time[:, None] * cardinal(chart.r[:, 0])
 
 
 def dist_chart(omega: Field2D) -> LevelChart:

@@ -120,12 +120,19 @@ def _interior_residual(grid: AnnulusGrid, psi, F: Profile1D):
     return res, float(np.abs(res[1:-1]).max())
 
 
+def poisson_start(grid: AnnulusGrid, w0, gamma) -> Field2D:
+    """The stream function of the constant vorticity w0 with circulation
+    gamma, Newton's default start: one solve along r, spread over theta."""
+    return _spread(grid, solve_radial(grid, np.zeros(grid.Nr),
+                                      np.full(grid.Nr, w0), gamma))
+
+
 def solve_steady(F: Profile1D, gamma: float, psi0: Field2D | None = None,
                  grid=None, tol=TOL_NEWTON) -> SteadyState:
     """Newton iteration for the steady state on a prescribed orbit class,
     on psi's column along r (module docstring).
 
-    psi0 defaults to the stream function of the constant vorticity F(0);
+    psi0 defaults to ``poisson_start`` of the constant vorticity F(0);
     a psi0 that varies in theta raises ValueError.  Raises range-escape if
     an iterate leaves the profile interval, and no-convergence after
     MAX_NEWTON steps or when damping fails.
@@ -133,10 +140,9 @@ def solve_steady(F: Profile1D, gamma: float, psi0: Field2D | None = None,
     if psi0 is None:
         if grid is None:
             raise ValueError("pass psi0 or grid")
-        psi = solve_radial(grid, np.zeros(grid.Nr), np.full(grid.Nr, F(0.0)), gamma)
-    else:
-        grid = psi0.grid
-        psi = radial_psi(psi0)
+        psi0 = poisson_start(grid, F(0.0), gamma)
+    grid = psi0.grid
+    psi = radial_psi(psi0)
     # the circulation of a theta-constant field, from its column
     weights = grid.Ns * circulation_row(grid)[:, 0]
 
@@ -275,9 +281,8 @@ def state_from_json(text: str) -> SteadyState:
 
 
 def default_cbar(psi0: Field2D):
-    """Reference interval depth: twice the minimum of psi0, the stream
-    function of the constant vorticity F(0) (so perturbed solutions stay
-    inside the interval)."""
+    """Reference interval depth: twice the minimum of psi0, poisson_start
+    of F(0), so that perturbed solutions stay inside the interval."""
     m = float(psi0.values.min())
     if m >= 0:
         m = -1.0

@@ -75,8 +75,8 @@ def test_solve_profile_starting_with_minus(tmp_path, capsys):
 def test_solve_parses_profile_and_solves_poisson_once(tmp_path, capsys,
                                                      monkeypatch):
     # without --cbar, the constant-vorticity stream function sets cbar and
-    # is the Newton start: one parse and one Poisson solve per command
-    from annuflow import cli, elliptic, steady
+    # is the Newton start: one parse and one start solve per command
+    from annuflow import cli, steady
     calls = []
 
     def counted(name, fn):
@@ -88,13 +88,45 @@ def test_solve_parses_profile_and_solves_poisson_once(tmp_path, capsys,
     monkeypatch.setattr(cli, "parse_expression",
                         counted("parse", cli.parse_expression))
     for module in (cli, steady):
-        monkeypatch.setattr(module, "solve_poisson",
-                            counted("poisson", elliptic.solve_poisson),
-                            raising=False)
+        monkeypatch.setattr(module, "poisson_start",
+                            counted("start", steady.poisson_start))
     code, _ = run(capsys, "solve", "--profile", "0.5*s-1", "--gamma",
                   str(-2 * np.pi), "--grid", "16,32", "--out", str(tmp_path))
     assert code == 0
-    assert sorted(calls) == ["parse", "poisson"]
+    assert sorted(calls) == ["parse", "start"]
+
+
+def test_solve_and_invert_make_no_2d_poisson_solve(tmp_path, capsys, monkeypatch):
+    # the start without --cbar is solved along r: no FFT solve, also at an
+    # Ns with factors 5 and 7, where the FFT leaves theta-rounding
+    import sys
+
+    from annuflow import elliptic
+    from annuflow.grid import make_annulus
+    from annuflow.moser import t_map
+    from annuflow.steady import Profile1D
+
+    g = make_annulus(1.0, 2.0, 16, 70)
+    F = Profile1D.from_callable(lambda s: 0.5 * s - 0.9, -3.0,
+                                strictly_monotone=True)
+    curve, _ = t_map(F, -4 * np.pi, grid=g, cross_check=False)
+    write_curve_csv(tmp_path / "target.csv", curve.grid_x(), curve.values)
+    (tmp_path / "cfg.txt").write_text("max_iter=1\n")
+    real = elliptic.solve_poisson
+    for name, module in list(sys.modules.items()):
+        if name.startswith("annuflow") and getattr(module, "solve_poisson", None) is real:
+            monkeypatch.setattr(module, "solve_poisson",
+                                lambda *a: pytest.fail("2D Poisson solve"))
+    code, _ = run(capsys, "solve", "--profile", "0.5*s-1", "--gamma",
+                  str(-4 * np.pi), "--grid", "16,70", "--out", str(tmp_path))
+    assert code == 0
+    code, _ = run(capsys, "invert", "--profile", "0.5*s-1",
+                  "--gamma", str(-4 * np.pi), "--grid", "16,70",
+                  "--target", str(tmp_path / "target.csv"),
+                  "--config", str(tmp_path / "cfg.txt"),
+                  "--out", str(tmp_path / "inv"))
+    assert code == 3                        # one step, off the target
+    assert (tmp_path / "inv" / "state.json").exists()
 
 
 def test_solve_harmonic_energy(tmp_path, capsys):
@@ -247,8 +279,8 @@ def test_invert_bad_target_abscissae(tmp_path, capsys, monkeypatch, ainv32, edit
         keep = np.r_[np.arange(0, mu.size // 2, 2), np.arange(mu.size // 2, mu.size)]
         mu, ainv = mu[keep], ainv[keep]
     write_curve_csv(tmp_path / "target.csv", mu, ainv)
-    solves, real = [], cli.solve_poisson
-    monkeypatch.setattr(cli, "solve_poisson", lambda *a: solves.append(a) or real(*a))
+    solves, real = [], cli.poisson_start
+    monkeypatch.setattr(cli, "poisson_start", lambda *a: solves.append(a) or real(*a))
     code, payload = run(capsys, "invert", "--profile", "0.5*s-1",
                         "--gamma", str(-4 * np.pi), "--grid", "32,64",
                         "--target", str(tmp_path / "target.csv"),

@@ -52,7 +52,7 @@ def test_config_constraints():
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])
-def test_config_rejects_max_iter_below_one(max_iter, monkeypatch):
+def test_config_rejects_max_iter_below_one(max_iter, monkeypatch, grid32):
     # a run of no iteration has no trace row to report on: refused by
     # validate(), which moser_solve calls before any steady solve
     cfg = MoserConfig(max_iter=max_iter)
@@ -62,7 +62,7 @@ def test_config_rejects_max_iter_below_one(max_iter, monkeypatch):
     F0 = Profile1D.from_callable(lambda s: 0.5 * s - 1.0, -3.0)
     target = Monotone1D(0.0, 3 * np.pi, np.linspace(-1.0, -0.5, 129))
     with pytest.raises(ValueError, match="max_iter"):
-        moser_solve(F0, GAMMA, target, cfg=cfg)
+        moser_solve(F0, GAMMA, target, cfg=cfg, grid=grid32)
 
 
 def test_config_roundtrip():

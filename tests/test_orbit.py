@@ -4,7 +4,7 @@ import pytest
 from annuflow.curves import Monotone1D
 from annuflow.errors import (CriticalPointError, NotInFplusError,
                              NotTangentError)
-from annuflow.grid import integrate, gradient, poisson_bracket
+from annuflow.grid import integrate, gradient, make_annulus, poisson_bracket
 from annuflow import orbit
 from annuflow.orbit import (
     dist_fn, dq, d2q, is_tangent, j_functional, j_over_grad,
@@ -206,13 +206,23 @@ def test_coarea_identity_battery(omega_wavy, chart_wavy, grid64):
         assert abs(lhs - rhs) < 1e-3 * max(abs(lhs), abs(rhs), 1e-6)
 
 
-def test_j_over_grad_radial_matches_loop_integral(chart_wavy, grid64):
-    # the wavy chart leaves the theta nodes, where the interpolant of a
-    # theta-constant field is that constant, so the radial matrix holds on it
-    u_r = np.random.default_rng(9).normal(size=grid64.Nr)
-    ref = j_over_grad(chart_wavy, grid64.field(np.repeat(u_r[:, None], grid64.Ns, 1))).values
-    ours = j_over_grad_radial(chart_wavy) @ u_r
+@pytest.mark.parametrize("Nr, Ns", [(16, 70), (64, 128), (128, 256)])
+def test_j_over_grad_radial_is_travel_time_on_circles(Nr, Ns, bump_profile):
+    # the levels of the bump psi chart are circles, so the loop integral of
+    # a theta-constant field is its value times the travel time
+    g = make_annulus(1.0, 2.0, Nr, Ns)
+    chart = level_chart(solve_steady(bump_profile, GAMMA4, grid=g).psi,
+                        Nt=max(2 * Nr, 128))
+    u_r = np.random.default_rng(9).normal(size=Nr)
+    ref = j_over_grad(chart, g.field(np.repeat(u_r[:, None], Ns, 1))).values
+    ours = j_over_grad_radial(chart) @ u_r
+    assert ours.shape == ref.shape == (max(2 * Nr, 128),)
     assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_j_over_grad_radial_refuses_levels_off_circles(chart_wavy):
+    with pytest.raises(ValueError, match="circles"):
+        j_over_grad_radial(chart_wavy)
 
 
 def test_dist_radial_closed_form(omega_r2, chart_r2):

@@ -10,7 +10,7 @@ from annuflow.errors import (NoConvergenceError, NotMonotoneError,
 from annuflow.grid import circulation, make_annulus, poisson_bracket
 from annuflow.steady import (
     Profile1D, SteadyState, d2s, default_cbar, ds, energy, energy_pair,
-    solve_steady, state_from_json, state_to_json,
+    poisson_start, solve_steady, state_from_json, state_to_json,
 )
 
 from oracles import (factored_linearization, lu_solve, radial_linearized,
@@ -276,6 +276,10 @@ def test_state_is_theta_constant_when_ns_has_factors_5_and_7(Ns):
     assert np.ptp(cold.psi.values, axis=1).max() == 0.0
     warm = solve_steady(F, GAMMA, psi0=solve_poisson(g.constant(F(0.0)), GAMMA))
     assert np.ptp(warm.psi.values, axis=1).max() == 0.0
+    # the CLI's start is solve_steady's own, bit for bit
+    start = poisson_start(g, F(0.0), GAMMA)
+    assert np.ptp(start.values, axis=1).max() == 0.0
+    assert np.array_equal(solve_steady(F, GAMMA, psi0=start).psi.values, cold.psi.values)
 
 
 def test_d2s_zero(state_affine):
@@ -351,7 +355,7 @@ def test_state_json_ignores_stored_omega(state_affine):
 
 
 def test_default_cbar(grid64):
-    c = default_cbar(solve_poisson(grid64.constant(-1.0), GAMMA))
+    c = default_cbar(poisson_start(grid64, -1.0, GAMMA))
     st = solve_steady(profile(lambda s: 0.5 * s - 1.0, cbar=c), GAMMA, grid=grid64)
     assert c < 0
     assert c < st.psi.values.min()
