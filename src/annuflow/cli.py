@@ -10,6 +10,7 @@ identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -397,6 +398,13 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser of build_parser, built once per process; parse_args
+    keeps no state between calls."""
+    return build_parser()
+
+
 def _attach_profile(argv):
     """argparse reads a separate value that starts with '-', such as the
     expression -0.5*s-1, as an option; pass every --profile value in the
@@ -410,7 +418,7 @@ def _attach_profile(argv):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_profile(argv))
+    args = _parser().parse_args(_attach_profile(argv))
     try:
         return args.fn(args)
     except CliError as exc:

@@ -3,13 +3,16 @@ gradient-curve charts, loop integrals over level sets, distribution
 functions and their first two derivatives, area-preserving pushforward,
 and the tangency calculus of co-adjoint orbits.
 
-The chart z(t,s) follows the gradient flow dz/dt = range * grad(w)/|grad w|^2
-from seeds on the inner circle, so w(z(t,s)) = min w + t*(max w - min w) and
-the s-curves are the level sets.  A field constant in theta integrates one
-seed, whose trajectory the rotations turn onto the others.  All level-set
-quantities are periodic trapezoid sums over s, with field values
-interpolated bicubically; on the circle levels of such a chart, the loop
-integral of a theta-constant field is its value times the travel time.
+The chart z(t,s) puts row t on the level set w = min w + t*(max w - min w).
+The levels of a field constant in theta are circles: their radii are the
+roots of the field's cubic interpolant along r, found by safeguarded Newton
+steps between grid radii, and their nodes sit at the grid's angles.  A
+field that varies in theta follows the gradient flow
+dz/dt = range * grad(w)/|grad w|^2 from seeds on the inner circle, and a
+Newton and a chord step project its nodes onto their levels.  All
+level-set quantities are periodic trapezoid sums over s, with field values
+interpolated bicubically; on circle levels, the loop integral of a
+theta-constant field is its value times the travel time.
 """
 
 from __future__ import annotations
@@ -66,6 +69,13 @@ class FieldSpline:
         r, theta = self._wrap(r, theta)
         return self._spl.ev(r, theta)
 
+    def val_grid(self, r, theta):
+        """Values on the tensor grid of increasing r and of theta in
+        [0, 2pi), shape (r.size, theta.size): the values of val there,
+        bit for bit, at a fraction of its cost."""
+        r, theta = self._wrap(r, theta)
+        return self._spl(r, theta, grid=True)
+
     def grad(self, r, theta):
         """The derivatives in r and in theta."""
         r, theta = self._wrap(r, theta)
@@ -114,11 +124,22 @@ class LevelChart:
     def ds(self):
         return 1.0 / self.r.shape[1]
 
+    @property
+    def on_circles(self):
+        """Whether every level is a circle (r constant along each row)."""
+        return not np.ptp(self.r, axis=1).any()
+
     def residual(self):
         """Largest miss of an interior node from its level.  The boundary
-        rows lie on the circles, whose spread _boundary_levels bounds."""
-        miss = self.spline.val(self.r[1:-1], self.theta[1:-1]) - self.levels[1:-1, None]
-        return float(np.abs(miss).max())
+        rows lie on the circles, whose spread _boundary_levels bounds.
+        Nodes on circles at the grid's angles form a tensor grid, which
+        is evaluated as one."""
+        r, theta = self.r[1:-1], self.theta[1:-1]
+        if self.on_circles and (theta == self.grid.theta).all():
+            vals = self.spline.val_grid(r[:, 0], self.grid.theta)
+        else:
+            vals = self.spline.val(r, theta)
+        return float(np.abs(vals - self.levels[1:-1, None]).max())
 
     @cached_property
     def travel_time(self):
@@ -165,17 +186,15 @@ def _boundary_levels(omega: Field2D):
 
 
 def level_chart(omega: Field2D, Nt=None) -> LevelChart:
-    """Integrate the gradient-curve chart of a boundary-constant field
-    with no critical points (inner value below outer value), then project
-    its interior nodes onto their levels along the gradient.
+    """The chart of a boundary-constant field with no critical points
+    (inner value below outer value), its interior nodes on their levels.
 
     A field constant in theta (``elliptic.theta_constant`` with the range
-    as the scale) has trajectories that are rotations of one another, so
-    only the seed at theta[0] is integrated and projected, and the chart
-    is that column turned onto every seed.  RK45's RMS error norm for one
-    seed equals that of all Ns seeds up to rounding, so the step control
-    is unchanged.  The level residual is still checked on every interior
-    node."""
+    as the scale) has circles for levels: _circle_radii finds their radii
+    along r, with no ODE, and the nodes sit at the grid's angles.  Any
+    other field integrates the gradient flow from every grid angle on the
+    inner circle, then projects its interior nodes onto their levels.  The
+    level residual is checked on every interior node."""
     g = omega.grid
     Nt = g.Nr if Nt is None else int(Nt)
     wmin, wmax = _boundary_levels(omega)
@@ -189,10 +208,80 @@ def level_chart(omega: Field2D, Nt=None) -> LevelChart:
             f"|grad| {gn_grid.min():.3e} below floor {floor:.3e} on the grid")
 
     spl = FieldSpline(omega)
-    Ns = g.Ns
-    radial = theta_constant(omega.values, rng)
-    seeds = g.theta[:1] if radial else g.theta
-    n = seeds.size
+    t = np.linspace(0.0, 1.0, Nt)
+    levels = wmin + t * rng
+    if theta_constant(omega.values, rng):
+        radii = _circle_radii(g.r, omega.values[:, 0], levels, floor)
+        wr, wt = spl.grad(radii, g.theta[0])
+        gn = np.repeat(np.sqrt(wr**2 + (wt / radii) ** 2)[:, None], g.Ns, axis=1)
+        r = np.repeat(radii[:, None], g.Ns, axis=1)
+        theta = np.tile(g.theta, (Nt, 1))
+    else:
+        r, theta = _trajectory_nodes(spl, g, t, wmin, rng)
+        wr, wt = spl.grad(r, theta)
+        gn = np.sqrt(wr**2 + (wt / r) ** 2)
+
+    ds = 1.0 / g.Ns
+    dr_ds = (np.roll(r, -1, axis=1) - np.roll(r, 1, axis=1)) / (2 * ds)
+    dth = np.roll(theta, -1, axis=1) - np.roll(theta, 1, axis=1)
+    dth = np.mod(dth + np.pi, 2 * np.pi) - np.pi
+    dth_ds = dth / (2 * ds)
+    arc = np.sqrt(dr_ds**2 + (r * dth_ds) ** 2)
+
+    chart = LevelChart(g, t, r, theta, gn, arc, wmin, wmax, spl)
+    res = chart.residual()
+    if res > CHART_TOL * rng:
+        raise CriticalPointError(f"chart level residual {res:.3e} exceeds "
+                                 f"{CHART_TOL:.1e} of the field's range {rng:.3e}")
+    if gn.min() <= 0:
+        raise CriticalPointError("vanishing gradient at a chart node")
+    return chart
+
+
+def _circle_radii(r, column, levels, floor):
+    """The radius of each level of a theta-constant field, given its values
+    along r: ``r[0]`` and ``r[-1]`` for the boundary levels, and for the
+    others the root of s(x) = level, s the not-a-knot cubic interpolant of
+    the column, which is FieldSpline's along r.  CriticalPointError if s'
+    falls below the floor anywhere on [r[0], r[-1]]: a column can increase
+    from node to node while its interpolant turns back between them.
+
+    s increases, so each root lies between the grid radii whose values
+    bracket its level.  It starts from linear interpolation there; each
+    Newton step narrows the bracket, and a step that would leave it
+    bisects instead, until the miss is rounding."""
+    s = CubicSpline(r, column)
+    a, b, c = 3 * s.c[0], 2 * s.c[1], s.c[2]      # s' = (a x + b) x + c
+    h = np.diff(r)
+    vertex = np.clip(np.divide(-b, 2 * a, out=np.zeros_like(a), where=a > 0), 0, h)
+    slope = min(((a * x + b) * x + c).min() for x in (0, vertex, h))
+    if slope < floor:
+        raise CriticalPointError(f"the slope along r falls to {slope:.3e}, below "
+                                 f"the |grad| floor {floor:.3e}, between grid radii")
+
+    inner = levels[1:-1]
+    j = np.clip(np.searchsorted(column, inner, side="right") - 1, 0, r.size - 2)
+    coef = s.c[:, j]
+    lo, hi = np.zeros_like(inner), h[j]
+    x = (inner - column[j]) / (column[j + 1] - column[j]) * h[j]
+    rounding = 4 * np.finfo(float).eps * np.abs(column).max()
+    for _ in range(64):
+        miss = ((coef[0] * x + coef[1]) * x + coef[2]) * x + coef[3] - inner
+        if np.abs(miss).max() <= rounding:
+            break
+        lo = np.where(miss < 0, x, lo)
+        hi = np.where(miss > 0, x, hi)
+        x_new = x - miss / ((3 * coef[0] * x + 2 * coef[1]) * x + coef[2])
+        x = np.where((x_new >= lo) & (x_new <= hi), x_new, 0.5 * (lo + hi))
+    return np.concatenate([r[:1], r[j] + x, r[-1:]])
+
+
+def _trajectory_nodes(spl: FieldSpline, g, t_eval, wmin, rng):
+    """(r, theta) of the chart of a field that varies in theta: RK45 along
+    the gradient flow from every grid angle on the inner circle, each
+    interior node then projected onto its level."""
+    n = g.Ns
+    floor = GRAD_FLOOR_REL * rng
 
     def rhs(_t, y):
         r = y[:n]
@@ -204,13 +293,12 @@ def level_chart(omega: Field2D, Nt=None) -> LevelChart:
                 f"|grad| fell below {floor:.3e} along a trajectory")
         return np.concatenate([rng * wr / gradsq, rng * wt / (r**2 * gradsq)])
 
-    y0 = np.concatenate([np.full(n, g.Ri), seeds.astype(float)])
-    t_eval = np.linspace(0.0, 1.0, Nt)
+    y0 = np.concatenate([np.full(n, g.Ri), g.theta])
     sol = solve_ivp(rhs, (0.0, 1.0), y0, t_eval=t_eval, rtol=CHART_RTOL,
                     atol=CHART_ATOL, max_step=0.1, dense_output=False)
     if not sol.success:
         raise CriticalPointError(f"chart integration failed: {sol.message}")
-    r = sol.y[:n, :].T.copy()               # (Nt, n)
+    r = sol.y[:n, :].T.copy()               # (Nt, Ns)
     theta = sol.y[n:, :].T.copy()
     overshoot = max(float((g.Ri - r).max()), float((r - g.Ro).max()))
     if overshoot > g.hr:
@@ -232,29 +320,7 @@ def level_chart(omega: Field2D, Nt=None) -> LevelChart:
         theta[1:-1] += miss * along_theta
     r[0, :] = g.Ri
     r[-1, :] = g.Ro
-
-    wr, wt = spl.grad(r, theta)
-    gn = np.sqrt(wr**2 + (wt / r) ** 2)
-    if radial:
-        r = np.repeat(r, Ns, axis=1)
-        theta = theta + (g.theta - seeds[0])
-        gn = np.repeat(gn, Ns, axis=1)
-
-    ds = 1.0 / Ns
-    dr_ds = (np.roll(r, -1, axis=1) - np.roll(r, 1, axis=1)) / (2 * ds)
-    dth = np.roll(theta, -1, axis=1) - np.roll(theta, 1, axis=1)
-    dth = np.mod(dth + np.pi, 2 * np.pi) - np.pi
-    dth_ds = dth / (2 * ds)
-    arc = np.sqrt(dr_ds**2 + (r * dth_ds) ** 2)
-
-    chart = LevelChart(g, t_eval, r, theta, gn, arc, wmin, wmax, spl)
-    res = chart.residual()
-    if res > CHART_TOL * rng:
-        raise CriticalPointError(f"chart level residual {res:.3e} exceeds "
-                                 f"{CHART_TOL:.1e} of the field's range {rng:.3e}")
-    if gn.min() <= 0:
-        raise CriticalPointError("vanishing gradient at a chart node")
-    return chart
+    return r, theta
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +356,7 @@ def j_over_grad_radial(chart: LevelChart):
     FieldSpline interpolates such a field by its not-a-knot cubic along r,
     constant in theta, so on a circle the loop integral of u/|grad w| is
     u there times the travel time."""
-    if np.ptp(chart.r, axis=1).any():
+    if not chart.on_circles:
         raise ValueError("the chart's levels are not circles")
     cardinal = make_interp_spline(chart.grid.r, np.eye(chart.grid.Nr), k=3)
     return chart.travel_time[:, None] * cardinal(chart.r[:, 0])

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from annuflow import cli
 from annuflow.cli import main
 from annuflow.curves import read_curve_csv, write_curve_csv
 from annuflow.exprparse import ExpressionError, parse_expression
@@ -369,6 +370,25 @@ def test_check_unknown_suite(tmp_path, capsys):
                         "--out", str(tmp_path))
     assert code == 2
     assert payload["error"] == "unknown-suite"
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    built, real = [], cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            code, payload = run(capsys, "check", "--suite", "bogus",
+                                "--out", str(tmp_path))
+            assert payload["error"] == "unknown-suite"
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("suite", ["coarea", "tame"])

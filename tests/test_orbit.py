@@ -122,15 +122,16 @@ def seed_counts(monkeypatch):
 
 @pytest.mark.parametrize("grid", ["64x128", "16x70"])
 @pytest.mark.parametrize("which", ["psi", "omega"])
-def test_theta_constant_chart_integrates_one_seed(seed_counts, bump_fields,
-                                                  grid, which):
+def test_theta_constant_chart_integrates_nothing(seed_counts, bump_fields,
+                                                 grid, which):
     field, Nt = bump_fields[grid, which]
     if grid == "16x70":
         assert np.abs(field.values - field.values[:, :1]).max() > 0
     chart = level_chart(field, Nt=Nt)
-    assert seed_counts == [2]
-    assert chart.r.shape == chart.theta.shape == chart.arc_weight.shape \
-        == (Nt, field.grid.Ns)
+    assert seed_counts == []
+    assert chart.on_circles
+    assert (chart.theta == field.grid.theta).all()
+    assert chart.r.shape == chart.arc_weight.shape == (Nt, field.grid.Ns)
 
 
 def test_theta_varying_chart_integrates_every_seed(seed_counts, grid64, omega_wavy):
@@ -146,15 +147,33 @@ def test_theta_varying_chart_integrates_every_seed(seed_counts, grid64, omega_wa
 
 @pytest.mark.parametrize("grid", ["64x128", "16x70"])
 @pytest.mark.parametrize("which", ["psi", "omega"])
-def test_one_seed_chart_matches_every_seed_chart(monkeypatch, bump_fields,
-                                                 grid, which):
+def test_root_chart_matches_ode_chart(monkeypatch, bump_fields, grid, which):
     field, Nt = bump_fields[grid, which]
-    one = level_chart(field, Nt=Nt)
+    root = level_chart(field, Nt=Nt)
     monkeypatch.setattr(orbit, "theta_constant", lambda values, scale: False)
-    every = level_chart(field, Nt=Nt)
+    ode = level_chart(field, Nt=Nt)
     for name in ("r", "theta", "grad_norm", "arc_weight", "travel_time"):
-        ours, ref = getattr(one, name), getattr(every, name)
+        ours, ref = getattr(root, name), getattr(ode, name)
         assert np.abs(ours - ref).max() <= 1e-11 * np.abs(ref).max(), name
+
+
+def test_chart_residual_on_a_tensor_grid_is_the_scattered_one(bump_fields):
+    chart = level_chart(*bump_fields["16x70", "omega"])
+    r, theta = chart.r[1:-1], chart.theta[1:-1]
+    tensor = chart.spline.val_grid(r[:, 0], chart.grid.theta)
+    assert np.array_equal(tensor, chart.spline.val(r, theta))
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.01, 0.005])
+def test_root_chart_refuses_a_turn_between_grid_radii(grid32, delta):
+    # the node values increase, but the cubic interpolant along r turns
+    # back between two nodes, with a slope down to -3.1 to -13
+    g = grid32
+    f = g.field_from(lambda r, t: 0.05 * (r - 1)
+                     + np.tanh((r - 1.5 - 0.3 * g.hr) / delta))
+    assert (np.diff(f.values[:, 0]) > 0).all()
+    with pytest.raises(CriticalPointError, match="between grid radii"):
+        level_chart(f, Nt=64)
 
 
 def test_chart_rejects_constant(grid64):

@@ -1,6 +1,6 @@
 """Property tests of the 1D layers: the smoothing operator, the monotone
-inverse, the monotone repair of a profile update and the profile
-expression parser."""
+inverse, the monotone repair of a profile update, the profile expression
+parser and the level chart of a field that varies only along r."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from scipy.interpolate import make_interp_spline
+
+from annuflow import orbit
 from annuflow.curves import Curve1D, Monotone1D
+from annuflow.errors import CriticalPointError
 from annuflow.exprparse import ExpressionError, parse_expression
+from annuflow.grid import make_annulus
 from annuflow.moser import _repair_monotone
 from annuflow.tame import smooth
 
@@ -150,3 +155,46 @@ def test_parse_deep_nesting(n, op):
         return
     assert n < 1000
     np.testing.assert_array_equal(fn(S), n * S if op == "+" else (-1) ** n * S)
+
+
+small = make_annulus(1.0, 2.0, 12, 16)
+
+
+@props
+@given(base=st.floats(-1e3, 1e3),
+       slopes=arrays(float, small.Nr - 1, elements=st.floats(0.01, 10.0)))
+# the interpolant turns back between nodes; the ODE chart's residual is
+# 2.4e-11 of the range, its nodes 2.7e-11 off their levels along r
+@example(base=0.0, slopes=np.r_[1.0, 2.0, np.ones(9)])
+@example(base=0.0, slopes=np.r_[4.0, 6, 6, 6, 6, 2, 6, 6, 6, 6, 6])
+def test_root_chart_of_a_radial_column(base, slopes):
+    # a column that increases from node to node; its cubic interpolant can
+    # still turn back between nodes, and then the chart refuses the field
+    g = small
+    column = base + np.r_[0.0, np.cumsum(slopes * g.hr)]
+    field = g.field(np.repeat(column[:, None], g.Ns, axis=1))
+    rng = column[-1] - column[0]
+    s = make_interp_spline(g.r, column, k=3)
+    x = np.linspace(g.Ri, g.Ro, 64 * g.Nr)
+    slope, curvature = s(x, 1), s(x, 2)
+    try:
+        chart = orbit.level_chart(field)
+    except CriticalPointError:
+        assert slope.min() < orbit.GRAD_FLOOR_REL * rng
+        return
+    assert chart.on_circles
+    assert chart.residual() <= orbit.CHART_TOL * rng
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(orbit, "theta_constant", lambda values, scale: False)
+        ode = orbit.level_chart(field)
+    # Both charts resolve the levels to the rounding of the values, max|w|
+    # times finer than the range.  The ODE chart's nodes may also miss
+    # their levels by up to its residual, which moves them along r by that
+    # over the slope, and moves the travel time 2 pi r / s'(r) by the
+    # derivative of its logarithm times that.
+    tol = 1e-11 * np.abs(column).max() / rng
+    dr = ode.residual() / slope.min()
+    log_tt = 1 / g.Ri + np.abs(curvature).max() / slope.min()
+    assert np.abs(chart.r - ode.r).max() <= tol * g.Ro + dr
+    assert (np.abs(chart.travel_time / ode.travel_time - 1).max()
+            <= tol + dr * log_tt)
