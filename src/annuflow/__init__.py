@@ -14,9 +14,10 @@ def _pin_mmap_threshold():
     of allocations.  With a fixed threshold each such array is its own
     mapping, returned to the system when freed.  The pin saves little but
     steadily: on the invert-nd benchmark (64x128, 2-core machine, 2 BLAS
-    threads, 7 alternating pairs of 8 s runs) the peak was 92.8-93.4 MB
-    with it and 93.4-93.8 MB without, higher without in every pair; on
-    solve-dist-sweep the two differed by at most 0.3 MB either way.
+    threads, 7 alternating pairs of 8 s runs) the peak was 92.5-92.9 MB
+    with it and 92.9-93.5 MB without, higher without in every pair, while
+    the median operation took 132-142 ms with it and 122-134 ms without;
+    on solve-dist-sweep the peaks differed by at most 0.3 MB either way.
     Nothing is done on other C libraries."""
     try:
         libc = ctypes.CDLL(None)

@@ -1,10 +1,11 @@
 """Sampled 1D functions: plain cubic-spline curves and strictly monotone
 curves with robust pointwise inversion.
 
-Monotone curves interpolate with a shape-preserving cubic (PCHIP), so the
-interpolant is strictly increasing whenever the samples are.  Inversion is
-done per query point by bracketed Newton with bisection fallback on the
-forward interpolant, which keeps the round trip g(f(x)) = x at solver
+Each curve fits one interpolant: a cubic spline, or for monotone curves a
+shape-preserving cubic (PCHIP), strictly increasing whenever the samples
+are.  ``solve_increasing`` is the one root finder, for any scipy PPoly
+increasing at its breakpoints; monotone curves invert through it on the
+forward interpolant, so the round trip g(f(x)) = x holds at solver
 tolerance rather than at resampling accuracy.
 """
 
@@ -16,11 +17,40 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 from .errors import NotMonotoneError
 
 _NEWTON_TOL = 1e-12
-_NEWTON_MAXIT = 60
+
+
+def solve_increasing(pp, y, tol):
+    """x in [pp.x[0], pp.x[-1]] with |pp(x) - y| <= tol for each y (clipped to
+    the breakpoint values), pp a scipy PPoly increasing at its breakpoints.
+    Each y is bracketed between breakpoints and x starts from linear
+    interpolation there; Newton steps narrow the bracket, and x bisects it
+    where a step would leave it or the slope is not positive (a PCHIP's end
+    slope can be 0).  Refinement stops after 64 steps."""
+    knots = pp.x
+    vals = pp(knots)
+    y = np.clip(y, vals[0], vals[-1])
+    j = np.clip(np.searchsorted(vals, y, side="right") - 1, 0, knots.size - 2)
+    coef = pp.c[:, j]
+    dcoef = coef[:-1] * np.arange(coef.shape[0] - 1, 0, -1)[:, None]
+    h = knots[j + 1] - knots[j]
+    lo, hi = np.zeros_like(y), h
+    x = (y - vals[j]) / (vals[j + 1] - vals[j]) * h
+    for _ in range(64):
+        miss = np.polyval(coef, x) - y
+        if np.all(np.abs(miss) <= tol):
+            break
+        lo = np.where(miss <= 0, x, lo)         # an exact root closes the bracket
+        hi = np.where(miss >= 0, x, hi)
+        slope = np.polyval(dcoef, x)
+        x_new = x - miss / np.where(slope > 0, slope, np.nan)
+        x = np.where((x_new >= lo) & (x_new <= hi), x_new, 0.5 * (lo + hi))
+    return np.minimum(knots[j] + x, knots[j + 1])
 
 
 class Curve1D:
-    """Uniform samples on [a, b] with a cubic-spline interpolant."""
+    """Uniform samples on [a, b] with one interpolant of the class's kind."""
+
+    _interpolant = CubicSpline
 
     def __init__(self, a, b, values):
         values = np.asarray(values, dtype=float)
@@ -31,7 +61,7 @@ class Curve1D:
         self.a = float(a)
         self.b = float(b)
         self.values = values
-        self._spline = CubicSpline(self.grid_x(), values)
+        self._spline = self._interpolant(self.grid_x(), values)
 
     @classmethod
     def from_callable(cls, fn, a, b, n=513):
@@ -45,15 +75,15 @@ class Curve1D:
         return self._spline(x)
 
     def d1(self, x):
-        return self._spline.derivative(1)(x)
+        return self._spline(x, 1)
 
     def d2(self, x):
-        return self._spline.derivative(2)(x)
+        return self._spline(x, 2)
 
     def derivative_values(self, order=1):
         if order == 0:
             return self.values.copy()
-        return self._spline.derivative(order)(self.grid_x())
+        return self._spline(self.grid_x(), order)
 
     def with_values(self, values):
         return type(self)(self.a, self.b, values)
@@ -93,6 +123,8 @@ def _cvals(curve, other):
 class Monotone1D(Curve1D):
     """Strictly increasing sampled function with monotone interpolation."""
 
+    _interpolant = PchipInterpolator
+
     def __init__(self, a, b, values):
         values = np.asarray(values, dtype=float)
         gaps = np.diff(values)
@@ -101,35 +133,15 @@ class Monotone1D(Curve1D):
                 f"samples not strictly increasing (min gap {gaps.min():.3e})"
             )
         super().__init__(a, b, values)
-        self._spline = PchipInterpolator(self.grid_x(), values)
 
     def inverse(self):
         return MonotoneInverse(self)
 
     def eval_inverse(self, y):
-        """Solve f(x) = y by bracketed Newton with bisection fallback."""
-        y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        y = np.atleast_1d(y).astype(float)
-        lo_v, hi_v = self.values[0], self.values[-1]
-        y = np.clip(y, lo_v, hi_v)
-        # initial guess by linear interpolation on the samples
-        x = np.interp(y, self.values, self.grid_x())
-        lo = np.full_like(y, self.a)
-        hi = np.full_like(y, self.b)
-        dspl = self._spline.derivative()
-        for _ in range(_NEWTON_MAXIT):
-            fx = self._spline(x) - y
-            hi = np.where(fx > 0, np.minimum(hi, x), hi)
-            lo = np.where(fx <= 0, np.maximum(lo, x), lo)
-            if np.all(np.abs(fx) < _NEWTON_TOL * max(1.0, abs(hi_v), abs(lo_v))):
-                break
-            d = dspl(x)
-            step_ok = d > 0
-            xn = np.where(step_ok, x - fx / np.where(step_ok, d, 1.0), 0.5 * (lo + hi))
-            outside = (xn < lo) | (xn > hi)
-            x = np.where(outside, 0.5 * (lo + hi), xn)
-        return float(x[0]) if scalar else x
+        """Solve f(x) = y by solve_increasing on the forward interpolant."""
+        tol = _NEWTON_TOL * max(1.0, abs(self.values[0]), abs(self.values[-1]))
+        x = solve_increasing(self._spline, np.atleast_1d(y).astype(float), tol)
+        return float(x[0]) if np.ndim(y) == 0 else x
 
 
 class MonotoneInverse(Monotone1D):

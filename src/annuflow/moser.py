@@ -163,7 +163,7 @@ class StateWorkspace:
             psi = radial_psi(self.psi)
             cardinal = CubicSpline(self.chart.area_grid.mu, np.eye(N_MU))
             E = _vb_compose(cardinal, cardinal.derivative(),
-                            self.chart.distribution[0], self.chart.omega_min, psi)
+                            self.chart.distribution, self.chart.omega_min, psi)
             phi = solve_radial(self.psi.grid, -self.F.d1(psi), E, 0.0)
             K = self.transport(j_over_grad_radial(self.chart) @ phi)
             self._id_plus_k = np.eye(N_MU) + K
@@ -251,7 +251,7 @@ class VbDirection(Curve1D):
 def vb(state: SteadyState, gcurve: Curve1D):
     """Right-inverse of the composition part of DT."""
     ws = workspace(state)
-    return VbDirection(gcurve, ws.chart.distribution[0], ws.chart.omega_min,
+    return VbDirection(gcurve, ws.chart.distribution, ws.chart.omega_min,
                        state.F.cbar, state.F.values.size)
 
 

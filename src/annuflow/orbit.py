@@ -5,14 +5,15 @@ and the tangency calculus of co-adjoint orbits.
 
 The chart z(t,s) puts row t on the level set w = min w + t*(max w - min w).
 The levels of a field constant in theta are circles: their radii are the
-roots of the field's cubic interpolant along r, found by safeguarded Newton
-steps between grid radii, and their nodes sit at the grid's angles.  A
-field that varies in theta follows the gradient flow
-dz/dt = range * grad(w)/|grad w|^2 from seeds on the inner circle, and a
-Newton and a chord step project its nodes onto their levels.  All
-level-set quantities are periodic trapezoid sums over s, with field values
-interpolated bicubically; on circle levels, the loop integral of a
-theta-constant field is its value times the travel time.
+roots of the field's cubic along r by curves.solve_increasing, and their
+nodes sit at the grid's angles, with arc weight 2 pi r.  A field that
+varies in theta follows the gradient flow dz/dt = range * grad(w)/|grad w|^2
+from seeds on the inner circle, and a Newton and a chord step project its
+nodes onto their levels.  All level-set quantities are periodic trapezoid
+sums over s, with field values interpolated bicubically; on circle levels,
+the loop integral of a theta-constant field is its value times the travel
+time.  A chart's distribution is A alone, which the same root finder
+inverts pointwise; dist_fn returns A with a tabulated inverse.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, RectBivariateSpline, make_interp_spline
 
-from .curves import Curve1D, Monotone1D
+from .curves import Curve1D, Monotone1D, solve_increasing
 from .elliptic import NdReport, solve_poisson, theta_constant
 from .errors import (AreaMismatchError, CriticalPointError, NotInFplusError,
                      NotTangentError, NonpositiveFprimeError, TrajectoryExitError)
@@ -147,12 +148,12 @@ class LevelChart:
         return _loop_sum(self, self.arc_weight / self.grad_norm)
 
     @cached_property
-    def distribution(self):
-        """A(lambda) = |{w < lambda}| on the chart levels and its inverse.
-        A is the cumulative integral of the travel time; the raw endpoint
-        is renormalized onto the exact annulus area and the relative miss
-        kept as A.area_discrepancy (error if it exceeds AREA_TOL_REL,
-        which signals an under-resolved chart)."""
+    def distribution(self) -> Monotone1D:
+        """A(lambda) = |{w < lambda}| on the chart levels, inverted pointwise
+        by A.eval_inverse.  A is the cumulative integral of the travel time;
+        the raw endpoint is renormalized onto the exact annulus area and the
+        relative miss kept as A.area_discrepancy (error if it exceeds
+        AREA_TOL_REL, which signals an under-resolved chart)."""
         lam = self.levels
         raw = CubicSpline(lam, self.travel_time).antiderivative()(lam)
         total = self.grid.area
@@ -162,12 +163,12 @@ class LevelChart:
                 f"raw area misses |domain| by {disc:.2%}", discrepancy=disc)
         A = Monotone1D(self.omega_min, self.omega_max, raw * (total / raw[-1]))
         A.area_discrepancy = float(disc)
-        return A, A.inverse()
+        return A
 
     @cached_property
     def area_grid(self) -> AreaGrid:
         mu = np.linspace(0.0, self.grid.area, N_MU)
-        return AreaGrid(self.levels, mu, self.distribution[1](mu))
+        return AreaGrid(self.levels, mu, self.distribution.eval_inverse(mu))
 
 
 def _boundary_levels(omega: Field2D):
@@ -216,17 +217,16 @@ def level_chart(omega: Field2D, Nt=None) -> LevelChart:
         gn = np.repeat(np.sqrt(wr**2 + (wt / radii) ** 2)[:, None], g.Ns, axis=1)
         r = np.repeat(radii[:, None], g.Ns, axis=1)
         theta = np.tile(g.theta, (Nt, 1))
+        arc = 2 * np.pi * r
     else:
         r, theta = _trajectory_nodes(spl, g, t, wmin, rng)
         wr, wt = spl.grad(r, theta)
         gn = np.sqrt(wr**2 + (wt / r) ** 2)
-
-    ds = 1.0 / g.Ns
-    dr_ds = (np.roll(r, -1, axis=1) - np.roll(r, 1, axis=1)) / (2 * ds)
-    dth = np.roll(theta, -1, axis=1) - np.roll(theta, 1, axis=1)
-    dth = np.mod(dth + np.pi, 2 * np.pi) - np.pi
-    dth_ds = dth / (2 * ds)
-    arc = np.sqrt(dr_ds**2 + (r * dth_ds) ** 2)
+        ds = 1.0 / g.Ns
+        dr_ds = (np.roll(r, -1, axis=1) - np.roll(r, 1, axis=1)) / (2 * ds)
+        dth = np.roll(theta, -1, axis=1) - np.roll(theta, 1, axis=1)
+        dth_ds = (np.mod(dth + np.pi, 2 * np.pi) - np.pi) / (2 * ds)
+        arc = np.sqrt(dr_ds**2 + (r * dth_ds) ** 2)
 
     chart = LevelChart(g, t, r, theta, gn, arc, wmin, wmax, spl)
     res = chart.residual()
@@ -246,10 +246,8 @@ def _circle_radii(r, column, levels, floor):
     falls below the floor anywhere on [r[0], r[-1]]: a column can increase
     from node to node while its interpolant turns back between them.
 
-    s increases, so each root lies between the grid radii whose values
-    bracket its level.  It starts from linear interpolation there; each
-    Newton step narrows the bracket, and a step that would leave it
-    bisects instead, until the miss is rounding."""
+    s increases, so curves.solve_increasing finds each root between the
+    grid radii whose values bracket its level, to 4 ulp of max|column|."""
     s = CubicSpline(r, column)
     a, b, c = 3 * s.c[0], 2 * s.c[1], s.c[2]      # s' = (a x + b) x + c
     h = np.diff(r)
@@ -259,21 +257,8 @@ def _circle_radii(r, column, levels, floor):
         raise CriticalPointError(f"the slope along r falls to {slope:.3e}, below "
                                  f"the |grad| floor {floor:.3e}, between grid radii")
 
-    inner = levels[1:-1]
-    j = np.clip(np.searchsorted(column, inner, side="right") - 1, 0, r.size - 2)
-    coef = s.c[:, j]
-    lo, hi = np.zeros_like(inner), h[j]
-    x = (inner - column[j]) / (column[j + 1] - column[j]) * h[j]
     rounding = 4 * np.finfo(float).eps * np.abs(column).max()
-    for _ in range(64):
-        miss = ((coef[0] * x + coef[1]) * x + coef[2]) * x + coef[3] - inner
-        if np.abs(miss).max() <= rounding:
-            break
-        lo = np.where(miss < 0, x, lo)
-        hi = np.where(miss > 0, x, hi)
-        x_new = x - miss / ((3 * coef[0] * x + 2 * coef[1]) * x + coef[2])
-        x = np.where((x_new >= lo) & (x_new <= hi), x_new, 0.5 * (lo + hi))
-    return np.concatenate([r[:1], r[j] + x, r[-1:]])
+    return np.concatenate([r[:1], solve_increasing(s, levels[1:-1], rounding), r[-1:]])
 
 
 def _trajectory_nodes(spl: FieldSpline, g, t_eval, wmin, rng):
@@ -371,8 +356,9 @@ def dist_chart(omega: Field2D) -> LevelChart:
 
 def dist_fn(omega: Field2D):
     """Distribution function A(lambda) = |{w < lambda}| and its inverse:
-    the distribution of dist_chart(omega)."""
-    return dist_chart(omega).distribution
+    the distribution of dist_chart(omega), with its inverse tabulated."""
+    A = dist_chart(omega).distribution
+    return A, A.inverse()
 
 
 # ---------------------------------------------------------------------------

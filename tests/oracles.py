@@ -157,7 +157,7 @@ def grid_id_plus_k(state):
     loop-integral matrix of any field; D S is the workspace's transport."""
     ws = workspace(state)
     cardinal = CubicSpline(ws.chart.area_grid.mu, np.eye(N_MU))
-    E = _vb_compose(cardinal, cardinal.derivative(), ws.chart.distribution[0],
+    E = _vb_compose(cardinal, cardinal.derivative(), ws.chart.distribution,
                     ws.chart.omega_min, state.psi.values)
     phi = lu_solve(factored_linearization(state), E)
     J = j_over_grad_matrix(ws.chart)

@@ -86,6 +86,19 @@ def test_t_map_endpoints(ref, grid64):
     assert abs(curve(0.0) - (0.5 * min_psi - 1.0)) < 1e-4
 
 
+def test_workspace_tabulates_no_inverse(monkeypatch, grid32):
+    # the workspace reads its levels lam_mu through the distribution's
+    # eval_inverse, so no chart it builds tabulates an inverse
+    state = solve_steady(fbar(), GAMMA, grid=grid32)
+
+    def refused(self):
+        raise AssertionError("Monotone1D.inverse called")
+
+    monkeypatch.setattr(Monotone1D, "inverse", refused)
+    at_mu = workspace(state).chart.area_grid
+    assert at_mu.lam_mu.shape == at_mu.mu.shape
+
+
 def test_t_map_paths_agree(ref, grid64):
     curve, state = ref
     from annuflow.orbit import dist_fn

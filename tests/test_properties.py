@@ -1,6 +1,7 @@
 """Property tests of the 1D layers: the smoothing operator, the monotone
-inverse, the monotone repair of a profile update, the profile expression
-parser and the level chart of a field that varies only along r."""
+inverse and the root finder behind it, the monotone repair of a profile
+update, the profile expression parser and the level chart of a field that
+varies only along r."""
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from scipy.interpolate import make_interp_spline
+from scipy.interpolate import CubicSpline, PchipInterpolator, make_interp_spline
 
 from annuflow import orbit
-from annuflow.curves import Curve1D, Monotone1D
+from annuflow.curves import Curve1D, Monotone1D, solve_increasing
 from annuflow.errors import CriticalPointError
 from annuflow.exprparse import ExpressionError, parse_expression
 from annuflow.grid import make_annulus
@@ -55,6 +56,31 @@ def test_monotone_inverse_round_trip(data, start, steps):
     y = data.draw(st.floats(lo, hi))
     # the stopping rule of Monotone1D.eval_inverse
     assert abs(m(m.inverse()(y)) - y) <= 1e-12 * max(1.0, abs(lo), abs(hi))
+
+
+@props
+@given(start=st.floats(-1e3, 1e3),
+       steps=arrays(float, st.integers(3, 200), elements=st.floats(1e-3, 1e2)),
+       kind=st.sampled_from([CubicSpline, PchipInterpolator]),
+       q=arrays(float, st.integers(1, 50), elements=st.floats(0.0, 1.0)))
+# the PCHIP's slope is 0 at its left end, where a Newton step from the
+# exact root y = 0 would divide 0 by 0
+@example(start=0.0, steps=np.array([0.25, 1.0, 1.0]), kind=PchipInterpolator,
+         q=np.array([0.0, 0.5, 1.0]))
+def test_solve_increasing(start, steps, kind, q):
+    values = start + np.cumsum(np.r_[0.0, steps])
+    pp = kind(np.linspace(0.0, 1.0, values.size), values)
+    lo, hi = values[0], values[-1]
+    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+    y = np.sort(lo + q * (hi - lo))
+    x = solve_increasing(pp, y, tol)
+    assert np.abs(pp(x) - y).max() <= tol
+    assert pp.x[0] <= x.min() and x.max() <= pp.x[-1]
+    # a PCHIP of increasing samples increases; a cubic spline can turn
+    # back between them, and then a level may have more than one root
+    if (kind is PchipInterpolator
+            or pp(np.linspace(0.0, 1.0, 64 * values.size), 1).min() > 0):
+        assert np.all(np.diff(x) >= 0)
 
 
 def _repair_loop(samples, h_s, floor_slope):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from scipy.interpolate import CubicSpline, PchipInterpolator
+
 from annuflow.curves import Curve1D, Monotone1D
 from annuflow.errors import DegenerateNormError, NotMonotoneError
 from annuflow.tame import (extend, interp_check, invert_monotone, smooth,
@@ -161,6 +163,25 @@ def test_invert_involution():
     h = invert_monotone(g)
     x = f.grid_x()
     assert np.abs(h(x) - np.asarray(f(x))).max() < 1e-7
+
+
+def test_each_curve_fits_one_interpolant(monkeypatch):
+    # a cubic-spline curve fits one CubicSpline; a monotone curve and its
+    # inverse fit a PCHIP alone
+    fits = []
+    init = CubicSpline.__init__
+
+    def counted(self, *args, **kwargs):
+        fits.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CubicSpline, "__init__", counted)
+    x = np.linspace(0.0, 1.0, N)
+    Curve1D(0.0, 1.0, x**2)
+    assert len(fits) == 1
+    f = Monotone1D(0.0, 1.0, x**2 + x)
+    assert isinstance(f.inverse()._spline, PchipInterpolator)
+    assert len(fits) == 1
 
 
 def test_operations_degree_zero_bounded():
