@@ -3,32 +3,6 @@ elliptic solves with circulation data, level-set distribution functions,
 and the smoothed Newton inversion recovering a vorticity profile from an
 orbit label."""
 
-import ctypes
-
-
-def _pin_mmap_threshold():
-    """Fix glibc's mmap threshold at 1 MiB.  By default glibc raises the
-    threshold each time a large mapped block is freed (up to 32 MiB), so
-    later multi-megabyte arrays are carved from the heap, whose freed
-    blocks stay resident, and the peak resident size depends on the order
-    of allocations.  With a fixed threshold each such array is its own
-    mapping, returned to the system when freed.  The pin saves little but
-    steadily: on the invert-nd benchmark (64x128, 2-core machine, 2 BLAS
-    threads, 7 alternating pairs of 8 s runs) the peak was 92.5-92.9 MB
-    with it and 92.9-93.5 MB without, higher without in every pair, while
-    the median operation took 132-142 ms with it and 122-134 ms without;
-    on solve-dist-sweep the peaks differed by at most 0.3 MB either way.
-    Nothing is done on other C libraries."""
-    try:
-        libc = ctypes.CDLL(None)
-    except (OSError, TypeError):        # no handle on the running process
-        return
-    if hasattr(libc, "gnu_get_libc_version"):   # -3 is glibc's constant
-        libc.mallopt(-3, 1 << 20)               # M_MMAP_THRESHOLD
-
-
-_pin_mmap_threshold()
-
 from .grid import (AnnulusGrid, Field2D, circulation, divergence, gradient,
                    holder_norm, integrate, laplacian, make_annulus,
                    poisson_bracket)

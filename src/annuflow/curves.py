@@ -161,6 +161,10 @@ class MonotoneInverse(Monotone1D):
     def __call__(self, y):
         return self._forward.eval_inverse(y)
 
+    def with_values(self, values):
+        """A plain Monotone1D: new samples have no forward map to solve."""
+        return Monotone1D(self.a, self.b, values)
+
 
 # ---------------------------------------------------------------------------
 # CSV persistence: two columns (abscissa, value), '.' decimal, '\n' lines

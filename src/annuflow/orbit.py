@@ -10,10 +10,11 @@ nodes sit at the grid's angles, with arc weight 2 pi r.  A field that
 varies in theta follows the gradient flow dz/dt = range * grad(w)/|grad w|^2
 from seeds on the inner circle, and a Newton and a chord step project its
 nodes onto their levels.  All level-set quantities are periodic trapezoid
-sums over s, with field values interpolated bicubically; on circle levels,
-the loop integral of a theta-constant field is its value times the travel
-time.  A chart's distribution is A alone, which the same root finder
-inverts pointwise; dist_fn returns A with a tabulated inverse.
+sums over s.  A theta-constant field is its not-a-knot cubic along r
+between grid radii, so on circle levels its loop integral is its value
+times the travel time; other fields are interpolated bicubically.  A
+chart's distribution is A alone, which the same root finder inverts
+pointwise; dist_fn returns A with a tabulated inverse.
 """
 
 from __future__ import annotations
@@ -70,13 +71,6 @@ class FieldSpline:
         r, theta = self._wrap(r, theta)
         return self._spl.ev(r, theta)
 
-    def val_grid(self, r, theta):
-        """Values on the tensor grid of increasing r and of theta in
-        [0, 2pi), shape (r.size, theta.size): the values of val there,
-        bit for bit, at a fraction of its cost."""
-        r, theta = self._wrap(r, theta)
-        return self._spl(r, theta, grid=True)
-
     def grad(self, r, theta):
         """The derivatives in r and in theta."""
         r, theta = self._wrap(r, theta)
@@ -115,7 +109,7 @@ class LevelChart:
     arc_weight: np.ndarray        # |dz/ds| at chart nodes
     omega_min: float
     omega_max: float
-    spline: FieldSpline = field(repr=False)
+    omega: Field2D = field(repr=False)    # the charted field
 
     @property
     def levels(self):
@@ -129,18 +123,6 @@ class LevelChart:
     def on_circles(self):
         """Whether every level is a circle (r constant along each row)."""
         return not np.ptp(self.r, axis=1).any()
-
-    def residual(self):
-        """Largest miss of an interior node from its level.  The boundary
-        rows lie on the circles, whose spread _boundary_levels bounds.
-        Nodes on circles at the grid's angles form a tensor grid, which
-        is evaluated as one."""
-        r, theta = self.r[1:-1], self.theta[1:-1]
-        if self.on_circles and (theta == self.grid.theta).all():
-            vals = self.spline.val_grid(r[:, 0], self.grid.theta)
-        else:
-            vals = self.spline.val(r, theta)
-        return float(np.abs(vals - self.levels[1:-1, None]).max())
 
     @cached_property
     def travel_time(self):
@@ -191,11 +173,13 @@ def level_chart(omega: Field2D, Nt=None) -> LevelChart:
     (inner value below outer value), its interior nodes on their levels.
 
     A field constant in theta (``elliptic.theta_constant`` with the range
-    as the scale) has circles for levels: _circle_radii finds their radii
-    along r, with no ODE, and the nodes sit at the grid's angles.  Any
-    other field integrates the gradient flow from every grid angle on the
-    inner circle, then projects its interior nodes onto their levels.  The
-    level residual is checked on every interior node."""
+    as the scale) has circles for levels and is charted from its first
+    column alone: _circle_radii finds the radii on its cubic s along r,
+    with no ODE, |grad w| is s' there, and the nodes sit at the grid's
+    angles.  Any other field integrates the gradient flow of its bicubic
+    interpolant from every grid angle on the inner circle, then projects
+    its interior nodes onto their levels.  Every interior node's miss
+    from its level, on the interpolant that placed it, is checked."""
     g = omega.grid
     Nt = g.Nr if Nt is None else int(Nt)
     wmin, wmax = _boundary_levels(omega)
@@ -208,18 +192,19 @@ def level_chart(omega: Field2D, Nt=None) -> LevelChart:
         raise CriticalPointError(
             f"|grad| {gn_grid.min():.3e} below floor {floor:.3e} on the grid")
 
-    spl = FieldSpline(omega)
     t = np.linspace(0.0, 1.0, Nt)
     levels = wmin + t * rng
     if theta_constant(omega.values, rng):
-        radii = _circle_radii(g.r, omega.values[:, 0], levels, floor)
-        wr, wt = spl.grad(radii, g.theta[0])
-        gn = np.repeat(np.sqrt(wr**2 + (wt / radii) ** 2)[:, None], g.Ns, axis=1)
+        s, radii = _circle_radii(g.r, omega.values[:, 0], levels, floor)
+        miss = np.abs(s(radii[1:-1]) - levels[1:-1]).max()
         r = np.repeat(radii[:, None], g.Ns, axis=1)
         theta = np.tile(g.theta, (Nt, 1))
+        gn = np.repeat(s(radii, 1)[:, None], g.Ns, axis=1)
         arc = 2 * np.pi * r
     else:
+        spl = FieldSpline(omega)
         r, theta = _trajectory_nodes(spl, g, t, wmin, rng)
+        miss = np.abs(spl.val(r[1:-1], theta[1:-1]) - levels[1:-1, None]).max()
         wr, wt = spl.grad(r, theta)
         gn = np.sqrt(wr**2 + (wt / r) ** 2)
         ds = 1.0 / g.Ns
@@ -228,23 +213,22 @@ def level_chart(omega: Field2D, Nt=None) -> LevelChart:
         dth_ds = (np.mod(dth + np.pi, 2 * np.pi) - np.pi) / (2 * ds)
         arc = np.sqrt(dr_ds**2 + (r * dth_ds) ** 2)
 
-    chart = LevelChart(g, t, r, theta, gn, arc, wmin, wmax, spl)
-    res = chart.residual()
-    if res > CHART_TOL * rng:
-        raise CriticalPointError(f"chart level residual {res:.3e} exceeds "
+    # the boundary rows lie on the circles, whose spread _boundary_levels bounds
+    if miss > CHART_TOL * rng:
+        raise CriticalPointError(f"chart level residual {miss:.3e} exceeds "
                                  f"{CHART_TOL:.1e} of the field's range {rng:.3e}")
     if gn.min() <= 0:
         raise CriticalPointError("vanishing gradient at a chart node")
-    return chart
+    return LevelChart(g, t, r, theta, gn, arc, wmin, wmax, omega)
 
 
 def _circle_radii(r, column, levels, floor):
-    """The radius of each level of a theta-constant field, given its values
-    along r: ``r[0]`` and ``r[-1]`` for the boundary levels, and for the
-    others the root of s(x) = level, s the not-a-knot cubic interpolant of
-    the column, which is FieldSpline's along r.  CriticalPointError if s'
-    falls below the floor anywhere on [r[0], r[-1]]: a column can increase
-    from node to node while its interpolant turns back between them.
+    """s, the not-a-knot cubic interpolant of a theta-constant field's
+    values along r, which is the field between grid radii, and the radius
+    of each level: ``r[0]`` and ``r[-1]`` for the boundary levels, and for
+    the others the root of s(x) = level.  CriticalPointError if s' falls
+    below the floor anywhere on [r[0], r[-1]]: a column can increase from
+    node to node while its interpolant turns back between them.
 
     s increases, so curves.solve_increasing finds each root between the
     grid radii whose values bracket its level, to 4 ulp of max|column|."""
@@ -258,7 +242,8 @@ def _circle_radii(r, column, levels, floor):
                                  f"the |grad| floor {floor:.3e}, between grid radii")
 
     rounding = 4 * np.finfo(float).eps * np.abs(column).max()
-    return np.concatenate([r[:1], solve_increasing(s, levels[1:-1], rounding), r[-1:]])
+    return s, np.concatenate([r[:1], solve_increasing(s, levels[1:-1], rounding),
+                              r[-1:]])
 
 
 def _trajectory_nodes(spl: FieldSpline, g, t_eval, wmin, rng):
@@ -338,9 +323,9 @@ def j_over_grad_radial(chart: LevelChart):
     matrix acting on their values along r, for a chart whose levels are
     circles (ValueError otherwise): the chart of a theta-constant field.
 
-    FieldSpline interpolates such a field by its not-a-knot cubic along r,
-    constant in theta, so on a circle the loop integral of u/|grad w| is
-    u there times the travel time."""
+    Such a field is its not-a-knot cubic along r, constant in theta, as
+    level_chart charts it, so on a circle the loop integral of u/|grad w|
+    is u there times the travel time."""
     if not chart.on_circles:
         raise ValueError("the chart's levels are not circles")
     cardinal = make_interp_spline(chart.grid.r, np.eye(chart.grid.Nr), k=3)
@@ -467,9 +452,7 @@ def project_tangent(chart: LevelChart, nu: Field2D) -> Field2D:
     g = chart.grid
     mean_vals = j_over_grad(chart, nu).values / chart.travel_time
     spl = CubicSpline(chart.levels, mean_vals)
-    R, T = np.meshgrid(g.r, g.theta, indexing="ij")
-    omega_vals = chart.spline.val(R, T)
-    return g.field(nu.values - spl(np.clip(omega_vals, chart.omega_min,
+    return g.field(nu.values - spl(np.clip(chart.omega.values, chart.omega_min,
                                            chart.omega_max)))
 
 
@@ -508,8 +491,7 @@ def reconstruct_alpha(chart: LevelChart, nu: Field2D, tol_rel=1e-5) -> Field2D:
         alpha_rows[i] = CubicSpline(th_ext, va_ext)(g.theta)
 
     # interpolate rows in t at each node's own level coordinate
-    R, T = np.meshgrid(g.r, g.theta, indexing="ij")
-    tvals = (chart.spline.val(R, T) - chart.omega_min) / (chart.omega_max - chart.omega_min)
+    tvals = (chart.omega.values - chart.omega_min) / (chart.omega_max - chart.omega_min)
     tvals = np.clip(tvals, 0.0, 1.0)
     col_spl = CubicSpline(chart.t, alpha_rows, axis=0)
     out = np.empty((g.Nr, g.Ns))

@@ -7,8 +7,10 @@ each psi node, that LU, and the loop integral of any field) checks its
 assembly in r alone, the eigenvalues of every theta-mode block
 check the principal eigenvalue's reduction to modes 0 and 1, the radial
 steady oracle is a 1D two-point BVP solve, the sublevel-area oracle is
-a per-cell linear-cut area count on a refined cell-centered grid, and
-the brute-force Hoelder norm enumerates all node pairs directly.
+a per-cell linear-cut area count on a refined cell-centered grid, the
+chart residual reads the charted field's bicubic interpolant, which a
+theta-constant field's chart never fits, and the brute-force Hoelder
+norm enumerates all node pairs directly.
 """
 
 from dataclasses import dataclass
@@ -119,6 +121,14 @@ def lu_solve(system, k):
     """phi with A phi = k under the zero-circulation conditions, by the LU
     of a bordered system; k of shape (Nr, Ns) or (Nr, Ns, m)."""
     return system.lu.solve(bordered_rhs(system.n_unknowns, k, 0.0))[:-1].reshape(k.shape)
+
+
+def chart_residual(chart):
+    """Largest miss of a chart's interior node from its level on the
+    bicubic interpolant of the charted field, whichever interpolant placed
+    the nodes.  The boundary rows lie on the circles."""
+    vals = FieldSpline(chart.omega).val(chart.r[1:-1], chart.theta[1:-1])
+    return float(np.abs(vals - chart.levels[1:-1, None]).max())
 
 
 def j_over_grad_matrix(chart):

@@ -1,14 +1,9 @@
-import ctypes
 import gc
-import os
-import subprocess
-import sys
 import weakref
 
 import numpy as np
 import pytest
 
-import annuflow
 from annuflow.cli import _reference_state
 from annuflow.elliptic import (FourierSystem, NdReport, _mode_blocks,
                                _singular_values, check_nd1, principal_eigenvalue,
@@ -255,44 +250,6 @@ def test_dropped_grid_is_freed_without_gc():
         assert [r for r in refs if r() is not None] == []
     finally:
         gc.enable()
-
-
-# run in a fresh interpreter: after other tests the heap may hold a free
-# block of 2 MiB or more, which malloc reuses before it maps anything
-_MAPPED_AFTER_FREE = """
-import ctypes
-import numpy as np
-import annuflow
-
-class MallInfo2(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_size_t) for name in (
-        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
-        "fsmblks", "uordblks", "fordblks", "keepcost")]
-
-mallinfo2 = ctypes.CDLL(None).mallinfo2
-mallinfo2.restype = MallInfo2
-big = np.ones(2 << 20)                  # 16 MiB
-del big
-mapped = mallinfo2().hblkhd
-a = np.ones(1 << 18)                    # 2 MiB
-print(mallinfo2().hblkhd - mapped, a.nbytes)
-"""
-
-
-def test_large_array_is_mapped_after_a_larger_free():
-    # glibc's default raises the mmap threshold to the size of a freed
-    # mapped block, after which a 2 MiB array comes from the heap; the
-    # package pins the threshold at 1 MiB
-    try:
-        ctypes.CDLL(None).mallinfo2
-    except (AttributeError, OSError, TypeError):
-        pytest.skip("the C library has no mallinfo2")
-    src = os.path.dirname(os.path.dirname(annuflow.__file__))
-    run = subprocess.run([sys.executable, "-c", _MAPPED_AFTER_FREE],
-                         env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, check=True)
-    grown, size = map(int, run.stdout.split())
-    assert grown >= size
 
 
 def test_sigma_min_against_dense(grid32):

@@ -13,7 +13,7 @@ from annuflow.orbit import (
 )
 from annuflow.steady import Profile1D, energy, solve_steady
 
-from oracles import sublevel_area
+from oracles import chart_residual, sublevel_area
 
 GAMMA4 = -4 * np.pi
 
@@ -43,14 +43,14 @@ def chart_wavy(omega_wavy):
 def test_chart_radial_closed_form(chart_r2, grid64):
     exact_r = np.sqrt(1 + 3 * chart_r2.t)
     assert np.abs(chart_r2.r - exact_r[:, None]).max() < 1e-7
-    assert chart_r2.residual() < 1e-13
+    assert chart_residual(chart_r2) < 1e-13
     # rows start on the inner circle, end on the outer one
     assert np.abs(chart_r2.r[0] - 1.0).max() == 0.0
     assert np.abs(chart_r2.r[-1] - 2.0).max() == 0.0
 
 
 def test_chart_wavy_residual(chart_wavy):
-    assert chart_wavy.residual() < 1e-13
+    assert chart_residual(chart_wavy) < 1e-13
     assert np.abs(chart_wavy.r[-1] - 2.0).max() == 0.0
     assert chart_wavy.grad_norm.min() > 0
 
@@ -73,7 +73,7 @@ def test_chart_residual_is_relative_to_the_range(omega_wavy):
     # the level miss scales with the field; at 1e5 times the wavy field it
     # is about 3.5e-10, 3.5e-15 of the range
     chart = level_chart(omega_wavy * 1e5)
-    assert chart.residual() < 1e-13 * (chart.omega_max - chart.omega_min)
+    assert chart_residual(chart) < 1e-13 * (chart.omega_max - chart.omega_min)
 
 
 def test_chart_ignores_boundary_spread_below_the_fplus_bound(grid64, omega_wavy):
@@ -84,7 +84,7 @@ def test_chart_ignores_boundary_spread_below_the_fplus_bound(grid64, omega_wavy)
     vals[0] += wiggle
     vals[-1] -= wiggle
     chart = level_chart(grid64.field(vals))
-    assert chart.residual() < 1e-13
+    assert chart_residual(chart) < 1e-13
 
 
 @pytest.fixture(scope="module")
@@ -122,13 +122,22 @@ def seed_counts(monkeypatch):
 
 @pytest.mark.parametrize("grid", ["64x128", "16x70"])
 @pytest.mark.parametrize("which", ["psi", "omega"])
-def test_theta_constant_chart_integrates_nothing(seed_counts, bump_fields,
-                                                 grid, which):
+def test_theta_constant_chart_integrates_nothing(seed_counts, monkeypatch,
+                                                 bump_fields, grid, which):
+    # nor fits a bicubic: the field's column along r charts it
+    fits, real = [], orbit.RectBivariateSpline
+
+    def recorded(*args, **kwargs):
+        fits.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(orbit, "RectBivariateSpline", recorded)
     field, Nt = bump_fields[grid, which]
     if grid == "16x70":
         assert np.abs(field.values - field.values[:, :1]).max() > 0
     chart = level_chart(field, Nt=Nt)
     assert seed_counts == []
+    assert fits == []
     assert chart.on_circles
     assert (chart.theta == field.grid.theta).all()
     assert chart.r.shape == chart.arc_weight.shape == (Nt, field.grid.Ns)
@@ -157,11 +166,14 @@ def test_root_chart_matches_ode_chart(monkeypatch, bump_fields, grid, which):
         assert np.abs(ours - ref).max() <= 1e-11 * np.abs(ref).max(), name
 
 
-def test_chart_residual_on_a_tensor_grid_is_the_scattered_one(bump_fields):
-    chart = level_chart(*bump_fields["16x70", "omega"])
-    r, theta = chart.r[1:-1], chart.theta[1:-1]
-    tensor = chart.spline.val_grid(r[:, 0], chart.grid.theta)
-    assert np.array_equal(tensor, chart.spline.val(r, theta))
+def test_circle_chart_checks_its_roots(monkeypatch, omega_r2):
+    # radii off their levels by 1e-6 of a cell miss them by about 3e-6 of
+    # the range, far above CHART_TOL
+    real, hr = orbit.solve_increasing, omega_r2.grid.hr
+    monkeypatch.setattr(orbit, "solve_increasing",
+                        lambda pp, y, tol: real(pp, y, tol) + 1e-6 * hr)
+    with pytest.raises(CriticalPointError, match="chart level residual"):
+        level_chart(omega_r2)
 
 
 @pytest.mark.parametrize("delta", [0.02, 0.01, 0.005])

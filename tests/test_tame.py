@@ -165,6 +165,22 @@ def test_invert_involution():
     assert np.abs(h(x) - np.asarray(f(x))).max() < 1e-7
 
 
+@pytest.mark.parametrize("which", ["invert_monotone", "dist_fn"])
+def test_smoothed_inverse_is_the_smoothed_monotone_of_its_samples(which, grid32):
+    # an inverse's new samples have no forward map: smooth returns the
+    # Monotone1D of the smoothed samples
+    if which == "invert_monotone":
+        inv = invert_monotone(curve(lambda x: np.exp(x) + x))
+    else:
+        from annuflow.orbit import dist_fn
+        inv = dist_fn(grid32.field_from(lambda r, t: r**2))[1]
+    ours = smooth(inv, 32.0)
+    ref = smooth(Monotone1D(inv.a, inv.b, inv.values), 32.0)
+    assert type(ours) is type(ref) is Monotone1D
+    assert (ours.a, ours.b) == (ref.a, ref.b)
+    assert np.array_equal(ours.values, ref.values)
+
+
 def test_each_curve_fits_one_interpolant(monkeypatch):
     # a cubic-spline curve fits one CubicSpline; a monotone curve and its
     # inverse fit a PCHIP alone
