@@ -173,9 +173,9 @@ class MonotoneInverse(Monotone1D):
 def write_curve_csv(path, x, v):
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
+    text = "".join(f"{xi!r},{vi!r}\n" for xi, vi in zip(x.tolist(), v.tolist()))
     with open(path, "w", newline="\n") as fh:
-        for xi, vi in zip(x, v):
-            fh.write(f"{float(xi)!r},{float(vi)!r}\n")
+        fh.write(text)
 
 
 def read_curve_csv(path):

@@ -83,7 +83,9 @@ class NewtonStep(NamedTuple):
 class SteadyState:
     """Converged steady bundle: psi, its profile F and its circulation;
     the vorticity F(psi) and the inner value are derived from psi.  The
-    Newton history is empty for a state read back from JSON."""
+    Newton history is empty for a state read back from JSON.  A state of
+    ``solve_steady`` is constant in theta bit for bit, so its JSON file
+    (``state_to_json``) stores psi's column alone."""
 
     F: Profile1D
     psi: Field2D
@@ -253,7 +255,18 @@ def energy_pair(state: SteadyState):
 # ---------------------------------------------------------------------------
 
 def state_to_json(state: SteadyState) -> str:
+    """JSON text of a state: its grid, gamma, Newton residual and profile
+    samples, and psi.  psi is stored as its column "psi_r" (Nr floats) when
+    every row of psi is constant bit for bit, as every state of
+    ``solve_steady`` is, and row-major as "psi" (Nr*Ns floats) otherwise.
+    Floats are written in repr round-trip precision."""
     g = state.psi.grid
+    v = state.psi.values
+    # compare bit patterns, so that a row holding both 0.0 and -0.0 is
+    # written in full
+    bits = v.view(np.uint64)
+    psi = ({"psi_r": v[:, 0].tolist()} if (bits == bits[:, :1]).all()
+           else {"psi": v.ravel().tolist()})
     return json.dumps({
         "Ri": g.Ri, "Ro": g.Ro, "Nr": g.Nr, "Ns": g.Ns,
         "gamma": state.gamma,
@@ -261,20 +274,27 @@ def state_to_json(state: SteadyState) -> str:
         "profile_cbar": state.F.cbar,
         "profile_samples": state.F.values.tolist(),
         "profile_monotone": state.F.strictly_monotone,
-        "psi": state.psi.values.ravel().tolist(),
+        **psi,
     })
 
 
 def state_from_json(text: str) -> SteadyState:
-    """The state of ``state_to_json``'s text.  Older files also hold
-    "omega" and "inner_value", both derived from psi: they are ignored.
-    Raises ValueError on a malformed file."""
+    """The state of ``state_to_json``'s text.  A file holds exactly one of
+    "psi_r", psi's column of Nr values, spread over theta, and "psi",
+    row-major Nr*Ns values.  Older files also hold "omega" and
+    "inner_value", both derived from psi: they are ignored.  Raises
+    ValueError on a malformed file."""
     try:
         d = json.loads(text)
         g = make_annulus(d["Ri"], d["Ro"], d["Nr"], d["Ns"])
         F = Profile1D(d["profile_cbar"], np.array(d["profile_samples"], dtype=float),
                       strictly_monotone=d.get("profile_monotone", False))
-        psi = g.field(np.array(d["psi"], dtype=float).reshape(g.Nr, g.Ns))
+        if ("psi_r" in d) == ("psi" in d):
+            raise ValueError('a state file holds exactly one of "psi_r" and "psi"')
+        if "psi_r" in d:
+            psi = _spread(g, np.array(d["psi_r"], dtype=float).reshape(g.Nr))
+        else:
+            psi = g.field(np.array(d["psi"], dtype=float).reshape(g.Nr, g.Ns))
         return SteadyState(F, psi, float(d["gamma"]), float(d["newton_residual"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state file: {exc!r}") from exc

@@ -17,6 +17,13 @@ def run(capsys, *argv):
     return code, payload
 
 
+def assert_column_state(path, nr):
+    """The state file at path stores psi as its column of nr values."""
+    d = json.loads(path.read_text())
+    assert "psi" not in d
+    assert len(d["psi_r"]) == nr
+
+
 def test_expression_parser_basics():
     f = parse_expression("0.5*s-1")
     s = np.linspace(-2, 0, 11)
@@ -48,6 +55,7 @@ def test_solve_writes_state(tmp_path, capsys):
     with open(tmp_path / "state.json") as fh:
         state = state_from_json(fh.read())
     assert state.psi.grid.Nr == 64
+    assert_column_state(tmp_path / "state.json", 64)
     diag = json.loads((tmp_path / "diagnostics.json").read_text())
     assert diag["circulation_gap"] < 1e-8
     # one record per Newton step, each a full step; state.json does not
@@ -152,7 +160,11 @@ def _malformed_inputs(tmp_path, capsys):
     run(capsys, "solve", "--profile", "0.5*s-1", "--gamma", "-6.28",
         "--grid", "16,32", "--out", str(tmp_path))
     good = json.loads((tmp_path / "state.json").read_text())
-    files = {"no-psi": {k: v for k, v in good.items() if k != "psi"},
+    psi_r = good["psi_r"]
+    rows = np.repeat(np.array(psi_r)[:, None], good["Ns"], axis=1).ravel().tolist()
+    files = {"no-psi": {k: v for k, v in good.items() if k not in ("psi", "psi_r")},
+             "psi-r-short": dict(good, psi_r=psi_r[:-1]),
+             "psi-both": dict(good, psi=rows),
              "nr-text": dict(good, Nr="x"), "list": [good], "good": good}
     for name, content in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(content))
@@ -161,6 +173,8 @@ def _malformed_inputs(tmp_path, capsys):
     column = str(tmp_path / "one-column.csv")
     return {
         "state-without-psi": ["dist", "--state", state("no-psi"), "--out", out],
+        "state-psi-r-short": ["dist", "--state", state("psi-r-short"), "--out", out],
+        "state-psi-both": ["dist", "--state", state("psi-both"), "--out", out],
         "state-nr-text": ["dist", "--state", state("nr-text"), "--out", out],
         "state-list": ["dist", "--state", state("list"), "--out", out],
         "nu-list": ["tangent", "--state", state("good"), "--nu", state("list"),
@@ -172,7 +186,8 @@ def _malformed_inputs(tmp_path, capsys):
     }
 
 
-@pytest.mark.parametrize("case", ["state-without-psi", "state-nr-text", "state-list",
+@pytest.mark.parametrize("case", ["state-without-psi", "state-psi-r-short",
+                                  "state-psi-both", "state-nr-text", "state-list",
                                   "nu-list", "target-one-column", "profile-one-column"])
 def test_malformed_input_file_is_invalid_input(tmp_path, capsys, case):
     code, payload = run(capsys, *_malformed_inputs(tmp_path, capsys)[case])
@@ -216,6 +231,41 @@ def test_dist_roundtrip(tmp_path, capsys):
     assert np.abs(back[interior] - mu[interior]).max() < 1e-3 * mu[-1]
 
 
+def test_dist_reads_row_major_state_file(tmp_path, capsys):
+    # a file of the older format, row-major "psi" with the stored "omega"
+    # and "inner_value", gives the same A.csv and Ainv.csv bytes as the
+    # column file of the same state
+    run(capsys, "solve", "--profile", "0.5*s-1", "--gamma", str(-4 * np.pi),
+        "--grid", "32,64", "--out", str(tmp_path / "new"))
+    d = json.loads((tmp_path / "new" / "state.json").read_text())
+    psi = np.repeat(np.array(d.pop("psi_r"))[:, None], d["Ns"], axis=1)
+    d["psi"] = psi.ravel().tolist()
+    d["omega"] = [0.0] * psi.size
+    d["inner_value"] = 1.0
+    (tmp_path / "old").mkdir()
+    (tmp_path / "old" / "state.json").write_text(json.dumps(d))
+    for side in ("new", "old"):
+        code, _ = run(capsys, "dist", "--state", str(tmp_path / side / "state.json"),
+                      "--out", str(tmp_path / side))
+        assert code == 0
+    for name in ("A.csv", "Ainv.csv"):
+        assert ((tmp_path / "new" / name).read_bytes()
+                == (tmp_path / "old" / name).read_bytes())
+
+
+def test_write_curve_csv_bytes(tmp_path):
+    # the repr of each value, as float() of each NumPy scalar gave it
+    tiny = np.finfo(float).smallest_subnormal
+    x = np.array([-1.5, -0.0, 0.0, tiny, -3 * tiny, 0.1, 1 / 3, 2.0**-1030])
+    v = np.array([0.30000000000000004, -0.0, -1e-310, 1.7976931348623157e308,
+                  -2.2250738585072014e-308, 123456789.12345679, -1e22, 5e-324])
+    write_curve_csv(tmp_path / "c.csv", x, v)
+    expected = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(x, v))
+    assert (tmp_path / "c.csv").read_bytes() == expected.encode()
+    back_x, back_v = read_curve_csv(tmp_path / "c.csv")
+    assert back_x.tobytes() == x.tobytes() and back_v.tobytes() == v.tobytes()
+
+
 def test_dist_radial_affine(tmp_path, capsys):
     # harmonic state: omega = 0 is constant, not chartable; use the affine
     # profile whose omega is strictly increasing in radius
@@ -245,6 +295,7 @@ def test_invert_roundtrip_zero_iterations(tmp_path, capsys):
     assert code == 0
     assert payload["iterations"] == 1
     assert payload["residual"] < 1e-6
+    assert_column_state(tmp_path / "inv" / "state.json", 32)
 
 
 def test_invert_decreasing_target_exit3(tmp_path, capsys):
@@ -321,6 +372,7 @@ def test_invert_max_iter_exit3(tmp_path, capsys):
     _, samples = read_curve_csv(tmp_path / "inv" / "profile.csv")
     state = json.loads((tmp_path / "inv" / "state.json").read_text())
     assert np.array_equal(samples, state["profile_samples"])
+    assert_column_state(tmp_path / "inv" / "state.json", 32)
 
 
 def test_invert_max_iter_zero_is_invalid_input(tmp_path, capsys, ainv32):

@@ -338,20 +338,42 @@ def test_state_json_roundtrip(state_affine):
 
 
 def test_state_json_stores_psi_once(state_affine):
-    # the vorticity and the inner value are derived from psi, not stored
+    # the vorticity and the inner value are derived from psi, not stored;
+    # psi of solve_steady is constant in theta bit for bit and is stored
+    # as its column
     d = json.loads(state_to_json(state_affine))
     assert "omega" not in d and "inner_value" not in d
+    assert "psi" not in d and len(d["psi_r"]) == state_affine.psi.grid.Nr
 
 
 def test_state_json_ignores_stored_omega(state_affine):
-    # older files also hold "omega" and "inner_value"; a disagreeing copy
-    # does not override F(psi)
+    # older files hold row-major "psi", and the oldest also "omega" and
+    # "inner_value"; a disagreeing copy does not override F(psi)
     d = json.loads(state_to_json(state_affine))
+    del d["psi_r"]
+    d["psi"] = state_affine.psi.values.ravel().tolist()
     d["omega"] = [0.0] * state_affine.psi.values.size
     d["inner_value"] = 1.0
     st2 = state_from_json(json.dumps(d))
+    assert st2.psi.values.tobytes() == state_affine.psi.values.tobytes()
     assert np.array_equal(st2.omega.values, st2.F(st2.psi.values))
     assert st2.inner_value == float(st2.psi.values[0].mean())
+
+
+@pytest.mark.parametrize("edit", ["one-ulp", "signed-zero"])
+def test_state_json_row_major_when_a_row_varies(state_affine, edit):
+    # a row that is not constant bit for bit is written row-major and
+    # read back bit for bit
+    psi = state_affine.psi.values.copy()
+    if edit == "one-ulp":
+        psi[5, 7] = np.nextafter(psi[5, 7], np.inf)
+    else:                                   # equal values, other bits
+        psi[-1, 3] = -0.0
+    st = SteadyState(state_affine.F, state_affine.psi.grid.field(psi),
+                     state_affine.gamma, state_affine.newton_residual)
+    d = json.loads(state_to_json(st))
+    assert "psi_r" not in d and len(d["psi"]) == psi.size
+    assert state_from_json(json.dumps(d)).psi.values.tobytes() == psi.tobytes()
 
 
 def test_default_cbar(grid64):
