@@ -4,9 +4,9 @@ curves with robust pointwise inversion.
 Each curve fits one interpolant: a cubic spline, or for monotone curves a
 shape-preserving cubic (PCHIP), strictly increasing whenever the samples
 are.  ``solve_increasing`` is the one root finder, for any scipy PPoly
-increasing at its breakpoints; monotone curves invert through it on the
-forward interpolant, so the round trip g(f(x)) = x holds at solver
-tolerance rather than at resampling accuracy.
+increasing at its breakpoints or a batch of them; monotone curves invert
+through it on the forward interpolant, so the round trip g(f(x)) = x
+holds at solver tolerance rather than at resampling accuracy.
 """
 
 from __future__ import annotations
@@ -22,19 +22,31 @@ _NEWTON_TOL = 1e-12
 def solve_increasing(pp, y, tol):
     """x in [pp.x[0], pp.x[-1]] with |pp(x) - y| <= tol for each y (clipped to
     the breakpoint values), pp a scipy PPoly increasing at its breakpoints.
-    Each y is bracketed between breakpoints and x starts from linear
-    interpolation there; Newton steps narrow the bracket, and x bisects it
-    where a step would leave it or the slope is not positive (a PCHIP's end
-    slope can be 0).  Refinement stops after 64 steps."""
+    A PPoly of m curves (coefficients of shape (k, n - 1, m), as a spline
+    fitted along axis 0 has) solves each curve for its column of y, of
+    shape (p, 1) or (p, m), and x has shape (p, m).  Each y is bracketed
+    between breakpoints and x starts from linear interpolation there;
+    Newton steps narrow the bracket, and x bisects it where a step would
+    leave it or the slope is not positive (a PCHIP's end slope can be 0).
+    Refinement stops after 64 steps."""
     knots = pp.x
     vals = pp(knots)
     y = np.clip(y, vals[0], vals[-1])
-    j = np.clip(np.searchsorted(vals, y, side="right") - 1, 0, knots.size - 2)
-    coef = pp.c[:, j]
+    shape = y.shape
+    # one column per curve; the piece of each y is the count of its curve's
+    # breakpoint values at or below it, less one
+    vals, y = vals.reshape(knots.size, -1), y.reshape(len(y), -1)
+    m = vals.shape[1]
+    j = np.stack([np.searchsorted(v, w, side="right") for v, w in zip(vals.T, y.T)],
+                 axis=1)
+    j = np.clip(j - 1, 0, knots.size - 2)
+    at = (j * m + np.arange(m)).ravel()        # among the pieces of all curves
+    j, y, vals = j.ravel(), y.ravel(), vals.ravel()
+    coef = pp.c.reshape(pp.c.shape[0], -1)[:, at]
     dcoef = coef[:-1] * np.arange(coef.shape[0] - 1, 0, -1)[:, None]
     h = knots[j + 1] - knots[j]
     lo, hi = np.zeros_like(y), h
-    x = (y - vals[j]) / (vals[j + 1] - vals[j]) * h
+    x = (y - vals[at]) / (vals[at + m] - vals[at]) * h
     for _ in range(64):
         miss = np.polyval(coef, x) - y
         if np.all(np.abs(miss) <= tol):
@@ -44,7 +56,7 @@ def solve_increasing(pp, y, tol):
         slope = np.polyval(dcoef, x)
         x_new = x - miss / np.where(slope > 0, slope, np.nan)
         x = np.where((x_new >= lo) & (x_new <= hi), x_new, 0.5 * (lo + hi))
-    return np.minimum(knots[j] + x, knots[j + 1])
+    return np.minimum(knots[j] + x, knots[j + 1]).reshape(shape)
 
 
 class Curve1D:

@@ -1,20 +1,20 @@
 """Level-set geometry of boundary-constant fields without critical points:
-gradient-curve charts, loop integrals over level sets, distribution
+polar level charts, loop integrals over level sets, distribution
 functions and their first two derivatives, area-preserving pushforward,
 and the tangency calculus of co-adjoint orbits.
 
-The chart z(t,s) puts row t on the level set w = min w + t*(max w - min w).
-The levels of a field constant in theta are circles: their radii are the
-roots of the field's cubic along r by curves.solve_increasing, and their
-nodes sit at the grid's angles, with arc weight 2 pi r.  A field that
-varies in theta follows the gradient flow dz/dt = range * grad(w)/|grad w|^2
-from seeds on the inner circle, and a Newton and a chord step project its
-nodes onto their levels.  All level-set quantities are periodic trapezoid
-sums over s.  A theta-constant field is its not-a-knot cubic along r
-between grid radii, so on circle levels its loop integral is its value
-times the travel time; other fields are interpolated bicubically.  A
-chart's distribution is A alone, which the same root finder inverts
-pointwise; dist_fn returns A with a tabulated inverse.
+The chart puts row t on the level set w = min w + t*(max w - min w).  A
+charted field increases along every grid ray, between grid radii too,
+so each level is a curve r = R(theta): on each ray, R is the root of the
+field's not-a-knot cubic along r by curves.solve_increasing, and the
+nodes sit at the grid's angles.  Polar coarea then gives every loop
+integral from R and w_r at R: the travel time A' is the loop integral of
+R/w_r, and the levels of a field constant in theta are circles, charted
+from its first column alone.  All level-set quantities are periodic
+trapezoid sums over s, and a field is read at the nodes from its cubics
+along the rays.  A chart's distribution is A alone, which the same root
+finder inverts pointwise; dist_fn returns A with a tabulated inverse.
+The pushforward alone integrates an ODE, on a bicubic interpolant.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ from .errors import (AreaMismatchError, CriticalPointError, NotInFplusError,
 from .grid import Field2D, divergence, gradient, integrate, poisson_bracket
 
 CHART_TOL = 1e-10
-# the integration only has to land each node within reach of the Newton
-# projection onto its level; the projection sets the chart's accuracy
-CHART_RTOL = 1e-7
-CHART_ATOL = 1e-10
 GRAD_FLOOR_REL = 1e-6
 AREA_TOL_REL = 5e-3
 
@@ -60,7 +56,7 @@ class FieldSpline:
         theta_ext, cols = _theta_padding(g)
         self._spl = RectBivariateSpline(g.r, theta_ext, f.values[:, cols],
                                         kx=3, ky=3)
-        # the radii, not the grid: level_chart's integrand keeps this spline
+        # the radii, not the grid: pushforward's integrand keeps this spline
         # in solve_ivp's reference cycle, which must not hold the grid
         self._radii = (g.Ri, g.Ro)
 
@@ -96,15 +92,15 @@ class AreaGrid(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class LevelChart:
-    """Gradient-curve coordinates: row t is the level set at
-    min w + t*(max w - min w); row 0 on the inner circle, row 1 on the
-    outer one.  The chart owns the level-set data built from it, each on
-    first use: the travel time, the distribution and the area grid."""
+    """Polar level coordinates: row t is the level set at
+    min w + t*(max w - min w), the curve r = R(theta) sampled at the grid's
+    angles; row 0 on the inner circle, row 1 on the outer one.  The chart
+    owns the level-set data built from it, each on first use: the travel
+    time, the distribution and the area grid."""
 
     grid: object
     t: np.ndarray                 # (Nt,)
-    r: np.ndarray                 # (Nt, Ns) radial positions
-    theta: np.ndarray             # (Nt, Ns) unwrapped angular positions
+    r: np.ndarray                 # (Nt, Ns) radii R at the grid's angles
     grad_norm: np.ndarray         # |grad w| at chart nodes
     arc_weight: np.ndarray        # |dz/ds| at chart nodes
     omega_min: float
@@ -170,127 +166,90 @@ def _boundary_levels(omega: Field2D):
 
 def level_chart(omega: Field2D, Nt=None) -> LevelChart:
     """The chart of a boundary-constant field with no critical points
-    (inner value below outer value), its interior nodes on their levels.
+    (inner value below outer value) that increases along every grid ray.
 
-    A field constant in theta (``elliptic.theta_constant`` with the range
-    as the scale) has circles for levels and is charted from its first
-    column alone: _circle_radii finds the radii on its cubic s along r,
-    with no ODE, |grad w| is s' there, and the nodes sit at the grid's
-    angles.  Any other field integrates the gradient flow of its bicubic
-    interpolant from every grid angle on the inner circle, then projects
-    its interior nodes onto their levels.  Every interior node's miss
-    from its level, on the interpolant that placed it, is checked."""
+    The field between grid radii is its not-a-knot cubic along r on each
+    ray.  A field constant in theta (``elliptic.theta_constant`` with the
+    range as the scale) is charted from its first column, any other from
+    all of them; the same code runs on 1 or Ns columns and broadcasts over
+    theta.  Each cubic's slope must stay above the gradient floor on
+    [Ri, Ro] (CriticalPointError naming the ray otherwise), so each level
+    crosses each ray once, at the radius R that curves.solve_increasing
+    finds, to 4 ulp of max|values|.  Along the level r = R(theta),
+    R_theta = -w_theta/w_r, with w_theta from the trigonometric
+    interpolant of the cubics over the grid angles; a circle has
+    R_theta = 0.  Every interior root's miss from its level is checked."""
     g = omega.grid
     Nt = g.Nr if Nt is None else int(Nt)
     wmin, wmax = _boundary_levels(omega)
     rng = wmax - wmin
-    floor = GRAD_FLOOR_REL * rng
-
-    gr, gt = gradient(omega)
-    gn_grid = np.sqrt(gr.values**2 + gt.values**2)
-    if gn_grid.min() < floor:
-        raise CriticalPointError(
-            f"|grad| {gn_grid.min():.3e} below floor {floor:.3e} on the grid")
+    cols = omega.values[:, :1] if theta_constant(omega.values, rng) else omega.values
+    s = CubicSpline(g.r, cols, axis=0)
+    _check_slope(s, GRAD_FLOOR_REL * rng, g.theta)
 
     t = np.linspace(0.0, 1.0, Nt)
     levels = wmin + t * rng
-    if theta_constant(omega.values, rng):
-        s, radii = _circle_radii(g.r, omega.values[:, 0], levels, floor)
-        miss = np.abs(s(radii[1:-1]) - levels[1:-1]).max()
-        r = np.repeat(radii[:, None], g.Ns, axis=1)
-        theta = np.tile(g.theta, (Nt, 1))
-        gn = np.repeat(s(radii, 1)[:, None], g.Ns, axis=1)
-        arc = 2 * np.pi * r
-    else:
-        spl = FieldSpline(omega)
-        r, theta = _trajectory_nodes(spl, g, t, wmin, rng)
-        miss = np.abs(spl.val(r[1:-1], theta[1:-1]) - levels[1:-1, None]).max()
-        wr, wt = spl.grad(r, theta)
-        gn = np.sqrt(wr**2 + (wt / r) ** 2)
-        ds = 1.0 / g.Ns
-        dr_ds = (np.roll(r, -1, axis=1) - np.roll(r, 1, axis=1)) / (2 * ds)
-        dth = np.roll(theta, -1, axis=1) - np.roll(theta, 1, axis=1)
-        dth_ds = (np.mod(dth + np.pi, 2 * np.pi) - np.pi) / (2 * ds)
-        arc = np.sqrt(dr_ds**2 + (r * dth_ds) ** 2)
-
+    R = np.empty((Nt, cols.shape[1]))
+    R[0], R[-1] = g.r[0], g.r[-1]
+    rounding = 4 * np.finfo(float).eps * np.abs(cols).max()
+    R[1:-1] = solve_increasing(s, levels[1:-1, None], rounding)
     # the boundary rows lie on the circles, whose spread _boundary_levels bounds
+    at = _ray_pieces(g.r, R)
+    miss = np.abs(_on_rays(s.c, *at)[1:-1] - levels[1:-1, None]).max()
     if miss > CHART_TOL * rng:
         raise CriticalPointError(f"chart level residual {miss:.3e} exceeds "
                                  f"{CHART_TOL:.1e} of the field's range {rng:.3e}")
-    if gn.min() <= 0:
-        raise CriticalPointError("vanishing gradient at a chart node")
-    return LevelChart(g, t, r, theta, gn, arc, wmin, wmax, omega)
+
+    w_r = _on_rays(s.c[:-1] * np.array([3.0, 2.0, 1.0])[:, None, None], *at)
+    R_theta = -_on_rays(_d_theta(s.c), *at) / w_r
+    z_theta = np.hypot(R, R_theta)          # |dz/dtheta|, R itself on a circle
+    # |grad w| = w_r |z_theta| / R and the arc weight |dz/ds| = 2 pi |z_theta|
+    nodes = (R, w_r * (z_theta / R), 2 * np.pi * z_theta)
+    return LevelChart(g, t, *(np.broadcast_to(a, (Nt, g.Ns)) for a in nodes),
+                      wmin, wmax, omega)
 
 
-def _circle_radii(r, column, levels, floor):
-    """s, the not-a-knot cubic interpolant of a theta-constant field's
-    values along r, which is the field between grid radii, and the radius
-    of each level: ``r[0]`` and ``r[-1]`` for the boundary levels, and for
-    the others the root of s(x) = level.  CriticalPointError if s' falls
-    below the floor anywhere on [r[0], r[-1]]: a column can increase from
-    node to node while its interpolant turns back between them.
-
-    s increases, so curves.solve_increasing finds each root between the
-    grid radii whose values bracket its level, to 4 ulp of max|column|."""
-    s = CubicSpline(r, column)
+def _check_slope(s, floor, theta):
+    """CriticalPointError if the slope of a column cubic of s falls below the
+    floor anywhere on [r[0], r[-1]]: a column can increase from node to
+    node while its cubic turns back between them.  The slope is quadratic
+    on each interval, so its least value is at an end or at the vertex."""
     a, b, c = 3 * s.c[0], 2 * s.c[1], s.c[2]      # s' = (a x + b) x + c
-    h = np.diff(r)
+    h = np.diff(s.x)[:, None]
     vertex = np.clip(np.divide(-b, 2 * a, out=np.zeros_like(a), where=a > 0), 0, h)
-    slope = min(((a * x + b) * x + c).min() for x in (0, vertex, h))
-    if slope < floor:
-        raise CriticalPointError(f"the slope along r falls to {slope:.3e}, below "
-                                 f"the |grad| floor {floor:.3e}, between grid radii")
+    slope = np.min([(a * x + b) * x + c for x in (0, vertex, h)], axis=(0, 1))
+    k = int(np.argmin(slope))
+    if slope[k] < floor:
+        raise CriticalPointError(
+            f"the slope along r on the ray at theta = {theta[k]:.6g} (column {k}) "
+            f"falls to {slope[k]:.3e}, below the |grad| floor {floor:.3e}, "
+            "between grid radii")
 
-    rounding = 4 * np.finfo(float).eps * np.abs(column).max()
-    return s, np.concatenate([r[:1], solve_increasing(s, levels[1:-1], rounding),
-                              r[-1:]])
+
+def _d_theta(c):
+    """The theta-derivative, at the grid angles, of the trigonometric
+    interpolant of values at those angles (last axis); zero for 1 column."""
+    n = c.shape[-1]
+    if n == 1:
+        return np.zeros_like(c)
+    ik = 1j * np.arange(n // 2 + 1)
+    if n % 2 == 0:
+        ik[-1] = 0.0                     # the Nyquist mode has no derivative
+    return np.fft.irfft(ik * np.fft.rfft(c, axis=-1), n=n, axis=-1)
 
 
-def _trajectory_nodes(spl: FieldSpline, g, t_eval, wmin, rng):
-    """(r, theta) of the chart of a field that varies in theta: RK45 along
-    the gradient flow from every grid angle on the inner circle, each
-    interior node then projected onto its level."""
-    n = g.Ns
-    floor = GRAD_FLOOR_REL * rng
+def _ray_pieces(knots, radii):
+    """The piece of each radius among the knots along r, and its offset
+    from the piece's start."""
+    j = np.clip(np.searchsorted(knots, radii, side="right") - 1, 0, knots.size - 2)
+    return j, radii - knots[j]
 
-    def rhs(_t, y):
-        r = y[:n]
-        th = y[n:]
-        wr, wt = spl.grad(r, th)
-        gradsq = wr**2 + (wt / r) ** 2
-        if gradsq.min() < floor**2:
-            raise CriticalPointError(
-                f"|grad| fell below {floor:.3e} along a trajectory")
-        return np.concatenate([rng * wr / gradsq, rng * wt / (r**2 * gradsq)])
 
-    y0 = np.concatenate([np.full(n, g.Ri), g.theta])
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, t_eval=t_eval, rtol=CHART_RTOL,
-                    atol=CHART_ATOL, max_step=0.1, dense_output=False)
-    if not sol.success:
-        raise CriticalPointError(f"chart integration failed: {sol.message}")
-    r = sol.y[:n, :].T.copy()               # (Nt, Ns)
-    theta = sol.y[n:, :].T.copy()
-    overshoot = max(float((g.Ri - r).max()), float((r - g.Ro).max()))
-    if overshoot > g.hr:
-        raise TrajectoryExitError(f"chart left the annulus by {overshoot:.3e}")
-    r = np.clip(r, g.Ri, g.Ro)
-    # A Newton step along the gradient, then a chord step that reuses its
-    # gradient, put each interior node on its level.  The first leaves a
-    # residual quadratic in the integration's miss, up to 1e-10 where
-    # |grad w| is small on coarse grids; the second leaves about 1e-14.
-    # The boundary rows lie on the circles, where w is constant.
-    ri, ti = r[1:-1], theta[1:-1]
-    wr, wt = spl.grad(ri, ti)
-    gradsq = wr**2 + (wt / ri) ** 2
-    along_r, along_theta = wr / gradsq, wt / (ri**2 * gradsq)
-    target = wmin + t_eval[1:-1, None] * rng
-    for _ in range(2):
-        miss = target - spl.val(r[1:-1], theta[1:-1])
-        r[1:-1] = np.clip(r[1:-1] + miss * along_r, g.Ri, g.Ro)
-        theta[1:-1] += miss * along_theta
-    r[0, :] = g.Ri
-    r[-1, :] = g.Ro
-    return r, theta
+def _on_rays(c, j, x):
+    """Piecewise polynomials along r with coefficients c (shape (k, n - 1, m),
+    as a spline fitted along axis 0 to m columns has), each column's at
+    its own pieces j and offsets x (shape (p, m), from _ray_pieces)."""
+    return np.polyval(np.ascontiguousarray(c[:, j, np.arange(c.shape[2])]), x)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +262,10 @@ def _loop_sum(chart: LevelChart, node_values):
 
 
 def chart_values(chart: LevelChart, u: Field2D):
-    return FieldSpline(u).val(chart.r, chart.theta)
+    """u at the chart nodes: its not-a-knot cubic along each grid ray, at
+    the node radii."""
+    r = chart.grid.r
+    return _on_rays(CubicSpline(r, u.values, axis=0).c, *_ray_pieces(r, chart.r))
 
 
 def j_functional(chart: LevelChart, u: Field2D) -> Curve1D:
@@ -477,23 +439,11 @@ def reconstruct_alpha(chart: LevelChart, nu: Field2D, tol_rel=1e-5) -> Field2D:
     ring_mean = (alpha_chart * chart.arc_weight).sum(axis=1) / chart.arc_weight.sum(axis=1)
     alpha_chart -= ring_mean[:, None]
 
-    # resample ring values onto the uniform angular grid
-    Nt = chart.t.size
-    alpha_rows = np.empty((Nt, g.Ns))
-    for i in range(Nt):
-        th = np.mod(chart.theta[i], 2 * np.pi)
-        order = np.argsort(th)
-        th_s = th[order]
-        va_s = alpha_chart[i, order]
-        th_ext = np.concatenate([th_s[-_PAD:] - 2 * np.pi, th_s,
-                                 th_s[:_PAD] + 2 * np.pi])
-        va_ext = np.concatenate([va_s[-_PAD:], va_s, va_s[:_PAD]])
-        alpha_rows[i] = CubicSpline(th_ext, va_ext)(g.theta)
-
-    # interpolate rows in t at each node's own level coordinate
+    # the rows sit at the grid angles: interpolate them in t at each
+    # node's own level coordinate
     tvals = (chart.omega.values - chart.omega_min) / (chart.omega_max - chart.omega_min)
     tvals = np.clip(tvals, 0.0, 1.0)
-    col_spl = CubicSpline(chart.t, alpha_rows, axis=0)
+    col_spl = CubicSpline(chart.t, alpha_chart, axis=0)
     out = np.empty((g.Nr, g.Ns))
     for k in range(g.Ns):
         out[:, k] = col_spl(tvals[:, k])[:, k]

@@ -8,9 +8,10 @@ assembly in r alone, the eigenvalues of every theta-mode block
 check the principal eigenvalue's reduction to modes 0 and 1, the radial
 steady oracle is a 1D two-point BVP solve, the sublevel-area oracle is
 a per-cell linear-cut area count on a refined cell-centered grid, the
-chart residual reads the charted field's bicubic interpolant, which a
-theta-constant field's chart never fits, and the brute-force Hoelder
-norm enumerates all node pairs directly.
+chart residual evaluates the charted field's cubic along each ray with
+scipy, one ray at a time, the loop-integral matrix reads the bicubic
+interpolant that no chart fits, and the brute-force Hoelder norm
+enumerates all node pairs directly.
 """
 
 from dataclasses import dataclass
@@ -125,9 +126,11 @@ def lu_solve(system, k):
 
 def chart_residual(chart):
     """Largest miss of a chart's interior node from its level on the
-    bicubic interpolant of the charted field, whichever interpolant placed
-    the nodes.  The boundary rows lie on the circles."""
-    vals = FieldSpline(chart.omega).val(chart.r[1:-1], chart.theta[1:-1])
+    not-a-knot cubic of the charted field along the node's grid ray.  The
+    boundary rows lie on the circles."""
+    r = chart.grid.r
+    vals = np.stack([CubicSpline(r, column)(radii) for column, radii
+                     in zip(chart.omega.values.T, chart.r[1:-1].T)], axis=1)
     return float(np.abs(vals - chart.levels[1:-1, None]).max())
 
 
@@ -148,7 +151,9 @@ def j_over_grad_matrix(chart):
     r_inv = np.linalg.inv(BSpline.design_matrix(g.r, tr, 3).toarray())
     t_inv = np.linalg.inv(BSpline.design_matrix(theta_ext, tt, 3).toarray())
     t_fold = t_inv @ np.eye(g.Ns)[cols]
-    r, theta = spl._wrap(chart.r.ravel(), chart.theta.ravel())
+    # the chart's nodes sit at the grid angles
+    r, theta = spl._wrap(chart.r.ravel(),
+                         np.broadcast_to(g.theta, chart.r.shape).ravel())
     br = BSpline.design_matrix(r, tr, 3).tocoo()
     bt = BSpline.design_matrix(theta, tt, 3).tocsr()
     # row (i, a) of G: the sum over the nodes of level i of w B_r[a] B_t

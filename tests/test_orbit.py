@@ -107,62 +107,75 @@ def bump_fields(grid64, grid16x70, bump_profile):
     return out
 
 
-@pytest.fixture
-def seed_counts(monkeypatch):
-    """The state-vector size of every chart integration in the test."""
-    sizes, real = [], orbit.solve_ivp
+def _recorded(monkeypatch, name):
+    """The positional arguments of every call of orbit's ``name``."""
+    calls, real = [], getattr(orbit, name)
 
-    def recorded(fun, t_span, y0, *args, **kwargs):
-        sizes.append(np.size(y0))
-        return real(fun, t_span, y0, *args, **kwargs)
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(orbit, "solve_ivp", recorded)
-    return sizes
+    monkeypatch.setattr(orbit, name, recorded)
+    return calls
 
 
 @pytest.mark.parametrize("grid", ["64x128", "16x70"])
 @pytest.mark.parametrize("which", ["psi", "omega"])
-def test_theta_constant_chart_integrates_nothing(seed_counts, monkeypatch,
-                                                 bump_fields, grid, which):
-    # nor fits a bicubic: the field's column along r charts it
-    fits, real = [], orbit.RectBivariateSpline
-
-    def recorded(*args, **kwargs):
-        fits.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(orbit, "RectBivariateSpline", recorded)
+def test_theta_constant_chart_integrates_nothing(monkeypatch, bump_fields, grid,
+                                                 which):
+    # nor fits a bicubic: the field's first column along r charts it
+    integrations = _recorded(monkeypatch, "solve_ivp")
+    bicubics = _recorded(monkeypatch, "RectBivariateSpline")
+    cubics = _recorded(monkeypatch, "CubicSpline")
     field, Nt = bump_fields[grid, which]
     if grid == "16x70":
         assert np.abs(field.values - field.values[:, :1]).max() > 0
     chart = level_chart(field, Nt=Nt)
-    assert seed_counts == []
-    assert fits == []
+    assert integrations == bicubics == []
+    assert [np.shape(values) for _, values in cubics] == [(field.grid.Nr, 1)]
     assert chart.on_circles
-    assert (chart.theta == field.grid.theta).all()
     assert chart.r.shape == chart.arc_weight.shape == (Nt, field.grid.Ns)
 
 
-def test_theta_varying_chart_integrates_every_seed(seed_counts, grid64, omega_wavy):
+def test_theta_varying_chart_fits_every_column(monkeypatch, grid64, omega_wavy):
     # a theta-variation of 1e-9 of the range passes for rounding against
     # max|values| (1e5) but not against the range (3)
+    cubics = _recorded(monkeypatch, "CubicSpline")
     g = grid64
     offset = g.field_from(lambda r, t: 1e5 + r**2
                           + 3e-9 * np.sin(np.pi * (r - 1)) * np.sin(t))
     for field in (omega_wavy, offset):
-        level_chart(field)
-    assert seed_counts == [2 * g.Ns] * 2
+        assert not level_chart(field).on_circles
+    assert [np.shape(values) for _, values in cubics] == [(g.Nr, g.Ns)] * 2
+
+
+def test_chart_and_loop_integrals_fit_no_bicubic(monkeypatch, omega_wavy, grid64):
+    # a field that varies in theta: its chart and every loop integral read
+    # cubics along the grid rays; only pushforward integrates a bicubic
+    integrations = _recorded(monkeypatch, "solve_ivp")
+    bicubics = _recorded(monkeypatch, "RectBivariateSpline")
+    chart = level_chart(omega_wavy)
+    nu = project_tangent(chart, grid64.field_from(
+        lambda r, t: np.sin(np.pi * (r - 1)) * np.cos(t)))
+    j_functional(chart, nu)
+    dq(omega_wavy, chart, nu)
+    d2q(omega_wavy, chart, nu, nu)
+    reconstruct_alpha(chart, nu)
+    assert integrations == bicubics == []
 
 
 @pytest.mark.parametrize("grid", ["64x128", "16x70"])
 @pytest.mark.parametrize("which", ["psi", "omega"])
 def test_root_chart_matches_ode_chart(monkeypatch, bump_fields, grid, which):
+    # the chart of one column, spread over theta, against the chart of every
+    # column, which a field that varies in theta takes (once the gradient
+    # flow's chart, now the same root finder on Ns columns)
     field, Nt = bump_fields[grid, which]
-    root = level_chart(field, Nt=Nt)
+    one = level_chart(field, Nt=Nt)
     monkeypatch.setattr(orbit, "theta_constant", lambda values, scale: False)
-    ode = level_chart(field, Nt=Nt)
-    for name in ("r", "theta", "grad_norm", "arc_weight", "travel_time"):
-        ours, ref = getattr(root, name), getattr(ode, name)
+    every = level_chart(field, Nt=Nt)
+    for name in ("r", "grad_norm", "arc_weight", "travel_time"):
+        ours, ref = getattr(one, name), getattr(every, name)
         assert np.abs(ours - ref).max() <= 1e-11 * np.abs(ref).max(), name
 
 
@@ -186,6 +199,50 @@ def test_root_chart_refuses_a_turn_between_grid_radii(grid32, delta):
     assert (np.diff(f.values[:, 0]) > 0).all()
     with pytest.raises(CriticalPointError, match="between grid radii"):
         level_chart(f, Nt=64)
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.01, 0.005])
+def test_chart_refuses_a_ray_that_turns_between_grid_radii(grid32, delta):
+    # a field that varies in theta, constant on both circles, whose grid
+    # values increase along every ray: a straight column, blended over a
+    # few rays into one whose cubic along r turns back between two nodes
+    # (slope down to -3.1 to -13) on the ray of column 20
+    g, k = grid32, 20
+    turn = 0.05 * (g.r - 1) + np.tanh((g.r - 1.5 - 0.3 * g.hr) / delta)
+    line = turn[0] + (g.r - g.Ri) / (g.Ro - g.Ri) * (turn[-1] - turn[0])
+    apart = np.angle(np.exp(1j * (g.theta - g.theta[k]))) / g.htheta
+    vals = line[:, None] + np.exp(-apart**2 / 4) * (turn - line)[:, None]
+    assert (np.diff(vals, axis=0) > 0).all()
+    ray = r"on the ray at theta = 1\.9635 \(column 20\)"
+    with pytest.raises(CriticalPointError, match=ray + ".*between grid radii"):
+        level_chart(g.field(vals), Nt=64)
+
+
+def _wavy_travel_time(levels, n=2048):
+    """A' of r^2 + 0.05 sin(pi (r - 1)) sin(theta) on its levels: the loop
+    integral of R/w_r, with R solved by Newton at n angles."""
+    a = 0.05 * np.sin(2 * np.pi * np.arange(n) / n)
+    r = np.full((len(levels), n), 1.5)
+    for _ in range(50):
+        w = r**2 + a * np.sin(np.pi * (r - 1)) - levels[:, None]
+        w_r = 2 * r + a * np.pi * np.cos(np.pi * (r - 1))
+        r = np.clip(r - w / w_r, 1.0, 2.0)
+    w_r = 2 * r + a * np.pi * np.cos(np.pi * (r - 1))
+    return 2 * np.pi * np.mean(r / w_r, axis=1)
+
+
+def test_wavy_travel_time_refines_at_third_order():
+    # the chart of the check suites' wavy field on 64 levels; the polar
+    # chart's A' error falls at order 3.5 (1.8e-7, 1.6e-8, 1.3e-9)
+    errors = []
+    for Nr, Ns in [(32, 64), (64, 128), (128, 256)]:
+        g = make_annulus(1.0, 2.0, Nr, Ns)
+        chart = level_chart(g.field_from(
+            lambda r, t: r**2 + 0.05 * np.sin(np.pi * (r - 1)) * np.sin(t)), Nt=64)
+        ref = _wavy_travel_time(chart.levels)
+        errors.append(np.abs(chart.travel_time - ref).max() / np.abs(ref).max())
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert (orders >= 3).all(), (errors, orders)
 
 
 def test_chart_rejects_constant(grid64):

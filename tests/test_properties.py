@@ -191,8 +191,8 @@ small = make_annulus(1.0, 2.0, 12, 16)
 @props
 @given(base=st.floats(-1e3, 1e3),
        slopes=arrays(float, small.Nr - 1, elements=st.floats(0.01, 10.0)))
-# the interpolant turns back between nodes; the ODE chart's residual is
-# 2.4e-11 of the range, its nodes 2.7e-11 off their levels along r
+# the first column's interpolant turns back between nodes; on the second,
+# the gradient-flow chart once left its nodes 2.7e-11 off their levels
 @example(base=0.0, slopes=np.r_[1.0, 2.0, np.ones(9)])
 @example(base=0.0, slopes=np.r_[4.0, 6, 6, 6, 6, 2, 6, 6, 6, 6, 6])
 def test_root_chart_of_a_radial_column(base, slopes):
@@ -214,15 +214,16 @@ def test_root_chart_of_a_radial_column(base, slopes):
     assert chart_residual(chart) <= orbit.CHART_TOL * rng
     with pytest.MonkeyPatch.context() as m:
         m.setattr(orbit, "theta_constant", lambda values, scale: False)
-        ode = orbit.level_chart(field)
-    # Both charts resolve the levels to the rounding of the values, max|w|
-    # times finer than the range.  The ODE chart's nodes may also miss
-    # their levels by up to its residual, which moves them along r by that
-    # over the slope, and moves the travel time 2 pi r / s'(r) by the
-    # derivative of its logarithm times that.
+        every = orbit.level_chart(field)
+    # The chart of the one column and the chart of all Ns columns both
+    # resolve the levels to the rounding of the values, max|w| times finer
+    # than the range.  The nodes of the second may also miss their levels
+    # by up to its residual, which moves them along r by that over the
+    # slope, and moves the travel time 2 pi r / s'(r) by the derivative of
+    # its logarithm times that.
     tol = 1e-11 * np.abs(column).max() / rng
-    dr = chart_residual(ode) / slope.min()
+    dr = chart_residual(every) / slope.min()
     log_tt = 1 / g.Ri + np.abs(curvature).max() / slope.min()
-    assert np.abs(chart.r - ode.r).max() <= tol * g.Ro + dr
-    assert (np.abs(chart.travel_time / ode.travel_time - 1).max()
+    assert np.abs(chart.r - every.r).max() <= tol * g.Ro + dr
+    assert (np.abs(chart.travel_time / every.travel_time - 1).max()
             <= tol + dr * log_tt)
