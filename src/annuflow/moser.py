@@ -14,20 +14,18 @@ The iteration is the smoothed Newton scheme
 whose parameters must satisfy the convergence constraints checked by
 MoserConfig.validate().
 
-Every per-state object lives on its steady state: ``dt`` and
-``k_apply`` solve along r through ``SteadyState.solve_linearization`` (by
-``steady.ds``), and ``workspace(state)`` stores the stream chart (which
-owns the distribution and the area grid) and the assembled Id + K on the
-state.  The workspace holds no reference back to its state, so both are
-freed with the state.
-
-Id + K is assembled for radially symmetric states only.  Every state of
-the iteration is one: ``steady.solve_steady`` runs Newton on psi's column
-along r and spreads it over theta.  On such a state the VB compositions,
-the linearized solves and the loop integrals stay constant in theta, so
-each factor of the product is taken along r, and none holds a grid-sized
-stack of N_MU columns.  A state whose psi varies in theta raises
-ValueError there.
+Every state of the iteration is radially symmetric (``steady.solve_steady``
+solves along r), so T and Id + K are taken in closed form from psi's
+column cubic s, with no level chart: {psi < lambda} is the annulus
+Ri <= r < s^-1(lambda), so the level of area mu is lam_mu = s(r_mu) with
+r_mu = sqrt(Ri^2 + mu/pi), and K's row at mu is F'(lam_mu) phi(r_mu), the
+travel times of the transport and of the loop integral cancelling.
+``workspace(state)`` stores these on the state, and the maps between the
+area grid and the radii, which depend on the grid alone, are stored on
+the grid.  ``dt``, ``k_apply`` and Id + K solve along r (``steady.ds``,
+``elliptic.solve_radial``); a state whose psi varies in theta raises
+ValueError.  The vorticity chart of ``orbit.dist_chart`` stays the
+independent cross-check of T in ``t_map`` and ``moser_solve``.
 """
 
 from __future__ import annotations
@@ -37,12 +35,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .curves import Curve1D, Monotone1D
+from .curves import Curve1D, Monotone1D, solve_increasing
 from .elliptic import radial_psi, solve_radial
 from .errors import (AnnuflowError, DivergedError, InnerSolveFailureError,
                      NotMonotoneError, SingularIdPlusKError)
-from .orbit import (N_MU, LevelChart, dist_chart, j_over_grad,
-                    j_over_grad_radial, level_chart)
+from .orbit import GRAD_FLOOR_REL, N_MU, _check_slope, dist_chart
 from .steady import Profile1D, SteadyState, ds, solve_steady
 from .tame import smooth
 
@@ -113,60 +110,70 @@ class MoserTrace:
 
 
 # ---------------------------------------------------------------------------
-# per-state workspace: stream chart, assembled Id + K
+# per-state workspace: orbit label and Id + K in closed form along r
 # ---------------------------------------------------------------------------
 
+def _area_operators(grid):
+    """The area grid mu, E (Nr, N_MU), the mu-grid cardinal splines at the
+    area pi (r^2 - Ri^2) inside each grid circle, and C (N_MU, Nr), the
+    r-grid cardinal splines at r_mu = sqrt(Ri^2 + mu/pi); built on first
+    use and stored on the grid (an attribute outside its dataclass fields)."""
+    ops = vars(grid).get("_area_operators")
+    if ops is None:
+        mu = np.linspace(0.0, grid.area, N_MU)
+        r_mu = np.minimum(np.sqrt(grid.Ri**2 + mu / np.pi), grid.Ro)
+        ops = vars(grid)["_area_operators"] = (
+            mu, CubicSpline(mu, np.eye(N_MU))(np.pi * (grid.r**2 - grid.Ri**2)),
+            CubicSpline(grid.r, np.eye(grid.Nr))(r_mu))
+    return ops
+
+
 class StateWorkspace:
-    """Stream chart and assembled Id + K of one steady state; the chart
-    owns the stream distribution and the area grid.  The state stores its
-    workspace and the workspace holds no reference to the state, so a
-    dropped state is freed at once with its workspace."""
+    """Orbit label and assembled Id + K of one radially symmetric steady
+    state, from psi's column cubic s (module docstring).  s must increase
+    on [Ri, Ro] with its slope above GRAD_FLOOR_REL times its range
+    (CriticalPointError otherwise).  The workspace holds no reference to
+    its state, so a dropped state is freed at once with its workspace."""
 
     def __init__(self, state: SteadyState):
         g = state.psi.grid
         self.F = state.F
-        self.psi = state.psi
-        # the stream travel time varies by orders of magnitude across
-        # levels, so the chart takes extra rows to hold the area budget
-        self.chart: LevelChart = level_chart(state.psi, Nt=max(2 * g.Nr, 128))
-        at_mu = self.chart.area_grid
-        # (d/dmu) A_omega^{-1} = F'(lambda(mu)) / A_psi'(lambda(mu))
-        self.dainv_omega = (state.F.d1(at_mu.lam_mu)
-                            / at_mu.resample(self.chart.travel_time))
+        self.grid = g
+        self.psi = radial_psi(state.psi)          # along r
+        self._s = CubicSpline(g.r, self.psi[:, None], axis=0)
+        _check_slope(self._s, GRAD_FLOOR_REL * np.ptp(self.psi), g.theta)
+        # A_psi'(min psi), the slope of VB's continuation below min psi
+        self.area_slope_min = 2 * np.pi * g.Ri / self._s(g.Ri, 1)[0]
+        self.mu, self._E, self._C = _area_operators(g)
+        self.lam_mu = self._C @ self.psi
+        self._fprime_mu = state.F.d1(self.lam_mu)
         self._id_plus_k = None
         self.singular_values = None         # of Id + K, descending
 
-    def t_values(self):
-        """T(F) samples on the area grid: F composed with the stream
-        distribution inverse."""
-        return self.F(self.chart.area_grid.lam_mu)
+    def area(self, x):
+        """A_psi(x) = pi (R^2 - Ri^2) for x in [min psi, 0], R = s^-1(x) by
+        curves.solve_increasing."""
+        x = np.asarray(x, dtype=float)
+        tol = 4 * np.finfo(float).eps * np.abs(self.psi).max()
+        R = solve_increasing(self._s, x.reshape(-1, 1), tol).reshape(x.shape)
+        return np.pi * (R**2 - self.grid.Ri**2)
 
-    def transport(self, jvals):
-        """(d A_omega^{-1}/dmu) times level-grid loop integrals (leading
-        axis) resampled at lambda(mu)."""
-        return (self.dainv_omega * self.chart.area_grid.resample(jvals).T).T
+    def t_values(self):
+        """T(F) samples on the area grid: F at lam_mu."""
+        return self.F(self.lam_mu)
 
     def ktilde(self, phi):
-        """Smoothing part of DT: (d A_omega^{-1}/dmu) times the level mean
-        transport of phi."""
-        return self.transport(j_over_grad(self.chart, phi).values)
+        """Smoothing part of DT: F'(lam_mu) times the cubic along r of phi, a
+        field constant in theta, at the radii of the area grid."""
+        return self._fprime_mu * (self._C @ radial_psi(phi))
 
     def assembled_id_plus_k(self):
-        """Id + K = Id + D S J A^-1 E on the mu grid, assembled in r alone
-        for a radially symmetric state (``radial_psi``; ValueError
-        otherwise): E composes the cardinal splines of the mu grid with VB
-        along psi's radial column, A^-1 is one mode-0 solve of the
-        linearization Delta - F'(psi) for all N_MU columns, J the
-        travel-time loop integral of theta-constant fields and D S the
-        transport to the mu grid."""
+        """Id + K = Id + diag(F'(lam_mu)) C A^-1 E on the mu grid, with A^-1
+        one mode-0 solve of the linearization Delta - F'(psi) for all N_MU
+        columns (E at the psi nodes is VB of the mu-grid cardinal splines)."""
         if self._id_plus_k is None:
-            psi = radial_psi(self.psi)
-            cardinal = CubicSpline(self.chart.area_grid.mu, np.eye(N_MU))
-            E = _vb_compose(cardinal, cardinal.derivative(),
-                            self.chart.distribution, self.chart.omega_min, psi)
-            phi = solve_radial(self.psi.grid, -self.F.d1(psi), E, 0.0)
-            K = self.transport(j_over_grad_radial(self.chart) @ phi)
-            self._id_plus_k = np.eye(N_MU) + K
+            phi = solve_radial(self.grid, -self.F.d1(self.psi), self._E, 0.0)
+            self._id_plus_k = np.eye(N_MU) + self._fprime_mu[:, None] * (self._C @ phi)
             self.singular_values = np.linalg.svd(self._id_plus_k, compute_uv=False)
         return self._id_plus_k
 
@@ -188,9 +195,9 @@ def t_map(F: Profile1D, gamma: float, grid, cross_check=True):
     """Orbit label of the steady state of profile F: the inverse
     distribution function of its vorticity on [0, |domain|].
 
-    Computed through the stream-function chart (regularized by the
-    elliptic solve); the direct vorticity-chart computation is used as a
-    cross-check and a mismatch beyond 5 h^2 relative is reported.
+    Computed in closed form from the stream function's column; the direct
+    vorticity-chart computation is used as a cross-check and a mismatch
+    beyond 5 h^2 relative is reported.
     """
     import warnings
 
@@ -213,19 +220,19 @@ def dt(state: SteadyState, f) -> Curve1D:
     """Derivative of the orbit label in the profile direction f."""
     ws = workspace(state)
     return Curve1D(0.0, state.psi.grid.area,
-                   f(ws.chart.area_grid.lam_mu) + ws.ktilde(ds(state, f)))
+                   f(ws.lam_mu) + ws.ktilde(ds(state, f)))
 
 
-def _vb_compose(g, g_d1, a_psi, m, x):
-    """g(A_psi(x)) on range(psi) = [m, 0], continued below m linearly with
-    the slope matched at the junction, where the gauge is free.  g and its
-    derivative g_d1 may be vector-valued (trailing axes)."""
+def _vb_compose(g, g_d1, ws: StateWorkspace, x):
+    """g(A_psi(x)) on range(psi) = [m, 0], m = min psi, with A_psi the
+    workspace's; continued below m linearly with the slope matched at the
+    junction, where the gauge is free (A_psi(m) = 0).  g and its derivative
+    g_d1 may be vector-valued (trailing axes)."""
     x = np.asarray(x, dtype=float)
-    a0 = a_psi.values[0]                                # A_psi(m)
-    slope = g_d1(a0) * a_psi.d1(np.array([m]))[0]
-    out = g(a_psi(np.clip(x, m, 0.0)))
+    m = ws.psi[0]
+    out = g(ws.area(np.clip(x, m, 0.0)))
     below = x < m
-    out[below] = g(a0) + np.multiply.outer(x[below] - m, slope)
+    out[below] = g(0.0) + np.multiply.outer(x[below] - m, g_d1(0.0) * ws.area_slope_min)
     return out
 
 
@@ -235,14 +242,13 @@ class VbDirection(Curve1D):
     free).  Evaluates through the exact composition; the uniform samples
     exist for smoothing and arithmetic."""
 
-    def __init__(self, gcurve, a_psi, m, cbar, n_samples):
+    def __init__(self, gcurve, ws: StateWorkspace, cbar, n_samples):
         self._g = gcurve
-        self._a_psi = a_psi
-        self._m = float(m)
+        self._ws = ws
         super().__init__(cbar, 0.0, self(np.linspace(cbar, 0.0, n_samples)))
 
     def __call__(self, x):
-        return _vb_compose(self._g, self._g.d1, self._a_psi, self._m, x)
+        return _vb_compose(self._g, self._g.d1, self._ws, x)
 
     def with_values(self, values):
         return Curve1D(self.a, self.b, values)
@@ -250,9 +256,7 @@ class VbDirection(Curve1D):
 
 def vb(state: SteadyState, gcurve: Curve1D):
     """Right-inverse of the composition part of DT."""
-    ws = workspace(state)
-    return VbDirection(gcurve, ws.chart.distribution, ws.chart.omega_min,
-                       state.F.cbar, state.F.values.size)
+    return VbDirection(gcurve, workspace(state), state.F.cbar, state.F.values.size)
 
 
 def k_apply(state: SteadyState, gcurve: Curve1D) -> Curve1D:
@@ -275,7 +279,7 @@ def vm(state: SteadyState, h: Curve1D) -> Curve1D:
         raise SingularIdPlusKError(
             f"Id+K nearly singular: sigma_min/sigma_max = {sv[-1]/sv[0]:.3e}",
             sigma_min=float(sv[-1]))
-    g = np.linalg.solve(M, h(ws.chart.area_grid.mu))
+    g = np.linalg.solve(M, h(ws.mu))
     return Curve1D(0.0, state.psi.grid.area, g)
 
 
@@ -327,7 +331,7 @@ def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
                 iteration=n) from exc
         psi0 = state.psi
         ws = workspace(state)
-        resid_vals = ws.t_values() - g_target(ws.chart.area_grid.mu)
+        resid_vals = ws.t_values() - g_target(ws.mu)
         residual = float(np.abs(resid_vals).max())
         t_n = cfg.schedule(n)
         if residual < cfg.floor_tol:

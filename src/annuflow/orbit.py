@@ -12,8 +12,9 @@ integral from R and w_r at R: the travel time A' is the loop integral of
 R/w_r, and the levels of a field constant in theta are circles, charted
 from its first column alone.  All level-set quantities are periodic
 trapezoid sums over s, and a field is read at the nodes from its cubics
-along the rays.  A chart's distribution is A alone, which the same root
-finder inverts pointwise; dist_fn returns A with a tabulated inverse.
+along the rays.  A chart's distribution is A alone, the polar area inside
+each level, which the same root finder inverts pointwise; dist_fn
+returns A with a tabulated inverse.
 The pushforward alone integrates an ODE, on a bicubic interpolant.
 """
 
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline, RectBivariateSpline, make_interp_spline
+from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from .curves import Curve1D, Monotone1D, solve_increasing
 from .elliptic import NdReport, solve_poisson, theta_constant
@@ -128,18 +129,18 @@ class LevelChart:
     @cached_property
     def distribution(self) -> Monotone1D:
         """A(lambda) = |{w < lambda}| on the chart levels, inverted pointwise
-        by A.eval_inverse.  A is the cumulative integral of the travel time;
-        the raw endpoint is renormalized onto the exact annulus area and the
-        relative miss kept as A.area_discrepancy (error if it exceeds
-        AREA_TOL_REL, which signals an under-resolved chart)."""
-        lam = self.levels
-        raw = CubicSpline(lam, self.travel_time).antiderivative()(lam)
+        by A.eval_inverse.  A is the polar area inside each level,
+        1/2 of the loop integral of R^2 - Ri^2 over theta, by the periodic
+        trapezoid rule; its relative miss of the annulus area on the outer
+        circle is kept as A.area_discrepancy (error beyond AREA_TOL_REL)."""
+        Ri = self.grid.Ri
+        area = np.pi * _loop_sum(self, self.r**2 - Ri**2)
         total = self.grid.area
-        disc = (raw[-1] - total) / total
+        disc = (area[-1] - total) / total
         if abs(disc) > AREA_TOL_REL:
             raise AreaMismatchError(
-                f"raw area misses |domain| by {disc:.2%}", discrepancy=disc)
-        A = Monotone1D(self.omega_min, self.omega_max, raw * (total / raw[-1]))
+                f"area misses |domain| by {disc:.2%}", discrepancy=disc)
+        A = Monotone1D(self.omega_min, self.omega_max, area)
         A.area_discrepancy = float(disc)
         return A
 
@@ -278,20 +279,6 @@ def j_over_grad(chart: LevelChart, u: Field2D) -> Curve1D:
     """J(u/|grad w|): the loop integral weighted by travel time."""
     vals = chart_values(chart, u) / chart.grad_norm * chart.arc_weight
     return Curve1D(chart.omega_min, chart.omega_max, _loop_sum(chart, vals))
-
-
-def j_over_grad_radial(chart: LevelChart):
-    """j_over_grad of the fields that do not vary in theta, as an (Nt, Nr)
-    matrix acting on their values along r, for a chart whose levels are
-    circles (ValueError otherwise): the chart of a theta-constant field.
-
-    Such a field is its not-a-knot cubic along r, constant in theta, as
-    level_chart charts it, so on a circle the loop integral of u/|grad w|
-    is u there times the travel time."""
-    if not chart.on_circles:
-        raise ValueError("the chart's levels are not circles")
-    cardinal = make_interp_spline(chart.grid.r, np.eye(chart.grid.Nr), k=3)
-    return chart.travel_time[:, None] * cardinal(chart.r[:, 0])
 
 
 def dist_chart(omega: Field2D) -> LevelChart:

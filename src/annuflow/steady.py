@@ -31,7 +31,7 @@ import numpy as np
 from .curves import Curve1D
 from .elliptic import radial_psi, solve_poisson, solve_radial
 from .errors import NoConvergenceError, NotMonotoneError, RangeEscapeError
-from .grid import (AnnulusGrid, Field2D, circulation_row, gradient, integrate,
+from .grid import (AnnulusGrid, Field2D, _d_r, circulation_row, gradient,
                    laplacian_radial, make_annulus)
 
 TOL_NEWTON = 1e-9
@@ -218,19 +218,22 @@ def d2s(state: SteadyState, f1, f2) -> Field2D:
 
 def energy(state_or_omega, gamma=None) -> float:
     """Kinetic energy 0.5*int(|grad psi|^2), cross-checked against the
-    vorticity form -0.5*int(omega psi) + 0.5*gamma*psi_inner."""
+    vorticity form -0.5*int(omega psi) + 0.5*gamma*psi_inner: along psi's
+    column for a steady state (``energy_pair``), on the grid for a
+    vorticity field, whose stream function is solved first."""
     if isinstance(state_or_omega, SteadyState):
-        psi, omega = state_or_omega.psi, state_or_omega.omega
-        gamma = state_or_omega.gamma
+        e_grad, e_vort = energy_pair(state_or_omega)
+        grid = state_or_omega.psi.grid
     else:
         if gamma is None:
             raise ValueError("gamma required when passing a vorticity field")
         psi = solve_poisson(state_or_omega, gamma)
-        omega = state_or_omega
-    e_grad, e_vort = _energy_forms(psi, omega, gamma)
-    h2 = psi.grid.h**2
+        gr, gt = gradient(psi)
+        e_grad, e_vort = _energy_forms(psi.grid.area_weights, gr.values**2 + gt.values**2,
+                                       psi.values, state_or_omega.values, gamma)
+        grid = psi.grid
     scale = max(abs(e_grad), abs(e_vort), 1.0)
-    if abs(e_grad - e_vort) > 200.0 * h2 * scale:
+    if abs(e_grad - e_vort) > 200.0 * grid.h**2 * scale:
         import warnings
 
         warnings.warn(f"energy identity gap {abs(e_grad - e_vort):.3e} "
@@ -238,16 +241,21 @@ def energy(state_or_omega, gamma=None) -> float:
     return e_grad
 
 
-def _energy_forms(psi, omega, gamma):
-    gr, gt = gradient(psi)
-    e_grad = 0.5 * integrate(gr * gr + gt * gt)
-    e_vort = -0.5 * integrate(omega * psi) + 0.5 * gamma * float(psi.values[0].mean())
-    return e_grad, e_vort
+def _energy_forms(weights, grad_sq, psi, omega, gamma):
+    # quadrature weights and |grad psi|^2, psi, omega at the same nodes
+    inner = float(np.mean(psi[0]))
+    return (0.5 * float(np.sum(weights * grad_sq)),
+            -0.5 * float(np.sum(weights * (omega * psi))) + 0.5 * gamma * inner)
 
 
 def energy_pair(state: SteadyState):
-    """Both energy formulas (gradient form, vorticity form)."""
-    return _energy_forms(state.psi, state.omega, state.gamma)
+    """Both energy formulas (gradient form, vorticity form) of a state, along
+    psi's column with the grid's quadrature weights summed over theta
+    (ValueError when psi varies in theta, ``radial_psi``)."""
+    g = state.psi.grid
+    psi = radial_psi(state.psi)
+    return _energy_forms(g.area_weights.sum(axis=1), _d_r(psi, g.hr)**2,
+                         psi, state.F(psi), state.gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,14 @@
 Each oracle deliberately avoids the code path it checks: the sparse LU
 of an assembled bordered matrix checks the factor-free solves and the
 mode-block singular values, Id + K assembled on every grid node (E at
-each psi node, that LU, and the loop integral of any field) checks its
-assembly in r alone, the eigenvalues of every theta-mode block
+each psi node, that LU, and the bicubic interpolant of each solution on
+the circles of the area grid) checks its closed form along r, the
+eigenvalues of every theta-mode block
 check the principal eigenvalue's reduction to modes 0 and 1, the radial
 steady oracle is a 1D two-point BVP solve, the sublevel-area oracle is
 a per-cell linear-cut area count on a refined cell-centered grid, the
 chart residual evaluates the charted field's cubic along each ray with
-scipy, one ray at a time, the loop-integral matrix reads the bicubic
-interpolant that no chart fits, and the brute-force Hoelder norm
+scipy, one ray at a time, and the brute-force Hoelder norm
 enumerates all node pairs directly.
 """
 
@@ -21,12 +21,12 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_bvp
-from scipy.interpolate import BSpline, CubicSpline, RectBivariateSpline
+from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from annuflow.elliptic import _mode_blocks, _stencil
 from annuflow.grid import AnnulusGrid, Field2D, circulation_row
 from annuflow.moser import _vb_compose, workspace
-from annuflow.orbit import N_MU, FieldSpline, _theta_padding
+from annuflow.orbit import N_MU, FieldSpline
 
 
 def _interior_laplacian(grid: AnnulusGrid, c):
@@ -134,49 +134,23 @@ def chart_residual(chart):
     return float(np.abs(vals - chart.levels[1:-1, None]).max())
 
 
-def j_over_grad_matrix(chart):
-    """j_over_grad as an (Nt, Nr*Ns) matrix acting on raveled grid values.
-
-    FieldSpline's interpolant of u is B_r(r) C B_t(theta)^T with the
-    coefficients C = R^-1 U_pad T^-T, where R and T are the collocation
-    matrices of its own knots on the grid and on the padded theta grid.
-    So each chart node contributes the outer product of a row of
-    B_r R^-1 and a row of B_t T^-1, its theta padding folded back onto
-    the grid columns, weighted by arc_weight / |grad w| * ds."""
-    g = chart.grid
-    Nt, Ns = chart.t.size, g.Ns
-    theta_ext, cols = _theta_padding(g)
-    spl = FieldSpline(g.constant(0.0))
-    tr, tt = spl._spl.get_knots()
-    r_inv = np.linalg.inv(BSpline.design_matrix(g.r, tr, 3).toarray())
-    t_inv = np.linalg.inv(BSpline.design_matrix(theta_ext, tt, 3).toarray())
-    t_fold = t_inv @ np.eye(g.Ns)[cols]
-    # the chart's nodes sit at the grid angles
-    r, theta = spl._wrap(chart.r.ravel(),
-                         np.broadcast_to(g.theta, chart.r.shape).ravel())
-    br = BSpline.design_matrix(r, tr, 3).tocoo()
-    bt = BSpline.design_matrix(theta, tt, 3).tocsr()
-    # row (i, a) of G: the sum over the nodes of level i of w B_r[a] B_t
-    w = (chart.arc_weight / chart.grad_norm).ravel() * chart.ds
-    rows = br.row // Ns * g.Nr + br.col
-    G = sp.csr_matrix((br.data * w[br.row], (rows, br.row)),
-                      shape=(Nt * g.Nr, r.size)) @ bt
-    J = r_inv.T @ (G @ t_fold).reshape(Nt, g.Nr, Ns)
-    return J.reshape(Nt, g.Nr * Ns)
-
-
 def grid_id_plus_k(state):
-    """Id + D S J A^-1 E of a state on every grid node: E composes the
-    cardinal splines of the mu grid with VB at each psi node, A^-1 is the
-    LU of the bordered linearization on all N_MU columns, and J the
-    loop-integral matrix of any field; D S is the workspace's transport."""
+    """Id + K of a state on every grid node: E composes the cardinal
+    splines of the mu grid with VB at each psi node, A^-1 is the LU of the
+    bordered linearization on all N_MU columns, and each solution is read
+    from its bicubic FieldSpline at (r_mu, theta) on every grid angle.  On
+    the circle r_mu, whose inside has area mu, K's loop integral over the
+    travel time is that mean over theta, times F'(lam_mu)."""
+    g = state.psi.grid
     ws = workspace(state)
-    cardinal = CubicSpline(ws.chart.area_grid.mu, np.eye(N_MU))
-    E = _vb_compose(cardinal, cardinal.derivative(), ws.chart.distribution,
-                    ws.chart.omega_min, state.psi.values)
+    mu = np.linspace(0.0, g.area, N_MU)
+    cardinal = CubicSpline(mu, np.eye(N_MU))
+    E = _vb_compose(cardinal, cardinal.derivative(), ws, state.psi.values)
     phi = lu_solve(factored_linearization(state), E)
-    J = j_over_grad_matrix(ws.chart)
-    return np.eye(N_MU) + ws.transport(J @ phi.reshape(J.shape[1], N_MU))
+    r_mu, theta = np.meshgrid(np.sqrt(g.Ri**2 + mu / np.pi), g.theta, indexing="ij")
+    J = np.stack([FieldSpline(g.field(phi[..., i])).val(r_mu, theta).mean(axis=1)
+                  for i in range(N_MU)], axis=1)
+    return np.eye(N_MU) + state.F.d1(ws.lam_mu)[:, None] * J
 
 
 def all_mode_eigenvalue(grid: AnnulusGrid):

@@ -86,17 +86,24 @@ def test_t_map_endpoints(ref, grid64):
     assert abs(curve(0.0) - (0.5 * min_psi - 1.0)) < 1e-4
 
 
-def test_workspace_tabulates_no_inverse(monkeypatch, grid32):
-    # the workspace reads its levels lam_mu through the distribution's
-    # eval_inverse, so no chart it builds tabulates an inverse
+def test_workspace_builds_no_level_chart(monkeypatch, grid32):
+    # a radial state's orbit label, Id + K, DT and VB come from psi's column
+    # cubic in closed form: no level chart is built on the way
+    from annuflow import orbit
+
     state = solve_steady(fbar(), GAMMA, grid=grid32)
 
-    def refused(self):
-        raise AssertionError("Monotone1D.inverse called")
+    def refused(*args, **kwargs):
+        raise AssertionError("level_chart called")
 
-    monkeypatch.setattr(Monotone1D, "inverse", refused)
-    at_mu = workspace(state).chart.area_grid
-    assert at_mu.lam_mu.shape == at_mu.mu.shape
+    monkeypatch.setattr(orbit, "level_chart", refused)
+    monkeypatch.setattr(moser, "level_chart", refused, raising=False)
+    ws = workspace(state)
+    assert ws.lam_mu.shape == ws.mu.shape == (129,)
+    g = Curve1D(0.0, grid32.area, np.sin(np.pi * ws.mu / grid32.area))
+    assert np.isfinite(vm(state, g).values).all()
+    assert np.isfinite(dt(state, vb(state, g)).values).all()
+    assert np.isfinite(ws.t_values()).all()
 
 
 def test_t_map_paths_agree(ref, grid64):
@@ -106,6 +113,15 @@ def test_t_map_paths_agree(ref, grid64):
     mus = np.linspace(0, grid64.area, 129)
     scale = np.ptp(curve.values)
     assert np.abs(ainv(mus) - curve(mus)).max() < 5 * grid64.h**2 * scale
+
+
+def test_t_map_refines_at_second_order(bump_profile):
+    # T(F) of the bump state on the area grid over three grids: the O(h^2)
+    # claim behind the 5 h^2 tolerances, as a measured Richardson order
+    T = [t_map(bump_profile, GAMMA, grid=make_annulus(1.0, 2.0, nr, 2 * nr),
+               cross_check=False)[0].values for nr in (32, 64, 128)]
+    gaps = [np.abs(a - b).max() for a, b in zip(T, T[1:])]
+    assert np.log2(gaps[0] / gaps[1]) >= 1.8, gaps
 
 
 def test_dt_zero(ref):
@@ -152,7 +168,7 @@ def test_vb_constant(ref):
     g = Curve1D(0.0, state.psi.grid.area, np.ones(129))
     f = vb(state, g)
     # composition recovers g on the area grid
-    comp = f(ws.chart.area_grid.lam_mu)
+    comp = f(ws.lam_mu)
     assert np.abs(comp - 1.0).max() < 1e-10
 
 
@@ -162,7 +178,7 @@ def test_vb_affine_roundtrip(ref, grid64):
     mus = np.linspace(0, grid64.area, 129)
     g = Curve1D(0.0, grid64.area, mus.copy())
     f = vb(state, g)
-    assert np.abs(f(ws.chart.area_grid.lam_mu) - mus).max() < 1e-8
+    assert np.abs(f(ws.lam_mu) - mus).max() < 1e-8
 
 
 def test_vb_random_roundtrip(ref, grid64):
@@ -175,7 +191,7 @@ def test_vb_random_roundtrip(ref, grid64):
           + coeffs[2] * (mus / grid64.area) ** 2)
     g = Curve1D(0.0, grid64.area, gv)
     f = vb(state, g)
-    assert np.abs(f(ws.chart.area_grid.lam_mu) - gv).max() < 1e-7
+    assert np.abs(f(ws.lam_mu) - gv).max() < 1e-7
 
 
 def test_k_zero(ref):
@@ -401,8 +417,8 @@ def test_grids_and_states_are_freed():
 
 def test_dropped_state_is_freed_without_gc():
     # the workspace stored on a state holds no reference back to it, and
-    # its chart's spline holds none to the grid, so reference counting
-    # alone frees the state, its workspace and the grid
+    # the area operators stored on the grid hold none to the grid, so
+    # reference counting alone frees the state, its workspace and the grid
     grid = make_annulus(1.0, 2.0, 16, 32)
     state = solve_steady(fbar(), GAMMA, grid=grid)
     gc.disable()

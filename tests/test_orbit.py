@@ -8,10 +8,11 @@ from annuflow.grid import integrate, gradient, make_annulus, poisson_bracket
 from annuflow import orbit
 from annuflow.orbit import (
     dist_fn, dq, d2q, is_tangent, j_functional, j_over_grad,
-    j_over_grad_radial, level_chart, project_tangent, pushforward, reconstruct_alpha, second_variation,
+    level_chart, project_tangent, pushforward, reconstruct_alpha, second_variation,
     tangency_defect,
 )
-from annuflow.steady import Profile1D, energy, solve_steady
+from annuflow.steady import (Profile1D, default_cbar, energy, poisson_start,
+                             solve_steady)
 
 from oracles import chart_residual, sublevel_area
 
@@ -294,23 +295,26 @@ def test_coarea_identity_battery(omega_wavy, chart_wavy, grid64):
         assert abs(lhs - rhs) < 1e-3 * max(abs(lhs), abs(rhs), 1e-6)
 
 
-@pytest.mark.parametrize("Nr, Ns", [(16, 70), (64, 128), (128, 256)])
-def test_j_over_grad_radial_is_travel_time_on_circles(Nr, Ns, bump_profile):
-    # the levels of the bump psi chart are circles, so the loop integral of
-    # a theta-constant field is its value times the travel time
+@pytest.mark.parametrize("Nr, Ns", [(32, 64), (64, 128), (128, 256)])
+def test_dist_fn_of_a_wide_sweep_profile(Nr, Ns):
+    # a steep profile with a low offset (the first that the wide parameter
+    # sweep drew with a travel time too uneven for 64 chart rows): the
+    # polar area inside each level covers |domain| up to rounding
     g = make_annulus(1.0, 2.0, Nr, Ns)
-    chart = level_chart(solve_steady(bump_profile, GAMMA4, grid=g).psi,
-                        Nt=max(2 * Nr, 128))
-    u_r = np.random.default_rng(9).normal(size=Nr)
-    ref = j_over_grad(chart, g.field(np.repeat(u_r[:, None], Ns, 1))).values
-    ours = j_over_grad_radial(chart) @ u_r
-    assert ours.shape == ref.shape == (max(2 * Nr, 128),)
-    assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def fn(s):
+        return 0.5897 * s - 1.0987 - 0.0210 * s * s
 
-def test_j_over_grad_radial_refuses_levels_off_circles(chart_wavy):
-    with pytest.raises(ValueError, match="circles"):
-        j_over_grad_radial(chart_wavy)
+    psi0 = poisson_start(g, fn(0.0), GAMMA4)
+    F = Profile1D.from_callable(fn, default_cbar(psi0))
+    omega = solve_steady(F, GAMMA4, psi0=psi0).omega
+    A, ainv = dist_fn(omega)
+    assert abs(A.area_discrepancy) < 1e-14
+    assert A.values[0] == 0.0 and A.values[-1] == pytest.approx(g.area, rel=1e-15)
+    # a level's area against the per-cell area count of the field
+    lam = 0.5 * (A.a + A.b)
+    assert A(lam) == pytest.approx(sublevel_area(omega, lam), rel=g.h**2)
+    assert ainv(A(lam)) == pytest.approx(lam, rel=1e-12)
 
 
 def test_dist_radial_closed_form(omega_r2, chart_r2):

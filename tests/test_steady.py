@@ -7,7 +7,8 @@ from annuflow.curves import Curve1D
 from annuflow.elliptic import FourierSystem, principal_eigenvalue, solve_poisson
 from annuflow.errors import (NoConvergenceError, NotMonotoneError,
                              RangeEscapeError, SingularSystemError)
-from annuflow.grid import circulation, make_annulus, poisson_bracket
+from annuflow.grid import (circulation, gradient, integrate, make_annulus,
+                           poisson_bracket)
 from annuflow.steady import (
     Profile1D, SteadyState, d2s, default_cbar, ds, energy, energy_pair,
     poisson_start, solve_steady, state_from_json, state_to_json,
@@ -68,6 +69,18 @@ def test_energy_identity_refinement_order(bump_profile):
         gaps.append(abs(e_grad - e_vort))
     orders = np.log2(np.array(gaps[:-1]) / gaps[1:])
     assert orders.min() >= 1.8, orders
+
+
+@pytest.mark.parametrize("shape", [(16, 70), (32, 64), (128, 256)])
+def test_energy_pair_along_r_matches_the_grid_forms(bump_profile, shape):
+    # a state's two energy forms are taken along psi's column; the 2D
+    # gradient and grid integrals of the spread field are the reference
+    st = solve_steady(bump_profile, -4 * np.pi, grid=make_annulus(1.0, 2.0, *shape))
+    gr, gt = gradient(st.psi)
+    ref = (0.5 * integrate(gr * gr + gt * gt),
+           -0.5 * integrate(st.omega * st.psi) + 0.5 * st.gamma * st.inner_value)
+    assert energy_pair(st) == pytest.approx(ref, rel=1e-14, abs=0)
+    assert energy(st) == energy_pair(st)[0]
 
 
 def test_state_invariants(state_affine):
