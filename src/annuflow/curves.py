@@ -1,22 +1,84 @@
 """Sampled 1D functions: plain cubic-spline curves and strictly monotone
 curves with robust pointwise inversion.
 
-Each curve fits one interpolant: a cubic spline, or for monotone curves a
-shape-preserving cubic (PCHIP), strictly increasing whenever the samples
-are.  ``solve_increasing`` is the one root finder, for any scipy PPoly
-increasing at its breakpoints or a batch of them; monotone curves invert
-through it on the forward interpolant, so the round trip g(f(x)) = x
-holds at solver tolerance rather than at resampling accuracy.
+Each curve fits one interpolant, on first use: a cubic spline, or for
+monotone curves a shape-preserving cubic (PCHIP), strictly increasing
+whenever the samples are.  A curve that is only sampled, added or
+smoothed fits nothing, and it keeps a read-only copy of its samples, so
+its fit cannot go stale.  ``fit_cubic`` is the package's one not-a-knot
+cubic: scipy's CubicSpline arithmetic bit for bit, its slopes from one
+LAPACK tridiagonal solve (``solve_tridiagonal``, which the elliptic
+layer shares) without CubicSpline's wrappers.  ``solve_increasing`` is
+the one root finder, for any scipy PPoly increasing at its breakpoints
+or a batch of them; monotone curves invert through it on the forward
+interpolant, so the round trip g(f(x)) = x holds at solver tolerance
+rather than at resampling accuracy.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import PchipInterpolator, PPoly
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv, zgtsv
 
 from .errors import NotMonotoneError
 
 _NEWTON_TOL = 1e-12
+
+
+def solve_tridiagonal(band, rhs):
+    """x with A x = rhs for a tridiagonal A in ``solve_banded``'s (1, 1)
+    layout (band of shape (3, n): the superdiagonal from column 1, the
+    diagonal, the subdiagonal up to column n - 2) and rhs of shape (n,) or
+    (n, m), real or complex: the one LAPACK gtsv call that ``solve_banded``
+    makes, without its wrappers, and with its errors: ValueError for
+    non-finite input, LinAlgError for a singular band.  rhs is scratch:
+    the solve overwrites it when it is Fortran-contiguous."""
+    if not (np.isfinite(band).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    gtsv = zgtsv if np.iscomplexobj(rhs) else dgtsv
+    x, info = gtsv(band[2, :-1], band[1], band[0, 1:], rhs, overwrite_b=True)[3:]
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
+
+
+def fit_cubic(x, y):
+    """The not-a-knot cubic spline through y at x along axis 0, x strictly
+    increasing and y of shape (n,) or (n, m) with n >= 4: the PPoly of
+    ``CubicSpline(x, y, axis=0)``, its coefficients bit for bit, with the
+    end slopes and the interior ones from one ``solve_tridiagonal``.
+    Raises ValueError where CubicSpline does: x not strictly increasing,
+    non-finite values."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.size
+    if n < 4 or y.shape[0] != n:
+        raise ValueError(f"need at least 4 samples, one per abscissa; got {n} "
+                         f"abscissae and y of shape {y.shape}")
+    dx = np.diff(x)
+    if not (dx > 0).all():
+        raise ValueError("x must be finite and strictly increasing")
+    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    # CubicSpline's banded system: not-a-knot rows at both ends
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    band = np.zeros((3, n))
+    band[0, 1], band[0, 2:] = d0, dx[:-1]
+    band[1, 0], band[1, 1:-1], band[1, -1] = dx[1], 2 * (dx[:-1] + dx[1:]), dx[-2]
+    band[2, :-2], band[2, -2] = dx[1:], d1
+    b = np.empty(y.shape)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0]**2 * slope[1]) / d0
+    b[-1] = (dxr[-1]**2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+    s = solve_tridiagonal(band, b.reshape(n, -1)).reshape(y.shape)
+    # CubicHermiteSpline's coefficients from the slopes s
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+    return PPoly.construct_fast(c, x)
 
 
 def solve_increasing(pp, y, tol):
@@ -60,20 +122,27 @@ def solve_increasing(pp, y, tol):
 
 
 class Curve1D:
-    """Uniform samples on [a, b] with one interpolant of the class's kind."""
+    """Uniform samples on [a, b], a read-only copy, with one interpolant of
+    the class's kind, fitted on first use."""
 
-    _interpolant = CubicSpline
+    _interpolant = staticmethod(fit_cubic)
 
     def __init__(self, a, b, values):
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)
         if values.ndim != 1 or values.size < 4:
             raise ValueError("need at least 4 samples")
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite samples")
         self.a = float(a)
         self.b = float(b)
+        if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
+            raise ValueError(f"need finite bounds a < b, got [{self.a}, {self.b}]")
+        values.flags.writeable = False
         self.values = values
-        self._spline = self._interpolant(self.grid_x(), values)
+
+    @cached_property
+    def _spline(self):
+        return self._interpolant(self.grid_x(), self.values)
 
     @classmethod
     def from_callable(cls, fn, a, b, n=513):

@@ -17,7 +17,9 @@ outer Dirichlet rows decouple the modes k >= 1 into one stacked solve.
 It takes interior values on the grid and a circulation and returns grid
 values, whose row 0 holds the inner constant in every column.
 ``solve_poisson`` is its c = 0 solve, for a vorticity that may vary in
-theta.
+theta.  Each tridiagonal solve is one LAPACK gtsv call,
+``curves.solve_tridiagonal``: ``solve_banded``'s arithmetic and errors
+(non-finite data, a singular band) without its wrappers.
 
 When c and the right-hand side do not vary in theta, neither does phi,
 and its modes k >= 1 are zero.  ``solve_radial`` takes such data along
@@ -63,8 +65,9 @@ import numpy as np
 # not used here: perfbench/tracer.py hooks ``elliptic.spla`` by name to
 # trace sparse LU calls, and its traced runs fail without it
 import scipy.sparse.linalg as spla  # noqa: F401
-from scipy.linalg import eigvals, solve_banded
+from scipy.linalg import eigvals
 
+from .curves import solve_tridiagonal
 from .errors import NoConvergenceError, SingularSystemError
 from .grid import AnnulusGrid, Field2D, circulation_row, laplacian
 
@@ -81,7 +84,8 @@ def _stencil(grid: AnnulusGrid):
 
 def _mode_bands(grid: AnnulusGrid, shift, modes):
     """Tridiagonal blocks in r of Delta + shift(r), one for each of the
-    given theta modes, in ``solve_banded``'s (1, 1) layout, of shape
+    given theta modes, in the (1, 1) banded layout of
+    ``curves.solve_tridiagonal`` (``solve_banded``'s), of shape
     (3, len(modes), Nr); the tie rows of both circles are identity rows."""
     c_rr, c_r, c_tt = _stencil(grid)
     modes = np.asarray(modes)[:, None]
@@ -106,8 +110,7 @@ class RadialSystem:
         Nr, Ns = grid.Nr, grid.Ns
         self.band = _mode_bands(grid, shift, [0])[:, 0]
         # mode 0 of a unit inner constant: its tie rows sum to Ns in row 0
-        self.unit_inner = solve_banded((1, 1), self.band,
-                                       np.r_[float(Ns), np.zeros(Nr - 1)])
+        self.unit_inner = solve_tridiagonal(self.band, np.r_[float(Ns), np.zeros(Nr - 1)])
         # weights of one theta column, applied to mode 0 (the column sums)
         self.circulation = circulation_row(grid)[:, 0]
         self.unit_circulation = self.circulation @ self.unit_inner
@@ -127,7 +130,7 @@ class RadialSystem:
         holds in any scale.  The boundary rows of k are not read."""
         rhs = np.array(k, float)
         rhs[[0, -1]] = 0.0                      # the tie rows of both circles
-        phi = solve_banded((1, 1), self.band, rhs, overwrite_b=True)
+        phi = solve_tridiagonal(self.band, rhs)
         inner = (circulation - self.circulation @ phi) / self.unit_circulation
         phi += np.multiply.outer(self.unit_inner, inner)
         return phi
@@ -170,8 +173,8 @@ class FourierSystem:
         modes[:, 0] = self.mode0.solve(modes[:, 0].real, circulation)
         higher = modes[:, 1:]
         higher[[0, -1]] = 0.0                   # the tie rows of both circles
-        modes[:, 1:] = solve_banded((1, 1), self.bands, higher.ravel(order="F"),
-                                    overwrite_b=True).reshape(higher.shape, order="F")
+        modes[:, 1:] = solve_tridiagonal(self.bands, higher.ravel(order="F")
+                                         ).reshape(higher.shape, order="F")
         return np.fft.irfft(modes, n=Ns, axis=1)
 
 

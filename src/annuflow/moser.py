@@ -33,9 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .curves import Curve1D, Monotone1D, solve_increasing
+from .curves import Curve1D, Monotone1D, fit_cubic, solve_increasing
 from .elliptic import radial_psi, solve_radial
 from .errors import (AnnuflowError, DivergedError, InnerSolveFailureError,
                      NotMonotoneError, SingularIdPlusKError)
@@ -123,8 +122,8 @@ def _area_operators(grid):
         mu = np.linspace(0.0, grid.area, N_MU)
         r_mu = np.minimum(np.sqrt(grid.Ri**2 + mu / np.pi), grid.Ro)
         ops = vars(grid)["_area_operators"] = (
-            mu, CubicSpline(mu, np.eye(N_MU))(np.pi * (grid.r**2 - grid.Ri**2)),
-            CubicSpline(grid.r, np.eye(grid.Nr))(r_mu))
+            mu, fit_cubic(mu, np.eye(N_MU))(np.pi * (grid.r**2 - grid.Ri**2)),
+            fit_cubic(grid.r, np.eye(grid.Nr))(r_mu))
     return ops
 
 
@@ -140,7 +139,7 @@ class StateWorkspace:
         self.F = state.F
         self.grid = g
         self.psi = radial_psi(state.psi)          # along r
-        self._s = CubicSpline(g.r, self.psi[:, None], axis=0)
+        self._s = fit_cubic(g.r, self.psi[:, None])
         _check_slope(self._s, GRAD_FLOOR_REL * np.ptp(self.psi), g.theta)
         # A_psi'(min psi), the slope of VB's continuation below min psi
         self.area_slope_min = 2 * np.pi * g.Ri / self._s(g.Ri, 1)[0]

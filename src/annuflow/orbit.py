@@ -26,9 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline, RectBivariateSpline
+from scipy.interpolate import RectBivariateSpline
 
-from .curves import Curve1D, Monotone1D, solve_increasing
+from .curves import Curve1D, Monotone1D, fit_cubic, solve_increasing
 from .elliptic import NdReport, solve_poisson, theta_constant
 from .errors import (AreaMismatchError, CriticalPointError, NotInFplusError,
                      NotTangentError, NonpositiveFprimeError, TrajectoryExitError)
@@ -88,7 +88,7 @@ class AreaGrid(NamedTuple):
     def resample(self, level_values):
         """Cubic interpolant of values on the chart levels (leading axis),
         evaluated at lam_mu."""
-        return CubicSpline(self.levels, level_values)(self.lam_mu)
+        return fit_cubic(self.levels, level_values)(self.lam_mu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +185,7 @@ def level_chart(omega: Field2D, Nt=None) -> LevelChart:
     wmin, wmax = _boundary_levels(omega)
     rng = wmax - wmin
     cols = omega.values[:, :1] if theta_constant(omega.values, rng) else omega.values
-    s = CubicSpline(g.r, cols, axis=0)
+    s = fit_cubic(g.r, cols)
     _check_slope(s, GRAD_FLOOR_REL * rng, g.theta)
 
     t = np.linspace(0.0, 1.0, Nt)
@@ -266,7 +266,7 @@ def chart_values(chart: LevelChart, u: Field2D):
     """u at the chart nodes: its not-a-knot cubic along each grid ray, at
     the node radii."""
     r = chart.grid.r
-    return _on_rays(CubicSpline(r, u.values, axis=0).c, *_ray_pieces(r, chart.r))
+    return _on_rays(fit_cubic(r, u.values).c, *_ray_pieces(r, chart.r))
 
 
 def j_functional(chart: LevelChart, u: Field2D) -> Curve1D:
@@ -400,7 +400,7 @@ def project_tangent(chart: LevelChart, nu: Field2D) -> Field2D:
     """Remove the level means of nu so the compatibility integrals vanish."""
     g = chart.grid
     mean_vals = j_over_grad(chart, nu).values / chart.travel_time
-    spl = CubicSpline(chart.levels, mean_vals)
+    spl = fit_cubic(chart.levels, mean_vals)
     return g.field(nu.values - spl(np.clip(chart.omega.values, chart.omega_min,
                                            chart.omega_max)))
 
@@ -430,7 +430,7 @@ def reconstruct_alpha(chart: LevelChart, nu: Field2D, tol_rel=1e-5) -> Field2D:
     # node's own level coordinate
     tvals = (chart.omega.values - chart.omega_min) / (chart.omega_max - chart.omega_min)
     tvals = np.clip(tvals, 0.0, 1.0)
-    col_spl = CubicSpline(chart.t, alpha_chart, axis=0)
+    col_spl = fit_cubic(chart.t, alpha_chart)
     out = np.empty((g.Nr, g.Ns))
     for k in range(g.Ns):
         out[:, k] = col_spl(tvals[:, k])[:, k]

@@ -16,8 +16,9 @@ from annuflow.moser import (
     config_to_text, dt, k_apply, moser_solve, right_inverse, t_map,
     uniqueness_probe, vb, vm, workspace,
 )
-from annuflow.orbit import check_nd2
+from annuflow.orbit import check_nd2, dist_fn
 from annuflow.steady import Profile1D, SteadyState, ds, solve_steady
+from annuflow.tame import smooth
 
 from oracles import (factored_linearization, grid_id_plus_k, lu_solve,
                      radial_linearized, radial_steady)
@@ -192,6 +193,19 @@ def test_vb_random_roundtrip(ref, grid64):
     g = Curve1D(0.0, grid64.area, gv)
     f = vb(state, g)
     assert np.abs(f(ws.lam_mu) - gv).max() < 1e-7
+
+
+def test_unevaluated_curves_fit_nothing(ref):
+    # a VB direction evaluates through its composition, and its smoothed
+    # samples only feed arithmetic: neither fits an interpolant, nor does
+    # the tabulated inverse of a distribution until it is evaluated
+    _, state = ref
+    g = Curve1D(0.0, state.psi.grid.area, np.sin(np.linspace(0.0, 3.0, 129)))
+    f = vb(state, g)
+    ds(state, f)
+    curves = (f, smooth(f, 8.0), dist_fn(state.omega)[1])
+    assert not any("_spline" in vars(c) for c in curves)
+    assert "_spline" in vars(g)
 
 
 def test_k_zero(ref):

@@ -127,7 +127,7 @@ def test_theta_constant_chart_integrates_nothing(monkeypatch, bump_fields, grid,
     # nor fits a bicubic: the field's first column along r charts it
     integrations = _recorded(monkeypatch, "solve_ivp")
     bicubics = _recorded(monkeypatch, "RectBivariateSpline")
-    cubics = _recorded(monkeypatch, "CubicSpline")
+    cubics = _recorded(monkeypatch, "fit_cubic")
     field, Nt = bump_fields[grid, which]
     if grid == "16x70":
         assert np.abs(field.values - field.values[:, :1]).max() > 0
@@ -141,7 +141,7 @@ def test_theta_constant_chart_integrates_nothing(monkeypatch, bump_fields, grid,
 def test_theta_varying_chart_fits_every_column(monkeypatch, grid64, omega_wavy):
     # a theta-variation of 1e-9 of the range passes for rounding against
     # max|values| (1e5) but not against the range (3)
-    cubics = _recorded(monkeypatch, "CubicSpline")
+    cubics = _recorded(monkeypatch, "fit_cubic")
     g = grid64
     offset = g.field_from(lambda r, t: 1e5 + r**2
                           + 3e-9 * np.sin(np.pi * (r - 1)) * np.sin(t))

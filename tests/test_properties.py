@@ -1,7 +1,8 @@
-"""Property tests of the 1D layers: the smoothing operator, the monotone
-inverse and the root finder behind it, the monotone repair of a profile
-update, the profile expression parser and the level chart of a field that
-varies only along r."""
+"""Property tests of the 1D layers: the cubic fit and the tridiagonal
+solve behind it, the smoothing operator, the monotone inverse and the root
+finder behind it, the monotone repair of a profile update, the profile
+expression parser and the level chart of a field that varies only along
+r."""
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from scipy.interpolate import CubicSpline, PchipInterpolator, make_interp_spline
+from scipy.linalg import LinAlgError, solve_banded
 
 from annuflow import orbit
-from annuflow.curves import Curve1D, Monotone1D, solve_increasing
+from annuflow.curves import (Curve1D, Monotone1D, fit_cubic, solve_increasing,
+                             solve_tridiagonal)
 from annuflow.errors import CriticalPointError
 from annuflow.exprparse import ExpressionError, parse_expression
 from annuflow.grid import make_annulus
@@ -27,6 +30,85 @@ props = settings(derandomize=True, deadline=None)
 finite = st.just(0.0) | st.floats(1e-6, 1e6) | st.floats(-1e6, -1e-6)
 sizes = st.integers(4, 1024)
 cutoffs = st.floats(0.05, 1000.0)
+
+
+@st.composite
+def cubic_samples(draw):
+    """Strictly increasing x, uniform or not, and y of shape (n,) or (n, m)."""
+    n = draw(st.integers(4, 300))
+    start = draw(st.floats(-1e3, 1e3))
+    steps = draw(arrays(float, n - 1, elements=st.floats(1e-3, 1e2)))
+    x = (np.linspace(start, start + steps.sum(), n) if draw(st.booleans())
+         else start + np.cumsum(np.r_[0.0, steps]))
+    m = draw(st.none() | st.integers(1, 4))
+    return x, draw(arrays(float, (n,) if m is None else (n, m), elements=finite))
+
+
+@props
+@given(samples=cubic_samples())
+@example(samples=(np.linspace(1.0, 2.0, 129), np.random.default_rng(1).normal(size=129)))
+@example(samples=(np.cumsum(np.random.default_rng(2).uniform(1e-3, 1.0, 513)),
+                  np.random.default_rng(3).normal(size=(513, 3))))
+def test_fit_cubic_is_cubic_spline(samples):
+    # bit for bit: the coefficients, and the values and first two
+    # derivatives at the knots, between them and outside them
+    x, y = samples
+    ours, ref = fit_cubic(x, y), CubicSpline(x, y, axis=0)
+    assert np.array_equal(ours.x, ref.x) and np.array_equal(ours.c, ref.c)
+    span = x[-1] - x[0]
+    at = np.r_[x, 0.5 * (x[1:] + x[:-1]), x[0] - 0.3 * span, x[-1] + 0.2 * span]
+    for order in (0, 1, 2):
+        assert np.array_equal(ours(at, order), ref(at, order))
+
+
+def test_fit_cubic_refuses_what_cubic_spline_refuses():
+    x = np.linspace(0.0, 1.0, 8)
+    for bad_x, bad_y in ((x[::-1], x), (np.r_[x[:3], x[2:-1]], x),
+                         (np.r_[np.nan, x[1:]], x), (x, np.r_[x[:-1], np.inf])):
+        for fit in (fit_cubic, CubicSpline):
+            with pytest.raises(ValueError):
+                fit(bad_x, bad_y)
+
+
+@props
+@given(data=st.data(), n=st.integers(2, 200), m=st.none() | st.integers(1, 4),
+       kind=st.sampled_from([float, complex]))
+def test_solve_tridiagonal_is_solve_banded(data, n, m, kind):
+    # the same gtsv call: the same solution bit for bit (NaN where a
+    # near-singular band overflows), or the same LinAlgError for a
+    # singular one
+    band = data.draw(arrays(float, (3, n), elements=finite))
+    shape = (n,) if m is None else (n, m)
+    rhs = data.draw(arrays(float, shape, elements=finite)).astype(kind)
+    if kind is complex:
+        rhs += 1j * data.draw(arrays(float, shape, elements=finite))
+    try:
+        ref = solve_banded((1, 1), band, rhs)
+    except LinAlgError:
+        with pytest.raises(LinAlgError):
+            solve_tridiagonal(band, rhs.copy())
+        return
+    ours = solve_tridiagonal(band, rhs.copy())
+    assert ours.shape == ref.shape and ours.dtype == ref.dtype
+    assert np.array_equal(ours, ref, equal_nan=True)
+
+
+def test_solve_tridiagonal_errors():
+    band = np.array([[0.0, 1, 1, 1], [4, 4, 4, 4], [1, 1, 1, 0]])
+    rhs = np.ones((4, 2))
+    singular = band.copy()
+    singular[1, 0] = singular[2, 0] = 0.0          # the first column is zero
+    cases = [(singular, rhs, LinAlgError)]
+    for bad in (np.nan, np.inf, -np.inf):
+        for which in (0, 1):
+            args = [band.copy(), rhs.copy()]
+            args[which].flat[5] = bad
+            cases.append((*args, ValueError))
+    for b, r, error in cases:
+        with pytest.raises(error):
+            solve_banded((1, 1), b, r)
+        with pytest.raises(error):
+            solve_tridiagonal(b, r)
 
 
 @props

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import PchipInterpolator
 
-from annuflow.curves import Curve1D, Monotone1D
+from annuflow.curves import Curve1D, Monotone1D, fit_cubic
 from annuflow.errors import DegenerateNormError, NotMonotoneError
 from annuflow.tame import (extend, interp_check, invert_monotone, smooth,
                            verify_smoothing)
@@ -182,22 +182,51 @@ def test_smoothed_inverse_is_the_smoothed_monotone_of_its_samples(which, grid32)
 
 
 def test_each_curve_fits_one_interpolant(monkeypatch):
-    # a cubic-spline curve fits one CubicSpline; a monotone curve and its
-    # inverse fit a PCHIP alone
+    # a curve fits nothing until it is first evaluated, then exactly one
+    # interpolant: a cubic-spline curve one fit_cubic; a monotone curve and
+    # its inverse a PCHIP alone
     fits = []
-    init = CubicSpline.__init__
-
-    def counted(self, *args, **kwargs):
-        fits.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(CubicSpline, "__init__", counted)
+    monkeypatch.setattr(Curve1D, "_interpolant", staticmethod(
+        lambda *args: fits.append(args) or fit_cubic(*args)))
     x = np.linspace(0.0, 1.0, N)
-    Curve1D(0.0, 1.0, x**2)
+    c = Curve1D(0.0, 1.0, x**2)
+    c + c, smooth(c, 8.0), c.max_norm()
+    assert fits == []
+    c(0.5), c.d1(x), c.d2(0.25), c.c1_norm()
     assert len(fits) == 1
     f = Monotone1D(0.0, 1.0, x**2 + x)
-    assert isinstance(f.inverse()._spline, PchipInterpolator)
+    assert "_spline" not in vars(smooth(f, 8.0))
+    inv = f.inverse()
+    assert isinstance(f._spline, PchipInterpolator)     # inverse() evaluates f
+    inv(1.5)                                            # through f's PCHIP
+    assert "_spline" not in vars(inv)
+    inv.d1(1.5)
+    assert isinstance(inv._spline, PchipInterpolator)
     assert len(fits) == 1
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 0.0), (np.nan, 1.0),
+                                  (0.0, np.inf), (-np.inf, 0.0)])
+def test_curve_refuses_bounds(a, b):
+    # a, b finite with a < b, checked when the curve is built, not at its fit
+    with pytest.raises(ValueError):
+        Curve1D(a, b, np.arange(8.0))
+    with pytest.raises(ValueError):
+        Monotone1D(a, b, np.arange(8.0))
+
+
+def test_curve_keeps_its_samples():
+    # a copy, read-only: the fit on first use sees the samples as given
+    x = np.linspace(0.0, 1.0, N)
+    samples = x**2
+    c = Curve1D(0.0, 1.0, samples)
+    samples[:] = 0.0
+    assert np.array_equal(c.values, x**2)
+    with pytest.raises(ValueError):
+        c.values[0] = 1.0
+    assert np.array_equal(c(x), x**2)
+    m = Monotone1D(0.0, 1.0, x + 1.0)
+    assert not m.values.flags.writeable
 
 
 def test_operations_degree_zero_bounded():
