@@ -50,11 +50,15 @@ own: the Nr x Nr tridiagonal block of each mode k >= 1 (the cos and sin
 parts share it), and for mode 0 that block bordered by the inner
 constant's column (-sqrt(Ns) in the inner tie row) and the circulation
 row (sqrt(Ns) times one theta column of its weights).  ``check_nd1``
-takes the smallest singular value from their dense SVDs, so a singular
-block gives sigma at rounding level, not an error, and refuses a state
-that varies in theta; ``principal_eigenvalue`` solves the blocks of
-modes 0 and 1, and ``_mode_blocks`` builds only the modes its caller
-reads.  Nothing is assembled, factorized or cached at module level.
+takes the smallest singular value from the dense SVD of the mode-0
+block, and of each block k >= 1 that an M-matrix bound, from one
+tridiagonal solve of all the blocks, cannot place above it; every block
+falls back to the SVD where the bound fails or the solve refuses.  So
+sigma is that of the SVDs of all blocks, bit for bit, a singular block
+gives sigma at rounding level, not an error, and a state that varies in
+theta is refused.  ``principal_eigenvalue`` solves the blocks of modes 0
+and 1, and ``_mode_blocks`` builds only the modes its caller reads.
+Nothing is assembled, factorized or cached at module level.
 """
 
 from __future__ import annotations
@@ -241,32 +245,71 @@ def solve_radial(grid: AnnulusGrid, c, k, circulation):
     return phi
 
 
+def _dense(bands):
+    """The dense blocks, of shape (m, Nr, Nr), of tridiagonal bands of
+    shape (3, m, Nr) in ``_mode_bands``' layout."""
+    Nr = bands.shape[-1]
+    j = np.arange(Nr)
+    blocks = np.zeros((bands.shape[1], Nr, Nr))
+    blocks[:, j, j] = bands[1]
+    blocks[:, j[:-1], j[1:]] = bands[0, :, 1:]
+    blocks[:, j[1:], j[:-1]] = bands[2, :, :-1]
+    return blocks
+
+
 def _mode_blocks(grid: AnnulusGrid, shift, n_modes):
     """The theta-mode blocks of the bordered matrix of Delta + shift(r)
     (module docstring) of modes 0..n_modes - 1: the bordered mode-0 block,
     of shape (Nr + 1, Nr + 1), and the Nr x Nr blocks of modes
     1..n_modes - 1."""
     Nr, Ns = grid.Nr, grid.Ns
-    bands = _mode_bands(grid, shift, np.arange(n_modes))
-    j = np.arange(Nr)
-    blocks = np.zeros((bands.shape[1], Nr, Nr))
-    blocks[:, j, j] = bands[1]
-    blocks[:, j[:-1], j[1:]] = bands[0, :, 1:]
-    blocks[:, j[1:], j[:-1]] = bands[2, :, :-1]
+    blocks = _dense(_mode_bands(grid, shift, np.arange(n_modes)))
     mode0 = np.block([[blocks[0], -np.sqrt(Ns) * np.eye(Nr, 1)],
                       [np.sqrt(Ns) * circulation_row(grid)[:, :1].T, 0.0]])
     return mode0, blocks[1:]
 
 
-def _singular_values(grid: AnnulusGrid, shift):
-    """Singular values, with multiplicity, of the bordered matrix of
-    Delta + shift(r), from its theta-mode blocks (module docstring)."""
-    mode0, blocks = _mode_blocks(grid, shift, grid.Ns // 2 + 1)
-    parts = np.linalg.svd(blocks, compute_uv=False)
-    # the cos and sin parts of a mode share its block; Ns is even, and the
-    # last mode, Ns/2, has no sin part
-    return np.concatenate([np.linalg.svd(mode0, compute_uv=False),
-                           parts.ravel(), parts[:-1].ravel()])
+def _mode_bounds(bands):
+    """Lower bounds beta_k on the least singular value of each mode block
+    B_k in bands of shape (3, m, Nr), ``_mode_bands`` of modes k >= 1, and
+    0 where the certificate fails.  With D = +1 on the two tie rows and -1
+    inside, C_k = D B_k has the singular values of B_k and the
+    off-diagonals -(c_rr +- c_r) <= 0 (``principal_eigenvalue``).  Where
+    its diagonal is positive, and the computed x = C_k^-1 1 and
+    y = C_k^-T 1 are positive with residuals of 1 at most rho_x, rho_y < 1,
+    their rounding counted, C_k is semipositive, so a nonsingular M-matrix
+    (Berman and Plemmons 1994, ch. 6).  Then C_k^-1 >= 0 has inf-norm at
+    most max x / (1 - rho_x) and 1-norm at most max y / (1 - rho_y), the
+    square of its 2-norm is at most their product, and sigma_min(B_k) >=
+    beta_k = sqrt((1 - rho_x)(1 - rho_y) / (max x max y)).  Every x and y
+    comes from one ``solve_tridiagonal`` call, on the bands of all C_k,
+    then of all C_k^T, laid end to end, which the tie rows leave
+    uncoupled; raises what that call raises."""
+    m, Nr = bands.shape[1:]
+    C = -bands                                  # D B_k
+    C[1, :, [0, -1]] = 1.0
+    Ct = np.zeros_like(C)
+    Ct[1] = C[1]
+    Ct[0, :, 1:] = C[2, :, :-1]
+    Ct[2, :, :-1] = C[0, :, 1:]
+    band = np.concatenate([C, Ct], axis=1).reshape(3, -1)
+    z = solve_tridiagonal(band, np.ones(band.shape[1]))
+    terms = np.zeros((3, z.size))               # the products of C z, row by row
+    terms[0, :-1] = band[0, 1:] * z[1:]
+    terms[1] = band[1] * z
+    terms[2, 1:] = band[2, :-1] * z[:-1]
+    # a block far from an M-matrix may overflow; it is not certified
+    with np.errstate(all="ignore"):
+        # the residual of 1, and twice gamma_4 times |1| + |C| z, which
+        # bounds its rounding (Higham 2002, section 3.1)
+        rho = (np.abs(1.0 - terms.sum(axis=0))
+               + 4 * np.finfo(float).eps * (1.0 + np.abs(terms).sum(axis=0)))
+        rho = rho.reshape(2, m, Nr).max(axis=-1)
+        z = z.reshape(2, m, Nr)
+        certified = ((C[1] > 0).all(axis=-1) & (C[[0, 2]] <= 0).all(axis=(0, -1))
+                     & (z > 0).all(axis=(0, -1)) & (rho < 1).all(axis=0))
+        beta = np.sqrt((1 - rho).prod(axis=0) / z.max(axis=-1).prod(axis=0))
+    return np.where(certified, beta, 0.0)
 
 
 @dataclass(frozen=True)
@@ -285,12 +328,33 @@ def check_nd1(state) -> NdReport:
     conditions at a steady state: smallest singular value of the bordered
     matrix, against that of Delta's bordered mode-0 block (a scale that
     falls with the grid step as sigma does).  The state must be radially
-    symmetric (``radial_psi``)."""
+    symmetric (``radial_psi``).
+
+    sigma is the least singular value of the bordered mode-0 block, from
+    its dense SVD, or of a block B_k of a mode k >= 1 that its bound
+    beta_k (``_mode_bounds``) cannot rule out: a block is skipped when
+    beta_k, less Nr eps ||B_k||_F for the rounding of its computed sigma,
+    is at least the mode-0 sigma.  The other blocks, and all of them when
+    the band solve refuses (singular, or not finite), get one batched
+    dense SVD.  No skipped block's computed sigma_min is below the
+    minimum, so sigma is that of the dense SVDs of all blocks, bit for
+    bit, and a singular block gives sigma at rounding level, not an
+    error."""
     g = state.psi.grid
     c = -state.F.d1(radial_psi(state.psi)[1:-1])
-    sigma = float(_singular_values(g, c).min())
-    scale = float(np.linalg.svd(_mode_blocks(g, 0.0, 1)[0], compute_uv=False)[-1])
-    return NdReport(sigma, scale)
+    sigma = np.linalg.svd(_mode_blocks(g, c, 1)[0], compute_uv=False)[-1]
+    bands = _mode_bands(g, c, np.arange(1, g.Ns // 2 + 1))
+    try:
+        beta = _mode_bounds(bands)
+    except (ValueError, np.linalg.LinAlgError):
+        beta = np.zeros(bands.shape[1])
+    rounding = g.Nr * np.finfo(float).eps * np.sqrt((bands**2).sum(axis=(0, 2)))
+    doubtful = ~(beta - rounding >= sigma)
+    if doubtful.any():
+        doubtful_sigma = np.linalg.svd(_dense(bands[:, doubtful]), compute_uv=False)
+        sigma = np.minimum(sigma, doubtful_sigma.min())
+    scale = np.linalg.svd(_mode_blocks(g, 0.0, 1)[0], compute_uv=False)[-1]
+    return NdReport(float(sigma), float(scale))
 
 
 def principal_eigenvalue(grid: AnnulusGrid):

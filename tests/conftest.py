@@ -57,3 +57,19 @@ def splu_calls(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counted)
     return calls
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of the arrays that numpy's dense SVD decomposes during the
+    test, from any caller; a stack of shape (..., m, n) holds one matrix
+    for each of its leading entries."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return shapes

@@ -5,8 +5,9 @@ of an assembled bordered matrix checks the factor-free solves and the
 mode-block singular values, Id + K assembled on every grid node (E at
 each psi node, that LU, and the bicubic interpolant of each solution on
 the circles of the area grid) checks its closed form along r, the
-eigenvalues of every theta-mode block
-check the principal eigenvalue's reduction to modes 0 and 1, the radial
+eigenvalues of every theta-mode block check the principal eigenvalue's
+reduction to modes 0 and 1, their dense SVDs check the blocks that
+check_nd1 rules out by a bound, the radial
 steady oracle is a 1D two-point BVP solve, the sublevel-area oracle is
 a per-cell linear-cut area count on a refined cell-centered grid, the
 chart residual evaluates the charted field's cubic along each ray with
@@ -151,6 +152,17 @@ def grid_id_plus_k(state):
     J = np.stack([FieldSpline(g.field(phi[..., i])).val(r_mu, theta).mean(axis=1)
                   for i in range(N_MU)], axis=1)
     return np.eye(N_MU) + state.F.d1(ws.lam_mu)[:, None] * J
+
+
+def all_mode_singular_values(grid: AnnulusGrid, shift):
+    """Singular values, with multiplicity, of the bordered matrix of
+    Delta + shift(r): the dense SVDs of all its theta-mode blocks."""
+    mode0, blocks = _mode_blocks(grid, shift, grid.Ns // 2 + 1)
+    parts = np.linalg.svd(blocks, compute_uv=False)
+    # the cos and sin parts of a mode share its block; Ns is even, and the
+    # last mode, Ns/2, has no sin part
+    return np.concatenate([np.linalg.svd(mode0, compute_uv=False),
+                           parts.ravel(), parts[:-1].ravel()])
 
 
 def all_mode_eigenvalue(grid: AnnulusGrid):

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from annuflow.cli import _reference_state
-from annuflow.elliptic import (FourierSystem, NdReport, _mode_blocks,
-                               _singular_values, check_nd1, principal_eigenvalue,
-                               radial_psi, solve_poisson, solve_radial)
+from annuflow.elliptic import (FourierSystem, NdReport, _mode_blocks, check_nd1,
+                               principal_eigenvalue, radial_psi, solve_poisson,
+                               solve_radial)
 from annuflow.errors import NoConvergenceError
 from annuflow.grid import (circulation, circulation_row, gradient, integrate,
                            laplacian, make_annulus)
 from annuflow.steady import Profile1D, SteadyState, solve_steady
 
-from oracles import (all_mode_eigenvalue, bordered_matrix, bordered_rhs,
-                     bordered_system, factor, factored_linearization, lu_solve)
+from oracles import (all_mode_eigenvalue, all_mode_singular_values,
+                     bordered_matrix, bordered_rhs, bordered_system, factor,
+                     factored_linearization, lu_solve)
 
 
 @pytest.fixture(scope="module")
@@ -268,7 +269,7 @@ def test_mode_block_singular_values_match_dense(shape, eigen_fraction):
     g = make_annulus(1.0, 2.0, *shape)
     c = eigen_fraction * principal_eigenvalue(g)
     dense = np.linalg.svd(bordered_matrix(g, g.constant(c)).toarray(), compute_uv=False)
-    blocks = np.sort(_singular_values(g, np.full(g.Nr - 2, c)))[::-1]
+    blocks = np.sort(all_mode_singular_values(g, np.full(g.Nr - 2, c)))[::-1]
     assert np.abs(blocks - dense).max() <= 1e-10 * dense[0]
 
 
@@ -296,6 +297,72 @@ def test_nd1_reference_state_nondegenerate(shape):
     rep = check_nd1(_reference_state(make_annulus(1.0, 2.0, *shape)))
     assert rep.nondegenerate
     assert 1.1 <= rep.sigma_min / rep.scale <= 1.2
+
+
+def _all_mode_minimum(state):
+    """The least singular value of every theta-mode block of a state's
+    bordered Delta - F'(psi), from their dense SVDs."""
+    g = state.psi.grid
+    return all_mode_singular_values(g, -state.F.d1(radial_psi(state.psi)[1:-1])).min()
+
+
+def _matrices(shapes):
+    return sum(int(np.prod(s[:-2])) for s in shapes)
+
+
+@pytest.mark.parametrize("shape", [(16, 70), (32, 64), (64, 128)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_nd1_is_the_all_mode_minimum_on_the_reference_state(shape):
+    # the bordered mode-0 block holds the minimum, and the bound rules
+    # out every other block
+    state = _reference_state(make_annulus(1.0, 2.0, *shape))
+    assert check_nd1(state).sigma_min == _all_mode_minimum(state)
+
+
+@pytest.mark.parametrize("multiple, sigma, digit, decomposed",
+                         [(1, 0.0, 1e-12, 0), (2, 0.105466, 1e-6, 2),
+                          (5, 0.024814, 1e-6, 5)])
+def test_nd1_is_the_all_mode_minimum_near_eigenvalues(grid32, svd_shapes, multiple,
+                                                      sigma, digit, decomposed):
+    # F = -m lam1 s: mode 0 is singular at m = 1 (sigma 1.6e-14); at
+    # m = 2 mode 1 holds the minimum and the bound leaves modes 1 and 2
+    # open (mode 2's sigma is below mode 0's); at m = 5 mode 4 holds it,
+    # modes 1-3 are no M-matrices and modes 4 and 5 are bounded below
+    # mode 0's sigma
+    lam1 = principal_eigenvalue(grid32)
+    F = Profile1D.from_callable(lambda s: -multiple * lam1 * s, -2.0)
+    state = _steady_bundle(grid32, F)
+    rep = check_nd1(state)
+    # the mode-0 block of the state and of Delta, and the open blocks
+    assert _matrices(svd_shapes) == 2 + decomposed
+    assert rep.sigma_min == _all_mode_minimum(state)
+    assert rep.sigma_min == pytest.approx(sigma, abs=digit)
+
+
+def test_nd1_decomposes_two_matrices(grid64, svd_shapes):
+    # on the reference state the bound rules out all 64 blocks of modes
+    # k >= 1, and the SVD takes only the mode-0 blocks of the state and
+    # of Delta
+    state = _reference_state(grid64)
+    before = len(svd_shapes)
+    check_nd1(state)
+    assert _matrices(svd_shapes[before:]) == 2
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError],
+                         ids=["singular", "not-finite"])
+def test_nd1_decomposes_every_block_when_the_band_solve_refuses(
+        monkeypatch, grid32, svd_shapes, error):
+    from annuflow import elliptic
+
+    def refused(*args):
+        raise error("refused")
+
+    state = _steady_bundle(grid32, Profile1D.from_callable(lambda s: 0.5 * s - 1.0, -2.0))
+    monkeypatch.setattr(elliptic, "solve_tridiagonal", refused)
+    rep = check_nd1(state)
+    assert _matrices(svd_shapes) == 2 + grid32.Ns // 2
+    assert rep.sigma_min == _all_mode_minimum(state)
 
 
 def test_nd1_refuses_theta_varying_state(grid32):

@@ -9,7 +9,7 @@ from annuflow import moser
 from annuflow.curves import Curve1D, Monotone1D
 from annuflow.elliptic import solve_poisson
 from annuflow.errors import (DivergedError, InnerSolveFailureError,
-                             NoConvergenceError)
+                             NoConvergenceError, SingularIdPlusKError)
 from annuflow.grid import make_annulus
 from annuflow.moser import (
     MoserConfig, assemble_id_plus_k, config_from_text,
@@ -259,6 +259,25 @@ def test_vm_manufactured(ref, grid64):
     h = Curve1D(0.0, area, gstar.values + k_apply(state, gstar).values)
     g = vm(state, h)
     assert np.abs(g.values - gstar.values).max() < 1e-7
+
+
+def test_vm_refuses_singular_id_plus_k(monkeypatch, grid32):
+    # a rank-deficient Id + K is refused by its stored singular values,
+    # before any solve; a fresh state, so no other test sees its workspace
+    _, state = t_map(fbar(), GAMMA, grid=grid32, cross_check=False)
+    ws = workspace(state)
+    M = ws.assembled_id_plus_k()
+    M[:, -1] = M[:, 0]
+    ws.singular_values = np.linalg.svd(M, compute_uv=False)
+    assert ws.singular_values[-1] < 1e-8 * ws.singular_values[0]
+    solves = []
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args))
+    h = Curve1D(0.0, grid32.area, np.ones(129))
+    with pytest.raises(SingularIdPlusKError, match="nearly singular") as err:
+        vm(state, h)
+    assert err.value.code == "singular-id-plus-k"
+    assert err.value.info["sigma_min"] == ws.singular_values[-1]
+    assert solves == []
 
 
 def test_vm_grid_stability():

@@ -1,8 +1,10 @@
 """Property tests of the 1D layers: the cubic fit and the tridiagonal
 solve behind it, the smoothing operator, the monotone inverse and the root
 finder behind it, the monotone repair of a profile update, the profile
-expression parser and the level chart of a field that varies only along
-r."""
+expression parser, the level chart of a field that varies only along r,
+and the M-matrix bound on the theta-mode blocks of a radial shift."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,13 +18,14 @@ from scipy.linalg import LinAlgError, solve_banded
 from annuflow import orbit
 from annuflow.curves import (Curve1D, Monotone1D, fit_cubic, solve_increasing,
                              solve_tridiagonal)
+from annuflow.elliptic import _mode_bands, _mode_blocks, _mode_bounds, check_nd1
 from annuflow.errors import CriticalPointError
 from annuflow.exprparse import ExpressionError, parse_expression
 from annuflow.grid import make_annulus
 from annuflow.moser import _repair_monotone
 from annuflow.tame import smooth
 
-from oracles import chart_residual
+from oracles import all_mode_singular_values, chart_residual
 
 props = settings(derandomize=True, deadline=None)
 
@@ -309,3 +312,22 @@ def test_root_chart_of_a_radial_column(base, slopes):
     assert np.abs(chart.r - every.r).max() <= tol * g.Ro + dr
     assert (np.abs(chart.travel_time / every.travel_time - 1).max()
             <= tol + dr * log_tt)
+
+
+@props
+@given(a=st.floats(-30.0, 60.0), b=st.floats(-20.0, 20.0), Ns=st.sampled_from([16, 32]))
+@example(a=40.0, b=0.0, Ns=16)
+@example(a=0.0, b=0.0, Ns=32)
+def test_nd1_mode_bounds_hold(a, b, Ns):
+    # c(r) = a + b r; c above a mode's least eigenvalue of -Delta leaves
+    # its block without a certificate, and bound 0
+    g = make_annulus(1.0, 2.0, 16, Ns)
+    c = a + b * g.r[1:-1]
+    beta = _mode_bounds(_mode_bands(g, c, np.arange(1, Ns // 2 + 1)))
+    dense = np.linalg.svd(_mode_blocks(g, c, Ns // 2 + 1)[1], compute_uv=False)[:, -1]
+    assert (beta >= 0).all() and (beta <= dense).all()
+    # a radial state with -F'(psi) = c: psi = r - Ro
+    state = SimpleNamespace(psi=g.field_from(lambda r, t: r - 2.0 + 0.0 * t),
+                            F=SimpleNamespace(d1=lambda s: -(a + b * (s + 2.0))))
+    shift = -state.F.d1(state.psi.values[1:-1, 0])
+    assert check_nd1(state).sigma_min == all_mode_singular_values(g, shift).min()
