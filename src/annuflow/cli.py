@@ -19,7 +19,7 @@ import numpy as np
 
 from . import moser, orbit, tame
 from .curves import Curve1D, Monotone1D, read_curve_csv, write_curve_csv
-from .elliptic import ND_THRESHOLD, check_nd1
+from .elliptic import ND_THRESHOLD, check_nd1, radial_psi
 from .errors import AnnuflowError, DivergedError
 from .exprparse import ExpressionError, parse_expression
 from .grid import (circulation, field_from_json, field_to_json, gradient,
@@ -49,7 +49,8 @@ def _parse_grid(text):
 
 def _load_profile(arg):
     """The profile function of a sampled CSV path, with the cbar its samples
-    fix, or of an arithmetic expression in s, with cbar None."""
+    fix, or of an expression in s (one that parses, if no file exists), with
+    cbar None."""
     if os.path.exists(arg):
         s, v = read_curve_csv(arg)
         order = np.argsort(s)
@@ -57,11 +58,11 @@ def _load_profile(arg):
         if s[-1] > 1e-9 or s[0] >= 0:
             raise CliError("bad-profile", "profile samples must live on [cbar, 0]")
         return (lambda x: np.interp(x, s, v)), float(s[0])
-    if arg.endswith(".csv") or os.sep in arg:
-        raise CliError("profile-not-found", f"no such profile file: {arg}")
     try:
         return parse_expression(arg), None
     except ExpressionError as exc:
+        if arg.endswith(".csv") or os.sep in arg:
+            raise CliError("profile-not-found", f"no such profile file: {arg}") from exc
         raise CliError("profile-parse-error", str(exc)) from exc
 
 
@@ -110,15 +111,21 @@ def cmd_solve(args):
 
 
 def cmd_dist(args):
+    """Ainv.csv: the orbit label T(F) = F(lam_mu) on the area grid; A.csv:
+    (F(lam_mu), mu).  area_discrepancy: 0 up to rounding (README)."""
     with open(args.state) as fh:
         state = state_from_json(fh.read())
-    A, Ainv = orbit.dist_fn(state.omega)
+    g = state.psi.grid
+    psi = radial_psi(state.psi)
+    _, mu, lam_mu = orbit.radial_levels(g, psi, np.ptp(psi))
+    Ainv = Monotone1D(mu[0], mu[-1], state.F(lam_mu))
     out = _outdir(args.out)
-    A.to_csv(os.path.join(out, "A.csv"))
-    write_curve_csv(os.path.join(out, "Ainv.csv"), Ainv.grid_x(), Ainv.values)
+    write_curve_csv(os.path.join(out, "A.csv"), Ainv.values, mu)
+    Ainv.to_csv(os.path.join(out, "Ainv.csv"))
+    r_end = min(np.sqrt(g.Ri**2 + mu[-1] / np.pi), g.Ro)
+    disc = (np.pi * (r_end**2 - g.Ri**2) - g.area) / g.area
     print(json.dumps({"A": os.path.join(out, "A.csv"),
-                      "Ainv": os.path.join(out, "Ainv.csv"),
-                      "area_discrepancy": A.area_discrepancy}))
+                      "Ainv": os.path.join(out, "Ainv.csv"), "area_discrepancy": disc}))
     return 0
 
 

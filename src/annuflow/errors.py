@@ -43,12 +43,6 @@ class NotInFplusError(AnnuflowError):
     code = "not-in-fplus"
 
 
-class AreaMismatchError(AnnuflowError):
-    """Raw distribution function misses the domain area by too much."""
-
-    code = "area-mismatch"
-
-
 class TrajectoryExitError(AnnuflowError):
     code = "trajectory-exit"
 

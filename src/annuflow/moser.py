@@ -14,18 +14,15 @@ The iteration is the smoothed Newton scheme
 whose parameters must satisfy the convergence constraints checked by
 MoserConfig.validate().
 
-Every state of the iteration is radially symmetric (``steady.solve_steady``
-solves along r), so T and Id + K are taken in closed form from psi's
-column cubic s, with no level chart: {psi < lambda} is the annulus
-Ri <= r < s^-1(lambda), so the level of area mu is lam_mu = s(r_mu) with
-r_mu = sqrt(Ri^2 + mu/pi), and K's row at mu is F'(lam_mu) phi(r_mu), the
-travel times of the transport and of the loop integral cancelling.
-``workspace(state)`` stores these on the state, and the maps between the
-area grid and the radii, which depend on the grid alone, are stored on
-the grid.  ``dt``, ``k_apply`` and Id + K solve along r (``steady.ds``,
-``elliptic.solve_radial``); a state whose psi varies in theta raises
-ValueError.  The vorticity chart of ``orbit.dist_chart`` stays the
-independent cross-check of T in ``t_map`` and ``moser_solve``.
+Every state of the iteration is radially symmetric, so T and Id + K come
+in closed form from psi's column cubic s, with no level chart: with the
+levels lam_mu = s(r_mu) of ``orbit.radial_levels``, T(F) = F(lam_mu), and
+K's row at mu is F'(lam_mu) phi(r_mu), the travel times of the transport
+and of the loop integral cancelling.  ``workspace(state)`` is stored on
+the state.  ``dt``, ``k_apply`` and Id + K solve along r; a state whose
+psi varies in theta raises ValueError.  The vorticity chart of
+``orbit.dist_chart`` stays the independent cross-check of T in ``t_map``
+and ``moser_solve``.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from .curves import Curve1D, Monotone1D, fit_cubic, solve_increasing
 from .elliptic import radial_psi, solve_radial
 from .errors import (AnnuflowError, DivergedError, InnerSolveFailureError,
                      NotMonotoneError, SingularIdPlusKError)
-from .orbit import GRAD_FLOOR_REL, N_MU, _check_slope, dist_chart
+from .orbit import N_MU, _area_levels, dist_chart, radial_levels
 from .steady import Profile1D, SteadyState, ds, solve_steady
 from .tame import smooth
 
@@ -112,39 +109,30 @@ class MoserTrace:
 # per-state workspace: orbit label and Id + K in closed form along r
 # ---------------------------------------------------------------------------
 
-def _area_operators(grid):
-    """The area grid mu, E (Nr, N_MU), the mu-grid cardinal splines at the
-    area pi (r^2 - Ri^2) inside each grid circle, and C (N_MU, Nr), the
-    r-grid cardinal splines at r_mu = sqrt(Ri^2 + mu/pi); built on first
-    use and stored on the grid (an attribute outside its dataclass fields)."""
-    ops = vars(grid).get("_area_operators")
-    if ops is None:
-        mu = np.linspace(0.0, grid.area, N_MU)
-        r_mu = np.minimum(np.sqrt(grid.Ri**2 + mu / np.pi), grid.Ro)
-        ops = vars(grid)["_area_operators"] = (
-            mu, fit_cubic(mu, np.eye(N_MU))(np.pi * (grid.r**2 - grid.Ri**2)),
-            fit_cubic(grid.r, np.eye(grid.Nr))(r_mu))
-    return ops
+def _area_spread(grid):
+    """E (Nr, N_MU), the mu-grid cardinal splines at the area pi (r^2 - Ri^2)
+    inside each grid circle, stored on the grid as orbit._area_levels is."""
+    if "_area_spread" not in vars(grid):
+        area = np.pi * (grid.r**2 - grid.Ri**2)
+        vars(grid)["_area_spread"] = fit_cubic(_area_levels(grid)[0], np.eye(N_MU))(area)
+    return vars(grid)["_area_spread"]
 
 
 class StateWorkspace:
     """Orbit label and assembled Id + K of one radially symmetric steady
-    state, from psi's column cubic s (module docstring).  s must increase
-    on [Ri, Ro] with its slope above GRAD_FLOOR_REL times its range
-    (CriticalPointError otherwise).  The workspace holds no reference to
-    its state, so a dropped state is freed at once with its workspace."""
+    state, from psi's column cubic s (module docstring).  The workspace
+    holds no reference to its state, so a dropped state is freed at once
+    with its workspace."""
 
     def __init__(self, state: SteadyState):
         g = state.psi.grid
         self.F = state.F
         self.grid = g
         self.psi = radial_psi(state.psi)          # along r
-        self._s = fit_cubic(g.r, self.psi[:, None])
-        _check_slope(self._s, GRAD_FLOOR_REL * np.ptp(self.psi), g.theta)
+        self._s, self.mu, self.lam_mu = radial_levels(g, self.psi, np.ptp(self.psi))
         # A_psi'(min psi), the slope of VB's continuation below min psi
         self.area_slope_min = 2 * np.pi * g.Ri / self._s(g.Ri, 1)[0]
-        self.mu, self._E, self._C = _area_operators(g)
-        self.lam_mu = self._C @ self.psi
+        self._C, self._E = _area_levels(g)[1], _area_spread(g)
         self._fprime_mu = state.F.d1(self.lam_mu)
         self._id_plus_k = None
         self.singular_values = None         # of Id + K, descending
@@ -192,12 +180,8 @@ def workspace(state: SteadyState) -> StateWorkspace:
 
 def t_map(F: Profile1D, gamma: float, grid, cross_check=True):
     """Orbit label of the steady state of profile F: the inverse
-    distribution function of its vorticity on [0, |domain|].
-
-    Computed in closed form from the stream function's column; the direct
-    vorticity-chart computation is used as a cross-check and a mismatch
-    beyond 5 h^2 relative is reported.
-    """
+    distribution function of its vorticity on [0, |domain|], in closed
+    form; a miss of the vorticity chart beyond 5 h^2 relative warns."""
     import warnings
 
     state = solve_steady(F, gamma, grid=grid)
@@ -398,10 +382,10 @@ class UniquenessReport:
 
 def uniqueness_probe(state_a: SteadyState, state_b: SteadyState,
                      tol) -> UniquenessReport:
-    """Compare orbit labels and stream functions of two nearby states on
-    one grid: on a shared orbit the states must agree."""
-    qa = dist_chart(state_a.omega).area_grid.lam_mu
-    qb = dist_chart(state_b.omega).area_grid.lam_mu
+    """Compare the orbit labels T(F) and stream functions of two nearby
+    states on one grid: on a shared orbit the states must agree."""
+    qa = workspace(state_a).t_values()
+    qb = workspace(state_b).t_values()
     q_dist = float(np.abs(qa - qb).max())
     psi_dist = float(np.abs(state_a.psi.values - state_b.psi.values).max())
     return UniquenessReport(q_dist, psi_dist, float(tol))

@@ -13,8 +13,10 @@ R/w_r, and the levels of a field constant in theta are circles, charted
 from its first column alone.  All level-set quantities are periodic
 trapezoid sums over s, and a field is read at the nodes from its cubics
 along the rays.  A chart's distribution is A alone, the polar area inside
-each level, which the same root finder inverts pointwise; dist_fn
-returns A with a tabulated inverse.
+each level, which the same root finder inverts pointwise.
+``radial_levels`` owns the orbit label of a field constant in theta, with
+no chart: {w < lambda} is Ri <= r < s^-1(lambda), s the column cubic, so
+the level of area mu is lam_mu = s(r_mu), r_mu = sqrt(Ri^2 + mu/pi).
 The pushforward alone integrates an ODE, on a bicubic interpolant.
 """
 
@@ -30,23 +32,14 @@ from scipy.interpolate import RectBivariateSpline
 
 from .curves import Curve1D, Monotone1D, fit_cubic, solve_increasing
 from .elliptic import NdReport, solve_poisson, theta_constant
-from .errors import (AreaMismatchError, CriticalPointError, NotInFplusError,
-                     NotTangentError, NonpositiveFprimeError, TrajectoryExitError)
+from .errors import (CriticalPointError, NotInFplusError, NotTangentError,
+                     NonpositiveFprimeError, TrajectoryExitError)
 from .grid import Field2D, divergence, gradient, integrate, poisson_bracket
 
 CHART_TOL = 1e-10
 GRAD_FLOOR_REL = 1e-6
-AREA_TOL_REL = 5e-3
 
 _PAD = 4
-
-
-def _theta_padding(g):
-    """The theta grid padded by _PAD periodic copies at each end, and the
-    grid column each padded column copies."""
-    theta_ext = np.concatenate([g.theta[-_PAD:] - 2 * np.pi, g.theta,
-                                g.theta[:_PAD] + 2 * np.pi])
-    return theta_ext, np.r_[g.Ns - _PAD:g.Ns, 0:g.Ns, 0:_PAD]
 
 
 class FieldSpline:
@@ -54,9 +47,11 @@ class FieldSpline:
 
     def __init__(self, f: Field2D):
         g = f.grid
-        theta_ext, cols = _theta_padding(g)
-        self._spl = RectBivariateSpline(g.r, theta_ext, f.values[:, cols],
-                                        kx=3, ky=3)
+        # the theta grid padded by _PAD periodic copies at each end
+        theta_ext = np.concatenate([g.theta[-_PAD:] - 2 * np.pi, g.theta,
+                                    g.theta[:_PAD] + 2 * np.pi])
+        cols = np.r_[g.Ns - _PAD:g.Ns, 0:g.Ns, 0:_PAD]
+        self._spl = RectBivariateSpline(g.r, theta_ext, f.values[:, cols], kx=3, ky=3)
         # the radii, not the grid: pushforward's integrand keeps this spline
         # in solve_ivp's reference cycle, which must not hold the grid
         self._radii = (g.Ri, g.Ro)
@@ -75,6 +70,27 @@ class FieldSpline:
 
 
 N_MU = 129
+
+
+def _area_levels(grid):
+    """The area grid mu and C (N_MU, Nr), the r-grid cardinal splines at
+    r_mu = sqrt(Ri^2 + mu/pi); built on first use and stored on the grid
+    (an attribute outside its dataclass fields)."""
+    if "_area_levels" not in vars(grid):
+        mu = np.linspace(0.0, grid.area, N_MU)
+        r_mu = np.minimum(np.sqrt(grid.Ri**2 + mu / np.pi), grid.Ro)
+        vars(grid)["_area_levels"] = mu, fit_cubic(grid.r, np.eye(grid.Nr))(r_mu)
+    return vars(grid)["_area_levels"]
+
+
+def radial_levels(grid, column, scale):
+    """The column cubic s of a field constant in theta, the area grid mu and
+    the levels lam_mu = s(r_mu) = C @ column (module docstring).  s's slope
+    must stay above GRAD_FLOOR_REL times scale (CriticalPointError)."""
+    s = fit_cubic(grid.r, column[:, None])
+    _check_slope(s, GRAD_FLOOR_REL * scale, grid.theta)
+    mu, C = _area_levels(grid)
+    return s, mu, C @ column
 
 
 class AreaGrid(NamedTuple):
@@ -128,21 +144,11 @@ class LevelChart:
 
     @cached_property
     def distribution(self) -> Monotone1D:
-        """A(lambda) = |{w < lambda}| on the chart levels, inverted pointwise
-        by A.eval_inverse.  A is the polar area inside each level,
-        1/2 of the loop integral of R^2 - Ri^2 over theta, by the periodic
-        trapezoid rule; its relative miss of the annulus area on the outer
-        circle is kept as A.area_discrepancy (error beyond AREA_TOL_REL)."""
-        Ri = self.grid.Ri
-        area = np.pi * _loop_sum(self, self.r**2 - Ri**2)
-        total = self.grid.area
-        disc = (area[-1] - total) / total
-        if abs(disc) > AREA_TOL_REL:
-            raise AreaMismatchError(
-                f"area misses |domain| by {disc:.2%}", discrepancy=disc)
-        A = Monotone1D(self.omega_min, self.omega_max, area)
-        A.area_discrepancy = float(disc)
-        return A
+        """A(lambda) = |{w < lambda}| on the chart levels: the polar area
+        inside each level, 1/2 of the loop integral of R^2 - Ri^2 over
+        theta by the periodic trapezoid rule; A.eval_inverse inverts it."""
+        area = np.pi * _loop_sum(self, self.r**2 - self.grid.Ri**2)
+        return Monotone1D(self.omega_min, self.omega_max, area)
 
     @cached_property
     def area_grid(self) -> AreaGrid:
@@ -289,8 +295,15 @@ def dist_chart(omega: Field2D) -> LevelChart:
 
 
 def dist_fn(omega: Field2D):
-    """Distribution function A(lambda) = |{w < lambda}| and its inverse:
-    the distribution of dist_chart(omega), with its inverse tabulated."""
+    """Distribution function A(lambda) = |{w < lambda}| and its inverse.  For
+    a field constant in theta (its range as the scale) the inverse is
+    radial_levels' lam_mu on the area grid and A solves it pointwise; any
+    other field takes dist_chart(omega)'s A, its inverse tabulated."""
+    wmin, wmax = _boundary_levels(omega)
+    if theta_constant(omega.values, wmax - wmin):
+        _, mu, lam_mu = radial_levels(omega.grid, omega.values[:, 0], wmax - wmin)
+        Ainv = Monotone1D(mu[0], mu[-1], lam_mu)
+        return Ainv.inverse(), Ainv
     A = dist_chart(omega).distribution
     return A, A.inverse()
 

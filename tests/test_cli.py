@@ -215,26 +215,26 @@ def test_solve_deep_expression(tmp_path, capsys, deep):
 
 
 def test_dist_roundtrip(tmp_path, capsys):
+    # Ainv.csv is the state's orbit label T(F) on the area grid, and A.csv
+    # the same samples the other way round: A(Ainv(mu)) = mu at every row
     code, _ = run(capsys, "solve", "--profile", "0.5*s-1",
                   "--gamma", str(-4 * np.pi), "--out", str(tmp_path))
     assert code == 0
     code, payload = run(capsys, "dist", "--state", str(tmp_path / "state.json"),
                         "--out", str(tmp_path))
     assert code == 0
+    assert abs(payload["area_discrepancy"]) < 1e-15
     lam, A = read_curve_csv(tmp_path / "A.csv")
     mu, ainv = read_curve_csv(tmp_path / "Ainv.csv")
-    # round trip: A(Ainv(mu)) = mu on the interior (monotone interpolation
-    # of the written samples)
-    from scipy.interpolate import PchipInterpolator
-    interior = slice(1, -1)
-    back = PchipInterpolator(lam, A)(ainv)
-    assert np.abs(back[interior] - mu[interior]).max() < 1e-3 * mu[-1]
+    assert mu.size == 129 and mu[0] == 0.0 and mu[-1] == 3 * np.pi
+    assert np.array_equal(lam, ainv) and np.array_equal(A, mu)
+    assert (np.diff(ainv) > 0).all()
 
 
 def test_dist_reads_row_major_state_file(tmp_path, capsys):
     # a file of the older format, row-major "psi" with the stored "omega"
     # and "inner_value", gives the same A.csv and Ainv.csv bytes as the
-    # column file of the same state
+    # column file of the same state: dist reads psi's column and F alone
     run(capsys, "solve", "--profile", "0.5*s-1", "--gamma", str(-4 * np.pi),
         "--grid", "32,64", "--out", str(tmp_path / "new"))
     d = json.loads((tmp_path / "new" / "state.json").read_text())
@@ -251,6 +251,92 @@ def test_dist_reads_row_major_state_file(tmp_path, capsys):
     for name in ("A.csv", "Ainv.csv"):
         assert ((tmp_path / "new" / name).read_bytes()
                 == (tmp_path / "old" / name).read_bytes())
+
+
+def test_dist_builds_no_chart_and_calls_no_moser(tmp_path, capsys, monkeypatch):
+    from annuflow import orbit
+
+    run(capsys, "solve", "--profile", "0.5*s-1", "--gamma", str(-4 * np.pi),
+        "--grid", "32,64", "--out", str(tmp_path))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("level_chart called")
+
+    monkeypatch.setattr(orbit, "level_chart", refused)
+    monkeypatch.setattr(cli, "moser", None)
+    code, _ = run(capsys, "dist", "--state", str(tmp_path / "state.json"),
+                  "--out", str(tmp_path))
+    assert code == 0
+
+
+def test_dist_refuses_a_state_that_varies_in_theta(tmp_path, capsys):
+    run(capsys, "solve", "--profile", "0.5*s-1", "--gamma", str(-4 * np.pi),
+        "--grid", "16,32", "--out", str(tmp_path))
+    d = json.loads((tmp_path / "state.json").read_text())
+    psi = np.array(d.pop("psi_r"))[:, None] * (1 + 1e-3 * np.sin(np.arange(d["Ns"])))
+    d["psi"] = psi.ravel().tolist()
+    (tmp_path / "state.json").write_text(json.dumps(d))
+    code, payload = run(capsys, "dist", "--state", str(tmp_path / "state.json"),
+                        "--out", str(tmp_path))
+    assert code == 2
+    assert payload["error"] == "invalid-input"
+    assert "varies in theta" in payload["message"]
+
+
+def test_dist_refuses_a_decreasing_orbit_label(tmp_path, capsys):
+    # a decreasing profile's vorticity decreases outward: T(F) is no
+    # inverse distribution function
+    run(capsys, "solve", "--profile", "1-0.5*s", "--gamma", str(-4 * np.pi),
+        "--grid", "16,32", "--out", str(tmp_path))
+    code, payload = run(capsys, "dist", "--state", str(tmp_path / "state.json"),
+                        "--out", str(tmp_path))
+    assert code == 2
+    assert payload["error"] == "not-monotone"
+
+
+@pytest.mark.parametrize("grid", ["16,70", "64,128"])
+@pytest.mark.parametrize("profile", ["0.5*s-1", "0.5*s-1-0.03*s*s"])
+def test_solve_dist_invert_round_trip(tmp_path, capsys, profile, grid):
+    # the documented workflow: invert recovers a state from the Ainv.csv
+    # that dist wrote for it, from another start and with no --cbar
+    from annuflow.moser import workspace
+    from annuflow.orbit import dist_chart
+
+    gamma = str(-4 * np.pi)
+    assert run(capsys, "solve", "--profile", profile, "--gamma", gamma,
+               "--grid", grid, "--out", str(tmp_path))[0] == 0
+    assert run(capsys, "dist", "--state", str(tmp_path / "state.json"),
+               "--out", str(tmp_path))[0] == 0
+    mu, ainv = read_curve_csv(tmp_path / "Ainv.csv")
+    state = state_from_json((tmp_path / "state.json").read_text())
+    ws = workspace(state)
+    assert np.array_equal(mu, ws.mu) and np.array_equal(ainv, ws.t_values())
+    # the vorticity chart, the independent path, agrees within 5 h^2
+    chart = dist_chart(state.omega).area_grid.lam_mu
+    h2 = state.psi.grid.h**2
+    assert np.abs(ainv - chart).max() < 5 * h2 * np.ptp(ainv)
+    code, payload = run(capsys, "invert", "--profile", "0.45*s-1", "--gamma", gamma,
+                        "--grid", grid, "--target", str(tmp_path / "Ainv.csv"),
+                        "--out", str(tmp_path / "inv"))
+    assert code == 0, payload
+    assert payload["residual"] < 1e-8
+    inverted = state_from_json((tmp_path / "inv" / "state.json").read_text())
+    assert np.abs(inverted.psi.values - state.psi.values).max() < 5 * h2
+
+
+def test_solve_expression_with_a_slash(tmp_path, capsys):
+    # "/" is grammar v1's division, not a path separator, unless no file
+    # exists and the argument does not parse
+    for name, profile in (("slash", "s/2-1"), ("times", "0.5*s-1")):
+        code, _ = run(capsys, "solve", "--profile", profile, "--gamma", "-6.28",
+                      "--grid", "16,32", "--out", str(tmp_path / name))
+        assert code == 0
+    assert ((tmp_path / "slash" / "state.json").read_bytes()
+            == (tmp_path / "times" / "state.json").read_bytes())
+    code, payload = run(capsys, "solve", "--profile", str(tmp_path / "nope"),
+                        "--gamma", "-6.28", "--out", str(tmp_path))
+    assert code == 2
+    assert payload["error"] == "profile-not-found"
 
 
 def test_write_curve_csv_bytes(tmp_path):

@@ -89,7 +89,8 @@ def test_t_map_endpoints(ref, grid64):
 
 def test_workspace_builds_no_level_chart(monkeypatch, grid32):
     # a radial state's orbit label, Id + K, DT and VB come from psi's column
-    # cubic in closed form: no level chart is built on the way
+    # cubic in closed form (orbit.radial_levels): no level chart is built
+    # on the way
     from annuflow import orbit
 
     state = solve_steady(fbar(), GAMMA, grid=grid32)
@@ -105,15 +106,22 @@ def test_workspace_builds_no_level_chart(monkeypatch, grid32):
     assert np.isfinite(vm(state, g).values).all()
     assert np.isfinite(dt(state, vb(state, g)).values).all()
     assert np.isfinite(ws.t_values()).all()
+    # nor does the uniqueness probe, which compares closed-form labels
+    other = solve_steady(fbar(), GAMMA, grid=grid32)
+    assert uniqueness_probe(state, other, tol=1e-8).verdict == "same-orbit-same-state"
 
 
 def test_t_map_paths_agree(ref, grid64):
+    # T(F) from psi's column against the two vorticity paths: the closed
+    # form of omega's column (dist_fn) and the independent vorticity chart
+    from annuflow.orbit import dist_chart
     curve, state = ref
-    from annuflow.orbit import dist_fn
-    _, ainv = dist_fn(state.omega)
     mus = np.linspace(0, grid64.area, 129)
     scale = np.ptp(curve.values)
-    assert np.abs(ainv(mus) - curve(mus)).max() < 5 * grid64.h**2 * scale
+    chart = dist_chart(state.omega).area_grid
+    assert np.array_equal(chart.mu, mus)
+    for q in (dist_fn(state.omega)[1](mus), chart.lam_mu):
+        assert np.abs(q - curve(mus)).max() < 5 * grid64.h**2 * scale
 
 
 def test_t_map_refines_at_second_order(bump_profile):
@@ -198,12 +206,13 @@ def test_vb_random_roundtrip(ref, grid64):
 def test_unevaluated_curves_fit_nothing(ref):
     # a VB direction evaluates through its composition, and its smoothed
     # samples only feed arithmetic: neither fits an interpolant, nor does
-    # the tabulated inverse of a distribution until it is evaluated
+    # the tabulated inverse of a distribution until it is evaluated (for a
+    # radial field, A: the inverse of the closed-form A^-1)
     _, state = ref
     g = Curve1D(0.0, state.psi.grid.area, np.sin(np.linspace(0.0, 3.0, 129)))
     f = vb(state, g)
     ds(state, f)
-    curves = (f, smooth(f, 8.0), dist_fn(state.omega)[1])
+    curves = (f, smooth(f, 8.0), dist_fn(state.omega)[0])
     assert not any("_spline" in vars(c) for c in curves)
     assert "_spline" in vars(g)
 

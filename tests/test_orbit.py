@@ -299,7 +299,9 @@ def test_coarea_identity_battery(omega_wavy, chart_wavy, grid64):
 def test_dist_fn_of_a_wide_sweep_profile(Nr, Ns):
     # a steep profile with a low offset (the first that the wide parameter
     # sweep drew with a travel time too uneven for 64 chart rows): the
-    # polar area inside each level covers |domain| up to rounding
+    # inverse distribution of its radial vorticity comes from its column
+    # on the area grid, from the inner boundary value to the outer one,
+    # and A is its pointwise inverse
     g = make_annulus(1.0, 2.0, Nr, Ns)
 
     def fn(s):
@@ -309,12 +311,55 @@ def test_dist_fn_of_a_wide_sweep_profile(Nr, Ns):
     F = Profile1D.from_callable(fn, default_cbar(psi0))
     omega = solve_steady(F, GAMMA4, psi0=psi0).omega
     A, ainv = dist_fn(omega)
-    assert abs(A.area_discrepancy) < 1e-14
-    assert A.values[0] == 0.0 and A.values[-1] == pytest.approx(g.area, rel=1e-15)
+    assert (ainv.a, ainv.b, ainv.values.size) == (0.0, g.area, orbit.N_MU)
+    assert ainv.values[0] == omega.values[0, 0]
+    assert ainv.values[-1] == pytest.approx(omega.values[-1, 0], rel=1e-14)
     # a level's area against the per-cell area count of the field
     lam = 0.5 * (A.a + A.b)
     assert A(lam) == pytest.approx(sublevel_area(omega, lam), rel=g.h**2)
     assert ainv(A(lam)) == pytest.approx(lam, rel=1e-12)
+
+
+def test_dist_fn_of_a_radial_field_charts_nothing(monkeypatch, bump_fields):
+    # a field constant in theta, even by rounding alone (16x70), is
+    # inverted from its first column: A^-1 is the column's closed form on
+    # the area grid, with no level chart
+    def refused(*args, **kwargs):
+        raise AssertionError("a radial field was charted")
+
+    monkeypatch.setattr(orbit, "level_chart", refused)
+    for name in ("64x128", "16x70"):
+        omega = bump_fields[name, "omega"][0]
+        g = omega.grid
+        _, ainv = dist_fn(omega)
+        _, mu, lam_mu = orbit.radial_levels(g, omega.values[:, 0], np.ptp(omega.values))
+        assert np.array_equal(ainv.values, lam_mu)
+        assert np.array_equal(ainv.grid_x(), mu)
+
+
+def test_dist_fn_of_a_radial_field_keeps_its_refusals(grid32, grid64):
+    # a constant field is not in F+; a column whose cubic turns back
+    # between grid radii has a critical point
+    with pytest.raises(NotInFplusError):
+        dist_fn(grid64.constant(1.0))
+    g = grid32
+    turn = g.field_from(lambda r, t: 0.05 * (r - 1)
+                        + np.tanh((r - 1.5 - 0.3 * g.hr) / 0.01))
+    with pytest.raises(CriticalPointError, match="between grid radii"):
+        dist_fn(turn)
+
+
+def test_dist_fn_refines(bump_profile):
+    # the inverse distribution of the bump state's vorticity on the area
+    # grid over three grids: the closed form of its column converges at
+    # order about 3.2 (a 64-row chart's PCHIP inverse did not converge)
+    Q = []
+    for nr in (32, 64, 128):
+        g = make_annulus(1.0, 2.0, nr, 2 * nr)
+        omega = solve_steady(bump_profile, GAMMA4, grid=g).omega
+        Q.append(dist_fn(omega)[1](np.linspace(0.0, g.area, orbit.N_MU)))
+    gaps = [np.abs(a - b).max() for a, b in zip(Q, Q[1:])]
+    assert np.log2(gaps[0] / gaps[1]) >= 1.8, gaps
 
 
 def test_dist_radial_closed_form(omega_r2, chart_r2):
@@ -326,7 +371,8 @@ def test_dist_radial_closed_form(omega_r2, chart_r2):
     assert abs(Ainv(np.pi) - 2.0) < 1e-5
     mus = np.linspace(0, 3 * np.pi, 33)
     assert np.abs(Ainv(mus) - (1 + mus / np.pi)).max() < 1e-5
-    assert abs(A.area_discrepancy) < 5e-3
+    # the outer circle holds the whole annulus
+    assert A.values[-1] == pytest.approx(3 * np.pi, rel=1e-14)
 
 
 def test_dist_aprime_constant(chart_r2):
@@ -354,7 +400,6 @@ def test_dist_fn_is_its_chart_distribution(grid32):
     assert A.values.size == 64
     assert np.array_equal(A.values, ref.values)
     assert np.array_equal(Ainv.values, ref.inverse().values)
-    assert A.area_discrepancy == ref.area_discrepancy
     mus = np.linspace(0.0, grid32.area, 33)
     assert np.array_equal(Ainv(mus), ref.eval_inverse(mus))
 
