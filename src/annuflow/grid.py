@@ -6,18 +6,23 @@ periodic on [0, 2*pi).  All differential operators are second order:
 central stencils inside, one-sided at the radial boundaries.  The
 quadrature is a trapezoid rule in r (with a small moment correction that
 makes it exact for radial polynomials up to degree 5) times the periodic
-rectangle rule in theta.  A grid holds its nodes and weights only: the
-solvers of ``elliptic`` are built by the call that uses them.
+rectangle rule in theta.  A grid holds its nodes and weights, and builds
+on first use the area grid mu of orbit labels and the cardinal cubics
+between mu and r; the solvers of ``elliptic`` are built by their caller.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .curves import fit_cubic
 from .errors import InvalidGeometryError
+
+N_MU = 129
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,6 +45,25 @@ class AnnulusGrid:
     def h(self):
         """Resolution scale used in O(h^2) tolerances."""
         return max(self.hr, self.Ri * self.htheta)
+
+    def circle_radius(self, area):
+        """The radius r <= Ro of the circle with pi (r^2 - Ri^2) = area."""
+        return np.minimum(np.sqrt(self.Ri**2 + area / np.pi), self.Ro)
+
+    @cached_property
+    def mu(self):
+        """The area grid: N_MU uniform areas on [0, |annulus|]."""
+        return np.linspace(0.0, self.area, N_MU)
+
+    @cached_property
+    def area_levels(self):
+        """C (N_MU, Nr): the r-grid cardinal cubics at the circles of area mu."""
+        return fit_cubic(self.r, np.eye(self.Nr))(self.circle_radius(self.mu))
+
+    @cached_property
+    def area_spread(self):
+        """E (Nr, N_MU): the mu-grid cardinal cubics at the grid circles' areas."""
+        return fit_cubic(self.mu, np.eye(N_MU))(np.pi * (self.r**2 - self.Ri**2))
 
     def field(self, values):
         values = np.asarray(values, dtype=float)

@@ -16,26 +16,28 @@ MoserConfig.validate().
 
 Every state of the iteration is radially symmetric, so T and Id + K come
 in closed form from psi's column cubic s, with no level chart: with the
-levels lam_mu = s(r_mu) of ``orbit.radial_levels``, T(F) = F(lam_mu), and
-K's row at mu is F'(lam_mu) phi(r_mu), the travel times of the transport
-and of the loop integral cancelling.  ``workspace(state)`` is stored on
-the state.  ``dt``, ``k_apply`` and Id + K solve along r; a state whose
-psi varies in theta raises ValueError.  The vorticity chart of
-``orbit.dist_chart`` stays the independent cross-check of T in ``t_map``
-and ``moser_solve``.
+levels lam_mu = s(r_mu) of ``orbit.radial_levels`` on the grid's area
+grid mu, T(F) = F(lam_mu), and K's row at mu is F'(lam_mu) phi(r_mu),
+the travel times of the transport and of the loop integral cancelling.
+``workspace(state)`` is stored on the state.  ``dt``, ``k_apply`` and
+Id + K solve along r; a state whose psi varies in theta raises
+ValueError.  The vorticity chart of ``orbit.dist_chart`` stays the
+independent check of T: ``chart_cross_check`` reads it at its own levels,
+for ``t_map`` and for the result of ``moser_solve``.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .curves import Curve1D, Monotone1D, fit_cubic, solve_increasing
+from .curves import Curve1D, Monotone1D, solve_increasing
 from .elliptic import radial_psi, solve_radial
 from .errors import (AnnuflowError, DivergedError, InnerSolveFailureError,
                      NotMonotoneError, SingularIdPlusKError)
-from .orbit import N_MU, _area_levels, dist_chart, radial_levels
+from .orbit import dist_chart, radial_levels
 from .steady import Profile1D, SteadyState, ds, solve_steady
 from .tame import smooth
 
@@ -109,15 +111,6 @@ class MoserTrace:
 # per-state workspace: orbit label and Id + K in closed form along r
 # ---------------------------------------------------------------------------
 
-def _area_spread(grid):
-    """E (Nr, N_MU), the mu-grid cardinal splines at the area pi (r^2 - Ri^2)
-    inside each grid circle, stored on the grid as orbit._area_levels is."""
-    if "_area_spread" not in vars(grid):
-        area = np.pi * (grid.r**2 - grid.Ri**2)
-        vars(grid)["_area_spread"] = fit_cubic(_area_levels(grid)[0], np.eye(N_MU))(area)
-    return vars(grid)["_area_spread"]
-
-
 class StateWorkspace:
     """Orbit label and assembled Id + K of one radially symmetric steady
     state, from psi's column cubic s (module docstring).  The workspace
@@ -129,10 +122,10 @@ class StateWorkspace:
         self.F = state.F
         self.grid = g
         self.psi = radial_psi(state.psi)          # along r
-        self._s, self.mu, self.lam_mu = radial_levels(g, self.psi, np.ptp(self.psi))
+        self._s, self.lam_mu = radial_levels(g, self.psi, np.ptp(self.psi))
         # A_psi'(min psi), the slope of VB's continuation below min psi
         self.area_slope_min = 2 * np.pi * g.Ri / self._s(g.Ri, 1)[0]
-        self._C, self._E = _area_levels(g)[1], _area_spread(g)
+        self._C = g.area_levels
         self._fprime_mu = state.F.d1(self.lam_mu)
         self._id_plus_k = None
         self.singular_values = None         # of Id + K, descending
@@ -155,12 +148,13 @@ class StateWorkspace:
         return self._fprime_mu * (self._C @ radial_psi(phi))
 
     def assembled_id_plus_k(self):
-        """Id + K = Id + diag(F'(lam_mu)) C A^-1 E on the mu grid, with A^-1
-        one mode-0 solve of the linearization Delta - F'(psi) for all N_MU
-        columns (E at the psi nodes is VB of the mu-grid cardinal splines)."""
+        """Id + K = Id + diag(F'(lam_mu)) C A^-1 E on the mu grid (C and E
+        the grid's area_levels and area_spread), with A^-1 one mode-0 solve
+        of the linearization Delta - F'(psi) for all columns (E at the psi
+        nodes is VB of the mu-grid cardinal splines)."""
         if self._id_plus_k is None:
-            phi = solve_radial(self.grid, -self.F.d1(self.psi), self._E, 0.0)
-            self._id_plus_k = np.eye(N_MU) + self._fprime_mu[:, None] * (self._C @ phi)
+            phi = solve_radial(self.grid, -self.F.d1(self.psi), self.grid.area_spread, 0.0)
+            self._id_plus_k = np.eye(self.lam_mu.size) + self._fprime_mu[:, None] * (self._C @ phi)
             self.singular_values = np.linalg.svd(self._id_plus_k, compute_uv=False)
         return self._id_plus_k
 
@@ -178,21 +172,27 @@ def workspace(state: SteadyState) -> StateWorkspace:
 # T, DT, VB, K, VM, L
 # ---------------------------------------------------------------------------
 
+def chart_cross_check(state: SteadyState) -> float:
+    """The independent check of a radial state's T(F): the largest miss of
+    the vorticity chart's own levels lam_t (``orbit.dist_chart``) from T(F)
+    at the chart's polar areas A_t, F(s(r)) with pi (r^2 - Ri^2) = A_t.
+    No inverse is tabulated, so the gap falls with the grid."""
+    ws = workspace(state)
+    chart = dist_chart(state.omega)
+    r = ws.grid.circle_radius(chart.distribution.values)
+    return float(np.abs(chart.levels - ws.F(ws._s(r)[:, 0])).max())
+
+
 def t_map(F: Profile1D, gamma: float, grid, cross_check=True):
     """Orbit label of the steady state of profile F: the inverse
     distribution function of its vorticity on [0, |domain|], in closed
-    form; a miss of the vorticity chart beyond 5 h^2 relative warns."""
-    import warnings
-
+    form; a chart_cross_check beyond 5 h^2 of T's range warns."""
     state = solve_steady(F, gamma, grid=grid)
-    ws = workspace(state)
-    vals = ws.t_values()
+    vals = workspace(state).t_values()
     curve = Monotone1D(0.0, state.psi.grid.area, vals)
     if cross_check:
-        direct = dist_chart(state.omega).area_grid.lam_mu
-        scale = max(float(np.ptp(vals)), 1e-300)
+        gap = chart_cross_check(state) / max(float(np.ptp(vals)), 1e-300)
         tol = 5 * state.psi.grid.h**2
-        gap = float(np.abs(direct - vals).max()) / scale
         if gap > tol:
             warnings.warn(f"distribution paths disagree by {gap:.2e} "
                           f"(relative), tolerance {tol:.2e}", stacklevel=2)
@@ -262,7 +262,7 @@ def vm(state: SteadyState, h: Curve1D) -> Curve1D:
         raise SingularIdPlusKError(
             f"Id+K nearly singular: sigma_min/sigma_max = {sv[-1]/sv[0]:.3e}",
             sigma_min=float(sv[-1]))
-    g = np.linalg.solve(M, h(ws.mu))
+    g = np.linalg.solve(M, h(ws.grid.mu))
     return Curve1D(0.0, state.psi.grid.area, g)
 
 
@@ -291,8 +291,8 @@ def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
     Returns (profile, its steady state, trace).  The residual trace records
     t_n, the sup-norm residual, the C1 update norm, repair flags and
     sigma_min/sigma_max of Id + K; the last row is flagged max-iter when
-    cfg.max_iter steps end without convergence.  The final state carries
-    the direct vorticity-chart cross-check in trace.final_cross_check.
+    cfg.max_iter steps end without convergence.  trace.final_cross_check
+    is the chart_cross_check of the final state.
     """
     cfg.validate()
     F = F0
@@ -314,7 +314,7 @@ def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
                 iteration=n) from exc
         psi0 = state.psi
         ws = workspace(state)
-        resid_vals = ws.t_values() - g_target(ws.mu)
+        resid_vals = ws.t_values() - g_target(grid.mu)
         residual = float(np.abs(resid_vals).max())
         t_n = cfg.schedule(n)
         if residual < cfg.floor_tol:
@@ -352,10 +352,7 @@ def moser_solve(F0: Profile1D, gamma: float, g_target: Monotone1D,
         # out of iterations without converging: say so on the last row
         *head, flags, ratio = trace.rows[-1]
         trace.rows[-1] = (*head, "+".join(filter(None, (flags, "max-iter"))), ratio)
-    # cross-check the recovered state against the direct vorticity path
-    direct = dist_chart(state.omega).area_grid
-    trace.final_cross_check = float(
-        np.abs(direct.lam_mu - g_target(direct.mu)).max())
+    trace.final_cross_check = chart_cross_check(state)
     return state.F, state, trace
 
 

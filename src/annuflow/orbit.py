@@ -16,7 +16,8 @@ along the rays.  A chart's distribution is A alone, the polar area inside
 each level, which the same root finder inverts pointwise.
 ``radial_levels`` owns the orbit label of a field constant in theta, with
 no chart: {w < lambda} is Ri <= r < s^-1(lambda), s the column cubic, so
-the level of area mu is lam_mu = s(r_mu), r_mu = sqrt(Ri^2 + mu/pi).
+the level of area mu is lam_mu = s(r_mu), r_mu = sqrt(Ri^2 + mu/pi), on
+the grid's area grid (``AnnulusGrid.mu``).
 The pushforward alone integrates an ODE, on a bicubic interpolant.
 """
 
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -69,42 +69,14 @@ class FieldSpline:
         return self._spl.ev(r, theta, dx=1), self._spl.ev(r, theta, dy=1)
 
 
-N_MU = 129
-
-
-def _area_levels(grid):
-    """The area grid mu and C (N_MU, Nr), the r-grid cardinal splines at
-    r_mu = sqrt(Ri^2 + mu/pi); built on first use and stored on the grid
-    (an attribute outside its dataclass fields)."""
-    if "_area_levels" not in vars(grid):
-        mu = np.linspace(0.0, grid.area, N_MU)
-        r_mu = np.minimum(np.sqrt(grid.Ri**2 + mu / np.pi), grid.Ro)
-        vars(grid)["_area_levels"] = mu, fit_cubic(grid.r, np.eye(grid.Nr))(r_mu)
-    return vars(grid)["_area_levels"]
-
-
 def radial_levels(grid, column, scale):
-    """The column cubic s of a field constant in theta, the area grid mu and
-    the levels lam_mu = s(r_mu) = C @ column (module docstring).  s's slope
-    must stay above GRAD_FLOOR_REL times scale (CriticalPointError)."""
+    """The column cubic s of a field constant in theta and its levels
+    lam_mu = s(r_mu) = grid.area_levels @ column on the area grid grid.mu
+    (module docstring).  s's slope must stay above GRAD_FLOOR_REL times
+    scale (CriticalPointError)."""
     s = fit_cubic(grid.r, column[:, None])
     _check_slope(s, GRAD_FLOOR_REL * scale, grid.theta)
-    mu, C = _area_levels(grid)
-    return s, mu, C @ column
-
-
-class AreaGrid(NamedTuple):
-    """The uniform area grid mu on [0, |domain|] (N_MU points) and the
-    levels lam_mu = A^{-1}(mu) of a chart's field."""
-
-    levels: np.ndarray
-    mu: np.ndarray
-    lam_mu: np.ndarray
-
-    def resample(self, level_values):
-        """Cubic interpolant of values on the chart levels (leading axis),
-        evaluated at lam_mu."""
-        return fit_cubic(self.levels, level_values)(self.lam_mu)
+    return s, grid.area_levels @ column
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +85,7 @@ class LevelChart:
     min w + t*(max w - min w), the curve r = R(theta) sampled at the grid's
     angles; row 0 on the inner circle, row 1 on the outer one.  The chart
     owns the level-set data built from it, each on first use: the travel
-    time, the distribution and the area grid."""
+    time, the distribution and its inverse on the grid's area grid."""
 
     grid: object
     t: np.ndarray                 # (Nt,)
@@ -151,9 +123,14 @@ class LevelChart:
         return Monotone1D(self.omega_min, self.omega_max, area)
 
     @cached_property
-    def area_grid(self) -> AreaGrid:
-        mu = np.linspace(0.0, self.grid.area, N_MU)
-        return AreaGrid(self.levels, mu, self.distribution.eval_inverse(mu))
+    def lam_mu(self):
+        """The levels lam_mu = A^{-1}(mu) on the grid's area grid mu."""
+        return self.distribution.eval_inverse(self.grid.mu)
+
+    def resample(self, level_values):
+        """Cubic interpolant of values on the chart levels (leading axis),
+        evaluated at lam_mu."""
+        return fit_cubic(self.levels, level_values)(self.lam_mu)
 
 
 def _boundary_levels(omega: Field2D):
@@ -301,8 +278,8 @@ def dist_fn(omega: Field2D):
     other field takes dist_chart(omega)'s A, its inverse tabulated."""
     wmin, wmax = _boundary_levels(omega)
     if theta_constant(omega.values, wmax - wmin):
-        _, mu, lam_mu = radial_levels(omega.grid, omega.values[:, 0], wmax - wmin)
-        Ainv = Monotone1D(mu[0], mu[-1], lam_mu)
+        _, lam_mu = radial_levels(omega.grid, omega.values[:, 0], wmax - wmin)
+        Ainv = Monotone1D(0.0, omega.grid.area, lam_mu)
         return Ainv.inverse(), Ainv
     A = dist_chart(omega).distribution
     return A, A.inverse()
@@ -355,17 +332,14 @@ def pushforward(omega: Field2D, alpha: Field2D, eps: float) -> Field2D:
 def dq(omega: Field2D, chart: LevelChart, nu: Field2D) -> Curve1D:
     """First derivative of the inverse distribution function in the
     direction nu: the level mean of nu, transported to the area variable."""
-    at_mu = chart.area_grid
-    num = at_mu.resample(j_over_grad(chart, nu).values)
-    return Curve1D(0.0, chart.grid.area,
-                   num / at_mu.resample(chart.travel_time))
+    num = chart.resample(j_over_grad(chart, nu).values)
+    return Curve1D(0.0, chart.grid.area, num / chart.resample(chart.travel_time))
 
 
 def d2q(omega: Field2D, chart: LevelChart, nu1: Field2D, nu2: Field2D) -> Curve1D:
     """Second derivative of the inverse distribution function: the
     four-term closed form built from loop integrals of div(nu N/|grad w|)."""
     g = omega.grid
-    at_mu = chart.area_grid
     gr, gt = gradient(omega)
     gn = np.sqrt(gr.values**2 + gt.values**2)
     nr = g.field(gr.values / gn)
@@ -382,9 +356,9 @@ def d2q(omega: Field2D, chart: LevelChart, nu1: Field2D, nu2: Field2D) -> Curve1
     w0 = div_term(np.ones_like(gn))
 
     def comp(u):
-        return at_mu.resample(j_over_grad(chart, u).values)
+        return chart.resample(j_over_grad(chart, u).values)
 
-    j1 = at_mu.resample(chart.travel_time)
+    j1 = chart.resample(chart.travel_time)
     jn1, jn2, jw1, jw2, jw12, jw0 = (comp(u) for u in (nu1, nu2, w1, w2, w12, w0))
     vals = (jn1 * jw2 / j1**2 + jn2 * jw1 / j1**2
             - jw0 * jn1 * jn2 / j1**3 - jw12 / j1)
@@ -401,7 +375,7 @@ def tangency_defect(chart: LevelChart, nu: Field2D) -> Curve1D:
     return j_over_grad(chart, nu)
 
 
-def tangent_tolerance(chart: LevelChart, nu: Field2D, rel=1e-6):
+def tangent_tolerance(chart: LevelChart, nu: Field2D, rel):
     return rel * max(np.abs(nu.values).max(), 1e-300) * chart.grid.area
 
 

@@ -25,9 +25,9 @@ from scipy.integrate import solve_bvp
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from annuflow.elliptic import _mode_blocks, _stencil
-from annuflow.grid import AnnulusGrid, Field2D, circulation_row
+from annuflow.grid import N_MU, AnnulusGrid, Field2D, circulation_row
 from annuflow.moser import _vb_compose, workspace
-from annuflow.orbit import N_MU, FieldSpline
+from annuflow.orbit import FieldSpline
 
 
 def _interior_laplacian(grid: AnnulusGrid, c):

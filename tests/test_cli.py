@@ -299,8 +299,7 @@ def test_dist_refuses_a_decreasing_orbit_label(tmp_path, capsys):
 def test_solve_dist_invert_round_trip(tmp_path, capsys, profile, grid):
     # the documented workflow: invert recovers a state from the Ainv.csv
     # that dist wrote for it, from another start and with no --cbar
-    from annuflow.moser import workspace
-    from annuflow.orbit import dist_chart
+    from annuflow.moser import chart_cross_check, workspace
 
     gamma = str(-4 * np.pi)
     assert run(capsys, "solve", "--profile", profile, "--gamma", gamma,
@@ -310,11 +309,10 @@ def test_solve_dist_invert_round_trip(tmp_path, capsys, profile, grid):
     mu, ainv = read_curve_csv(tmp_path / "Ainv.csv")
     state = state_from_json((tmp_path / "state.json").read_text())
     ws = workspace(state)
-    assert np.array_equal(mu, ws.mu) and np.array_equal(ainv, ws.t_values())
+    assert np.array_equal(mu, state.psi.grid.mu) and np.array_equal(ainv, ws.t_values())
     # the vorticity chart, the independent path, agrees within 5 h^2
-    chart = dist_chart(state.omega).area_grid.lam_mu
     h2 = state.psi.grid.h**2
-    assert np.abs(ainv - chart).max() < 5 * h2 * np.ptp(ainv)
+    assert chart_cross_check(state) < 5 * h2 * np.ptp(ainv)
     code, payload = run(capsys, "invert", "--profile", "0.45*s-1", "--gamma", gamma,
                         "--grid", grid, "--target", str(tmp_path / "Ainv.csv"),
                         "--out", str(tmp_path / "inv"))
@@ -537,6 +535,16 @@ def test_check_suites_pass(tmp_path, capsys, suite):
     assert payload["ok"]
     table = (tmp_path / f"check_{suite}.csv").read_text()
     assert table.splitlines()[0] == "check,value,threshold,pass"
+
+
+@pytest.mark.parametrize("grid", ["16,70", "32,64"])
+def test_coarea_suite_passes_on_coarse_grids(tmp_path, capsys, grid):
+    # the reference side is the exact integrand by its own quadrature, so
+    # the fixed 1e-3 bound measures the chart side alone (the grid
+    # integral of u |grad w| zeta(w) passed 2 and 5 of 6 windows here)
+    code, payload = run(capsys, "check", "--suite", "coarea", "--grid", grid,
+                        "--out", str(tmp_path))
+    assert code == 0 and payload["passed"] == payload["total"] == 6, payload
 
 
 def test_check_nd_factorizes_nothing(tmp_path, capsys, splu_calls):

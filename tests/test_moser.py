@@ -12,7 +12,7 @@ from annuflow.errors import (DivergedError, InnerSolveFailureError,
                              NoConvergenceError, SingularIdPlusKError)
 from annuflow.grid import make_annulus
 from annuflow.moser import (
-    MoserConfig, assemble_id_plus_k, config_from_text,
+    MoserConfig, assemble_id_plus_k, chart_cross_check, config_from_text,
     config_to_text, dt, k_apply, moser_solve, right_inverse, t_map,
     uniqueness_probe, vb, vm, workspace,
 )
@@ -101,8 +101,8 @@ def test_workspace_builds_no_level_chart(monkeypatch, grid32):
     monkeypatch.setattr(orbit, "level_chart", refused)
     monkeypatch.setattr(moser, "level_chart", refused, raising=False)
     ws = workspace(state)
-    assert ws.lam_mu.shape == ws.mu.shape == (129,)
-    g = Curve1D(0.0, grid32.area, np.sin(np.pi * ws.mu / grid32.area))
+    assert ws.lam_mu.shape == grid32.mu.shape == (129,)
+    g = Curve1D(0.0, grid32.area, np.sin(np.pi * grid32.mu / grid32.area))
     assert np.isfinite(vm(state, g).values).all()
     assert np.isfinite(dt(state, vb(state, g)).values).all()
     assert np.isfinite(ws.t_values()).all()
@@ -118,10 +118,19 @@ def test_t_map_paths_agree(ref, grid64):
     curve, state = ref
     mus = np.linspace(0, grid64.area, 129)
     scale = np.ptp(curve.values)
-    chart = dist_chart(state.omega).area_grid
-    assert np.array_equal(chart.mu, mus)
-    for q in (dist_fn(state.omega)[1](mus), chart.lam_mu):
+    assert np.array_equal(grid64.mu, mus)
+    for q in (dist_fn(state.omega)[1](mus), dist_chart(state.omega).lam_mu):
         assert np.abs(q - curve(mus)).max() < 5 * grid64.h**2 * scale
+
+
+def test_chart_cross_check_refines(bump_profile, grid32, grid64):
+    # the vorticity chart's own levels against the closed-form T(F) at the
+    # chart's polar areas: with no tabulated inverse in between, the gap
+    # falls with the grid (the chart's PCHIP inverse on the area grid
+    # missed T(F) by 2.77e-4 of its range at both grids)
+    gaps = [chart_cross_check(t_map(bump_profile, GAMMA, grid=g, cross_check=False)[1])
+            for g in (grid32, grid64)]
+    assert gaps[1] <= gaps[0] / 10, gaps
 
 
 def test_t_map_refines_at_second_order(bump_profile):

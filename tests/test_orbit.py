@@ -4,7 +4,7 @@ import pytest
 from annuflow.curves import Monotone1D
 from annuflow.errors import (CriticalPointError, NotInFplusError,
                              NotTangentError)
-from annuflow.grid import integrate, gradient, make_annulus, poisson_bracket
+from annuflow.grid import N_MU, integrate, gradient, make_annulus, poisson_bracket
 from annuflow import orbit
 from annuflow.orbit import (
     dist_fn, dq, d2q, is_tangent, j_functional, j_over_grad,
@@ -311,7 +311,7 @@ def test_dist_fn_of_a_wide_sweep_profile(Nr, Ns):
     F = Profile1D.from_callable(fn, default_cbar(psi0))
     omega = solve_steady(F, GAMMA4, psi0=psi0).omega
     A, ainv = dist_fn(omega)
-    assert (ainv.a, ainv.b, ainv.values.size) == (0.0, g.area, orbit.N_MU)
+    assert (ainv.a, ainv.b, ainv.values.size) == (0.0, g.area, N_MU)
     assert ainv.values[0] == omega.values[0, 0]
     assert ainv.values[-1] == pytest.approx(omega.values[-1, 0], rel=1e-14)
     # a level's area against the per-cell area count of the field
@@ -332,9 +332,19 @@ def test_dist_fn_of_a_radial_field_charts_nothing(monkeypatch, bump_fields):
         omega = bump_fields[name, "omega"][0]
         g = omega.grid
         _, ainv = dist_fn(omega)
-        _, mu, lam_mu = orbit.radial_levels(g, omega.values[:, 0], np.ptp(omega.values))
+        _, lam_mu = orbit.radial_levels(g, omega.values[:, 0], np.ptp(omega.values))
         assert np.array_equal(ainv.values, lam_mu)
-        assert np.array_equal(ainv.grid_x(), mu)
+        assert np.array_equal(ainv.grid_x(), g.mu)
+
+
+def test_radial_dist_leaves_the_area_spread_unbuilt():
+    # radial_levels and dist_fn read the grid's area grid and C; E, the
+    # grid's area_spread, is built by Id + K alone
+    g = make_annulus(1.0, 2.0, 16, 70)
+    omega = g.field_from(lambda r, t: r**2 + 0 * t)
+    dist_fn(omega)
+    orbit.radial_levels(g, omega.values[:, 0], np.ptp(omega.values))
+    assert "area_levels" in vars(g) and "area_spread" not in vars(g)
 
 
 def test_dist_fn_of_a_radial_field_keeps_its_refusals(grid32, grid64):
@@ -357,7 +367,7 @@ def test_dist_fn_refines(bump_profile):
     for nr in (32, 64, 128):
         g = make_annulus(1.0, 2.0, nr, 2 * nr)
         omega = solve_steady(bump_profile, GAMMA4, grid=g).omega
-        Q.append(dist_fn(omega)[1](np.linspace(0.0, g.area, orbit.N_MU)))
+        Q.append(dist_fn(omega)[1](np.linspace(0.0, g.area, N_MU)))
     gaps = [np.abs(a - b).max() for a, b in zip(Q, Q[1:])]
     assert np.log2(gaps[0] / gaps[1]) >= 1.8, gaps
 
